@@ -4,7 +4,7 @@ classification and the Schrödinger-residual verification.
 Two independent evaluation paths exist on purpose:
 
 * :func:`lemma_T` composes the T-transform from fully numeric ingredients
-  (eigen-determinant, dense resolvent solves, numeric Gram matrix).
+  (dense LU determinant, dense resolvent solves, numeric Gram matrix).
 * :func:`magnetic_T` evaluates the closed-form specialization (analytic
   determinant, closed-form preimages, analytic Gram matrix).
 
@@ -33,7 +33,7 @@ from .errors import (CausticError, ConditionViolationError, InvalidParameterErro
                      NearSingularError)
 from .fredholm import (analytic_gram_diagonal, check_away_from_caustic,
                        closed_preimage_f, closed_preimage_g, solve_N)
-from .grid import Grid, GridFunctionPair, make_grid, pair, pair_from_vector
+from .grid import Grid, GridFunctionPair, make_grid, pair
 from .operators import BlockOperator, MagneticModel, free_K, magnetic_L
 from .testfunctions import indicator_pair
 
@@ -90,10 +90,10 @@ class CausticClassification:
 class LemmaEvaluator:
     """Numeric ingredients of the master T-transform, computed once per (K, L, etas).
 
-    The determinant of Id + L(Id+K)^{-1} comes from an eigen-decomposition
-    (symmetric fast path when the product is real symmetric), N = Id+K+L is
-    LU-factorized, and the Gram matrix of the pinning directions is built
-    from resolvent solves.  ``evaluate`` is then cheap per test function.
+    N = Id+K+L is LU-factorized once.  Those factors give det N, so the
+    determinant det(Id + L(Id+K)^{-1}) = det N / det(Id+K) costs one more
+    slogdet.  The Gram matrix of the pinning directions is built from
+    resolvent solves.  ``evaluate`` is then cheap per test function.
     """
 
     def __init__(self, K: BlockOperator, L: BlockOperator, etas=(), gram_tol=1e-8):
@@ -104,46 +104,44 @@ class LemmaEvaluator:
         for eta in self.etas:
             if eta.grid != self.grid:
                 raise InvalidParameterError("every eta must live on the operator grid")
-
         n2 = 2 * self.grid.n
-        id_plus_k = np.eye(n2, dtype=complex) + K.entries
-        # Fast path: K diagonal (the free kernel is), else a dense solve.
-        if np.count_nonzero(id_plus_k - np.diag(np.diagonal(id_plus_k))) == 0:
-            core = L.entries * (1.0 / np.diagonal(id_plus_k))[None, :]
-        else:
-            core = L.entries @ np.linalg.inv(id_plus_k)
 
-        if (np.abs(core.imag).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(core).max())
-                and np.abs(core - core.T).max() <= 1e-10 * max(1.0, np.abs(core).max())):
-            self.core_eigs = np.linalg.eigvalsh(core.real.astype(float)).astype(complex)
-        else:
-            self.core_eigs = np.linalg.eigvals(core)
-        self.determinant = complex(np.prod(1.0 + self.core_eigs))
+        n_matrix = np.eye(n2, dtype=complex) + K.entries
+        sign_k, logdet_k = np.linalg.slogdet(n_matrix)
+        if sign_k == 0:
+            raise NearSingularError("Id + K is singular", cond_estimate=np.inf)
+        n_matrix += L.entries
+        self._n_lu = sla.lu_factor(n_matrix)
+        # det N = (-1)^swaps prod diag(U), as unit phases times exp(sum log|U_jj|);
+        # a zero pivot zeroes both factors.
+        lu, piv = self._n_lu
+        diag = np.diagonal(lu)
+        moduli = np.abs(diag)
+        with np.errstate(divide="ignore"):
+            log_abs_n = np.sum(np.log(moduli))
+        phase_n = (-1) ** np.count_nonzero(piv != np.arange(n2)) * np.prod(
+            diag / np.maximum(moduli, 1e-300))
+        self.determinant = complex(phase_n / sign_k * np.exp(log_abs_n - logdet_k))
         if abs(self.determinant) < 1e-12:
             raise CausticError(
                 f"det(Id + L(Id+K)^{{-1}}) = {self.determinant:.3g} is singular",
                 classification="half_integer_caustic")
 
-        n_matrix = id_plus_k + L.entries
-        self._n_lu = sla.lu_factor(n_matrix)
         anorm = np.linalg.norm(n_matrix, 1)
-        rcond, _ = sla.lapack.zgecon(self._n_lu[0], anorm)
+        rcond, _ = sla.lapack.zgecon(lu, anorm)
         self.cond_estimate = np.inf if rcond == 0 else 1.0 / rcond
         if self.cond_estimate > 1e12:
             raise NearSingularError("N = Id+K+L is numerically singular",
                                     cond_estimate=self.cond_estimate)
 
-        j = len(self.etas)
-        self.gram = np.empty((j, j), dtype=complex)
-        solved = [self._solve_vec(eta.as_vector()) for eta in self.etas]
-        for a in range(j):
-            for b in range(j):
-                self.gram[a, b] = _pair_vec(self.grid, self.etas[a].as_vector(), solved[b])
-        if j:
+        # Pairings are dots against the stacked weights (w, w).
+        self._weights = np.tile(self.grid.weights, 2)
+        etas_mat = np.array([eta.as_vector() for eta in self.etas],
+                            dtype=complex).reshape(len(self.etas), n2)
+        self._weighted_etas = self._weights * etas_mat
+        self.gram = self._weighted_etas @ sla.lu_solve(self._n_lu, etas_mat.T)
+        if self.etas:
             self._check_gram(gram_tol)
-
-    def _solve_vec(self, vec: np.ndarray) -> np.ndarray:
-        return sla.lu_solve(self._n_lu, vec.astype(complex))
 
     def _check_gram(self, tol: float) -> None:
         m = self.gram
@@ -155,15 +153,12 @@ class LemmaEvaluator:
             self.gram_branch = "imaginary"
             return
         try:
-            re_eigs = np.linalg.eigvalsh((re + re.T) / 2.0)
-        except np.linalg.LinAlgError as exc:
-            raise ConditionViolationError(f"Gram real part not diagonalizable: {exc}")
-        if np.all(re_eigs > 0):
-            self.gram_branch = "positive_real"
-            return
-        raise ConditionViolationError(
-            "Gram matrix is neither positive-real nor purely imaginary; "
-            "the pinned product is not defined for these directions")
+            np.linalg.cholesky((re + re.T) / 2.0)
+        except np.linalg.LinAlgError:
+            raise ConditionViolationError(
+                "Gram matrix is neither positive-real nor purely imaginary; "
+                "the pinned product is not defined for these directions") from None
+        self.gram_branch = "positive_real"
 
     def evaluate(self, f: GridFunctionPair | None = None, ys=(),
                  g_fn: GridFunctionPair | None = None) -> TTransformReport:
@@ -178,8 +173,8 @@ class LemmaEvaluator:
             exponent_quadratic = 0.0 + 0.0j
             n_inv_phi = None
         else:
-            n_inv_phi = self._solve_vec(phi)
-            exponent_quadratic = -0.5 * _pair_vec(self.grid, phi, n_inv_phi)
+            n_inv_phi = sla.lu_solve(self._n_lu, phi)
+            exponent_quadratic = -0.5 * complex((self._weights * phi) @ n_inv_phi)
 
         det_factor = 1.0 / _branch_sqrt(self.determinant, notes, "det(Id+L(Id+K)^-1)")
 
@@ -191,12 +186,9 @@ class LemmaEvaluator:
             det_m = complex(np.linalg.det(self.gram))
             gram_factor = 1.0 / _branch_sqrt((2.0 * np.pi) ** j * det_m, notes,
                                              "(2pi)^J det(M)")
-            u = np.empty(j, dtype=complex)
-            for a in range(j):
-                coupling = 0.0 + 0.0j
-                if n_inv_phi is not None:
-                    coupling = _pair_vec(self.grid, self.etas[a].as_vector(), n_inv_phi)
-                u[a] = 1j * ys[a] + coupling
+            u = 1j * ys
+            if n_inv_phi is not None:
+                u = u + self._weighted_etas @ n_inv_phi
             # Sign fixed by performing the Gaussian integrals over the pinning
             # parameters: completing the square yields +1/2 u^T M^{-1} u.
             exponent_delta = 0.5 * complex(u @ np.linalg.solve(self.gram, u))
@@ -209,10 +201,6 @@ class LemmaEvaluator:
                                 exponent_delta=complex(exponent_delta),
                                 u=u, branch_note=tuple(notes), convention="composed",
                                 gram=self.gram.copy(), determinant=self.determinant)
-
-
-def _pair_vec(g: Grid, u_vec: np.ndarray, v_vec: np.ndarray) -> complex:
-    return pair(pair_from_vector(g, u_vec), pair_from_vector(g, v_vec))
 
 
 def _combine(g: Grid, f, g_fn):
@@ -346,13 +334,20 @@ def composed_closed_value(m: MagneticModel, y, convention: str = "composed") -> 
     composed convention, '-' the alternative under adjudication.
     """
     y = np.asarray(y, dtype=float)
-    r2 = float(y @ y)
     sign = +1.0 if convention == "composed" else -1.0
-    if m.k == 0:
-        return 1.0 / (2.0 * np.pi * 1j * m.t) * np.exp(sign * 0.5j * r2 / m.t)
-    kt = m.k * m.t
-    return (m.k / (2.0 * np.pi * 1j * np.sin(kt))
-            * np.exp(sign * 0.5j * m.k / np.tan(kt) * r2))
+    return _closed_form(m.k, m.t, float(y @ y), sign)
+
+
+def _closed_form(k: float, t: float, r2, sign: float = 1.0):
+    """k/(2 pi i sin(kt)) exp(sign (ik/2) cot(kt) r2) at |y|^2 = r2, scalar or array.
+
+    At k = 0 this is the free propagator 1/(2 pi i t) exp(sign i r2 / (2t)).
+    """
+    if k == 0:
+        return 1.0 / (2.0 * np.pi * 1j * t) * np.exp(sign * 0.5j * r2 / t)
+    kt = k * t
+    return (k / (2.0 * np.pi * 1j * np.sin(kt))
+            * np.exp(sign * 0.5j * k / np.tan(kt) * r2))
 
 
 def propagator(m: MagneticModel, y, n_grid: int = 600) -> PropagatorValue:
@@ -384,7 +379,7 @@ def free_limit_reference(t: float, y) -> complex:
     if not t > 0:
         raise InvalidParameterError(f"time must be positive, got {t}")
     y = np.asarray(y, dtype=float)
-    return 1.0 / (2.0 * np.pi * 1j * t) * np.exp(0.5j * float(y @ y) / t)
+    return _closed_form(0.0, t, float(y @ y))
 
 
 @dataclass(frozen=True)
@@ -428,17 +423,9 @@ def schrodinger_residual(m: MagneticModel, y_half: float = 1.0, n_y: int = 21,
     ht = t_axis[1] - t_axis[0]
     y1 = y_axis[:, None]
     y2 = y_axis[None, :]
-
-    def g_at(t):
-        r2 = y1 ** 2 + y2 ** 2
-        sign = +1.0 if convention == "composed" else -1.0
-        if m.k == 0:
-            return 1.0 / (2.0 * np.pi * 1j * t) * np.exp(sign * 0.5j * r2 / t)
-        kt = m.k * t
-        return (m.k / (2.0 * np.pi * 1j * np.sin(kt))
-                * np.exp(sign * 0.5j * m.k / np.tan(kt) * r2))
-
-    g_vals = np.stack([g_at(t) for t in t_axis])        # (t, y1, y2)
+    r2 = y1 ** 2 + y2 ** 2
+    sign = +1.0 if convention == "composed" else -1.0
+    g_vals = np.stack([_closed_form(m.k, t, r2, sign) for t in t_axis])   # (t, y1, y2)
 
     dt = (g_vals[2:] - g_vals[:-2]) / (2.0 * ht)
     inner = g_vals[1:-1]

@@ -1,90 +1,71 @@
 """Resolvent solves N x = eta, closed-form preimages, and the Gram matrix.
 
-On the grid N = -i (Id + B) with B real symmetric, so the solve reduces to
-a real factorization: x = i (Id + B)^{-1} rhs.  The factorization is cached
-per (model, grid) together with a 1-norm condition estimate, which doubles
-as the caustic diagnostic.
+On the grid N = -i (Id + B), so x = i (Id + B)^{-1} rhs.  Id + B is
+inverted through the skew-circulant structure of B (see
+:func:`operators.solve_id_plus_core`); its eigenvalues 1 +- sigma give the
+exact 2-norm condition number, which doubles as the caustic diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import CausticError, InvalidParameterError, NearSingularError
+from .errors import (CausticError, GridMismatchError, InvalidParameterError,
+                     NearSingularError)
 from .grid import Grid, GridFunctionPair, pair, pair_from_vector
-from .operators import MagneticModel, build_N, symmetric_core
+from .operators import MagneticModel, build_N, skew_spectrum, solve_id_plus_core
 
 # Refuse closed forms and solves this close to a caustic; the closed
-# preimage has cos(2kt) + 1 in a denominator and the propagator prefactor
-# degenerates when cos(kt) or sin(kt) vanishes.
+# preimage has cos(2kt) + 1 = 2 cos^2(kt) in a denominator.
 CAUSTIC_GUARD = 1e-8
 COND_LIMIT = 1e12
 
 
 def check_away_from_caustic(m: MagneticModel) -> None:
+    """Refuse |cos(2kt) + 1| < CAUSTIC_GUARD, i.e. |kt - (j + 1/2) pi| < 7.07e-5."""
     kt = m.k * m.t
-    if abs(np.cos(kt)) < CAUSTIC_GUARD:
-        raise CausticError(f"kt = {kt:.6g} sits on a half-integer caustic",
-                           classification="half_integer_caustic", kt=kt)
     if abs(np.cos(2 * kt) + 1.0) < CAUSTIC_GUARD:
-        raise CausticError(f"kt = {kt:.6g}: closed preimage denominator vanishes",
+        raise CausticError(f"kt = {kt:.6g} sits on a half-integer caustic: "
+                           f"closed preimage denominator vanishes",
                            classification="half_integer_caustic", kt=kt)
 
 
-@dataclass
-class ResolventFactorization:
-    """LU factorization of Id + B with a condition estimate attached."""
+@dataclass(frozen=True)
+class Resolvent:
+    """(Id + B)^{-1} through the spectrum sigma of B's skew-circulant block."""
 
-    model: MagneticModel
-    grid: Grid
-    lu: tuple = field(repr=False)
-    cond_estimate: float = 0.0
-    _matrix: np.ndarray = field(default=None, repr=False)
+    sigma: np.ndarray = field(repr=False)
+    cond_estimate: float
 
     def solve(self, rhs_vec: np.ndarray) -> np.ndarray:
-        """(Id+B)^{-1} rhs with one step of iterative refinement."""
-        x = sla.lu_solve(self.lu, rhs_vec)
-        r = rhs_vec - self._matrix @ x
-        x += sla.lu_solve(self.lu, r)
-        return x
+        """(Id+B)^{-1} rhs for a real 2n-vector rhs."""
+        return solve_id_plus_core(self.sigma, rhs_vec)
 
 
-@lru_cache(maxsize=16)
-def _factorize(k: float, t: float, n: int) -> ResolventFactorization:
-    m = MagneticModel(k=k, t=t)
-    from .grid import make_grid
-    g = make_grid(t, n)
-    mat = np.eye(2 * n) + symmetric_core(m, g)
-    lu = sla.lu_factor(mat)
-    anorm = np.linalg.norm(mat, 1)
-    rcond, info = sla.lapack.dgecon(lu[0], anorm)
-    cond = np.inf if rcond == 0 else 1.0 / rcond
-    if info != 0 or cond > COND_LIMIT:
-        raise NearSingularError(
-            f"Id + B is numerically singular (cond ~ {cond:.3g}); "
-            f"kt = {k * t:.6g} is too close to a caustic", cond_estimate=cond)
-    return ResolventFactorization(model=m, grid=g, lu=lu, cond_estimate=cond,
-                                  _matrix=mat)
-
-
-def resolvent(m: MagneticModel, g: Grid) -> ResolventFactorization:
+def resolvent(m: MagneticModel, g: Grid) -> Resolvent:
+    """Structured inverse of Id + B; refuses a 2-norm condition above COND_LIMIT."""
     check_away_from_caustic(m)
-    return _factorize(m.k, m.t, g.n)
+    sigma = skew_spectrum(m, g)
+    moduli = np.abs(np.concatenate([1.0 + sigma, 1.0 - sigma]))
+    smallest = moduli.min()
+    cond = np.inf if smallest == 0 else float(moduli.max() / smallest)
+    if cond > COND_LIMIT:
+        raise NearSingularError(
+            f"Id + B is numerically singular (cond = {cond:.3g}); "
+            f"kt = {m.k * m.t:.6g} is too close to a caustic", cond_estimate=cond)
+    return Resolvent(sigma=sigma, cond_estimate=cond)
 
 
 def solve_N(m: MagneticModel, g: Grid, rhs: GridFunctionPair) -> GridFunctionPair:
     """x = N^{-1} rhs = i (Id + B)^{-1} rhs on the grid."""
     if rhs.grid != g:
-        from .errors import GridMismatchError
         raise GridMismatchError("rhs lives on a different grid")
     fact = resolvent(m, g)
     vec = rhs.as_vector()
-    # Real factorization; solving real and imaginary parts separately keeps
-    # a real rhs producing an exactly imaginary x.
+    # The structured solve is real; solving real and imaginary parts
+    # separately keeps a real rhs producing an exactly imaginary x.
     sol = fact.solve(vec.real.astype(float))
     if np.any(vec.imag):
         sol = sol + 1j * fact.solve(vec.imag.astype(float))

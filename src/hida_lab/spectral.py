@@ -6,7 +6,8 @@ determinant of Id + L(Id+K)^{-1} is cos^2(kt), reachable three ways:
 
   closed     cos^2(kt)
   product    prod_n (1 - 4 k^2 t^2 / ((2n-1)^2 pi^2))^2, truncated
-  discrete   prod (1 + lambda) over the eigenvalues of the discretized core
+  discrete   prod (1 + lambda) over the eigenvalues +-sigma of the discretized
+             core, read off its skew-circulant structure (operators.skew_spectrum)
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
 from .grid import Grid, GridFunctionPair
-from .operators import MagneticModel, symmetric_core
+from .operators import MagneticModel, skew_spectrum
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,14 @@ def analytic_eigenfunction(m: MagneticModel, n: int, c1: complex, c2: complex,
 
 
 def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralReport:
-    """Eigen-decomposition of B with greedy multiplicity-2 matching.
+    """Eigenvalues +-sigma of B with greedy multiplicity-2 matching.
 
     Positive and negative discrete eigenvalues are paired separately in
     descending magnitude; pair j of each sign is matched against
     +-lambda_j.  ``count`` analytic values are matched on each branch.
     """
-    b = symmetric_core(m, g)
-    try:
-        eigs = np.linalg.eigvalsh(b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailureError(f"symmetric eigensolver failed: {exc}") from exc
-
+    sigma = skew_spectrum(m, g)
+    eigs = np.concatenate([sigma, -sigma])
     order = np.argsort(-np.abs(eigs))
     discrete = eigs[order]
 

@@ -98,6 +98,17 @@ def test_caustic_guard_refuses_half_integer_times():
         closed_preimage_f(near, make_grid(near.t, 32))
 
 
+def test_caustic_guard_band_is_where_cos_2kt_plus_one_vanishes():
+    """2 cos^2(kt) < 1e-8 refuses |kt - pi/2| < 7.07e-5 and nothing wider."""
+    inside = MagneticModel(k=1.0, t=np.pi / 2.0 + 1e-5)
+    with pytest.raises(CausticError) as exc:
+        check_away_from_caustic(inside)
+    assert exc.value.classification == "half_integer_caustic"
+    with pytest.raises(CausticError):
+        resolvent(inside, make_grid(inside.t, 64))
+    check_away_from_caustic(MagneticModel(k=1.0, t=np.pi / 2.0 + 1e-4))
+
+
 def test_resolvent_refuses_near_singular_system():
     """Just off the caustic the guard passes but the solve must still refuse."""
     m = MagneticModel(k=1.0, t=np.pi / 2.0 + 1e-7)
