@@ -236,7 +236,9 @@ def cmd_propagator(cfg: RunConfig) -> int:
         "branch_note": list(pv.report.branch_note),
     }
     emit(cfg, results, {"convention_note":
-                        "composed value is authoritative; printed formula shown for comparison"})
+                        "composed value is authoritative; printed formula shown for comparison",
+                        "route": pv.report.route,
+                        "cond_estimate": pv.report.cond_estimate})
     return EXIT_OK
 
 
@@ -257,7 +259,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     rows = [{"name": c.name, "passed": c.passed, "measured": c.measured,
              "threshold": c.threshold, "detail": c.detail} for c in checks]
     failures = sum(1 for c in checks if not c.passed)
-    emit(cfg, {"rows": rows, "failures": failures})
+    emit(cfg, {"rows": rows, "failures": failures},
+         {"check_seconds": {c.name: c.seconds for c in checks}})
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: {c.detail}", file=sys.stderr)
@@ -282,7 +285,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
                             n_grid=min(cfg.grid_points, 400 if cfg.quick else cfg.grid_points))
             row["value"] = pv.value
             row["abs_value"] = abs(pv.value)
-        except CausticError as exc:
+        except HidaLabError as exc:
             row["value"] = None
             row["abs_value"] = None
             row["error"] = str(exc)

@@ -3,10 +3,17 @@ classification and the Schrödinger-residual verification.
 
 Two independent evaluation paths exist on purpose:
 
-* :func:`lemma_T` composes the T-transform from fully numeric ingredients
-  (dense LU determinant, dense resolvent solves, numeric Gram matrix).
+* :func:`lemma_T` (:class:`LemmaEvaluator`) composes the T-transform from
+  fully numeric dense ingredients (dense LU determinant, dense resolvent
+  solves, numeric Gram matrix) for any K, L.  It is the dense oracle.
 * :func:`magnetic_T` evaluates the closed-form specialization (analytic
   determinant, closed-form preimages, analytic Gram matrix).
+
+:func:`propagator` is the structured numeric route: the same numeric
+ingredients for the magnetic K, L, taken from the skew-circulant spectrum
+of B and one structured solve in O(n log n), with no dense matrix.  It
+shares the composition and the refusals with :class:`LemmaEvaluator`, and
+the tests hold it to that dense oracle.
 
 The sign of the delta exponent and the square-root branches are fixed by
 actually performing the Gaussian integrals that define the pinned product:
@@ -31,13 +38,18 @@ import scipy.linalg as sla
 
 from .errors import (CausticError, ConditionViolationError, InvalidParameterError,
                      NearSingularError)
-from .fredholm import (analytic_gram_diagonal, check_away_from_caustic,
-                       closed_preimage_f, closed_preimage_g, solve_N)
+from .fredholm import (COND_LIMIT, _spectrum_and_cond, analytic_gram_diagonal,
+                       check_away_from_caustic, closed_preimage_f, closed_preimage_g,
+                       solve_N)
 from .grid import Grid, GridFunctionPair, make_grid, pair
-from .operators import BlockOperator, MagneticModel, free_K, magnetic_L
+from .operators import BlockOperator, MagneticModel, solve_id_plus_core
 from .testfunctions import indicator_pair
 
 _NEAR_REAL = 1e-8
+# Refuse a Fredholm determinant below this modulus as a caustic.
+_DET_FLOOR = 1e-12
+# A Gram matrix whose real part is below this share of its scale is imaginary.
+_GRAM_TOL = 1e-8
 
 
 def _branch_sqrt(z: complex, notes: list, label: str) -> complex:
@@ -68,6 +80,8 @@ class TTransformReport:
     convention: str
     gram: np.ndarray = field(default=None, repr=False)
     determinant: complex = None
+    route: str = None                 # structured | dense
+    cond_estimate: float = None       # cond of N: exact 2-norm (structured), 1-norm estimate (dense)
 
 
 @dataclass(frozen=True)
@@ -96,7 +110,7 @@ class LemmaEvaluator:
     resolvent solves.  ``evaluate`` is then cheap per test function.
     """
 
-    def __init__(self, K: BlockOperator, L: BlockOperator, etas=(), gram_tol=1e-8):
+    def __init__(self, K: BlockOperator, L: BlockOperator, etas=(), gram_tol=_GRAM_TOL):
         if K.grid != L.grid:
             raise InvalidParameterError("K and L must live on the same grid")
         self.grid = K.grid
@@ -122,17 +136,12 @@ class LemmaEvaluator:
         phase_n = (-1) ** np.count_nonzero(piv != np.arange(n2)) * np.prod(
             diag / np.maximum(moduli, 1e-300))
         self.determinant = complex(phase_n / sign_k * np.exp(log_abs_n - logdet_k))
-        if abs(self.determinant) < 1e-12:
-            raise CausticError(
-                f"det(Id + L(Id+K)^{{-1}}) = {self.determinant:.3g} is singular",
-                classification="half_integer_caustic")
+        _refuse_singular_determinant(self.determinant)
 
         anorm = np.linalg.norm(n_matrix, 1)
         rcond, _ = sla.lapack.zgecon(lu, anorm)
         self.cond_estimate = np.inf if rcond == 0 else 1.0 / rcond
-        if self.cond_estimate > 1e12:
-            raise NearSingularError("N = Id+K+L is numerically singular",
-                                    cond_estimate=self.cond_estimate)
+        _refuse_ill_conditioned(self.cond_estimate)
 
         # Pairings are dots against the stacked weights (w, w).
         self._weights = np.tile(self.grid.weights, 2)
@@ -141,24 +150,7 @@ class LemmaEvaluator:
         self._weighted_etas = self._weights * etas_mat
         self.gram = self._weighted_etas @ sla.lu_solve(self._n_lu, etas_mat.T)
         if self.etas:
-            self._check_gram(gram_tol)
-
-    def _check_gram(self, tol: float) -> None:
-        m = self.gram
-        scale = np.abs(m).max()
-        re, im = m.real, m.imag
-        if np.abs(re).max() <= tol * max(scale, 1e-300):
-            if np.abs(im).max() == 0:
-                raise ConditionViolationError("Gram matrix vanishes identically")
-            self.gram_branch = "imaginary"
-            return
-        try:
-            np.linalg.cholesky((re + re.T) / 2.0)
-        except np.linalg.LinAlgError:
-            raise ConditionViolationError(
-                "Gram matrix is neither positive-real nor purely imaginary; "
-                "the pinned product is not defined for these directions") from None
-        self.gram_branch = "positive_real"
+            self.gram_branch = _gram_branch(self.gram, gram_tol)
 
     def evaluate(self, f: GridFunctionPair | None = None, ys=(),
                  g_fn: GridFunctionPair | None = None) -> TTransformReport:
@@ -167,40 +159,75 @@ class LemmaEvaluator:
         if ys.shape != (j,):
             raise InvalidParameterError(f"need {j} pinning values, got shape {ys.shape}")
 
-        notes: list = []
         phi = _combine(self.grid, f, g_fn)
+        u = 1j * ys
         if phi is None:
             exponent_quadratic = 0.0 + 0.0j
-            n_inv_phi = None
         else:
             n_inv_phi = sla.lu_solve(self._n_lu, phi)
             exponent_quadratic = -0.5 * complex((self._weights * phi) @ n_inv_phi)
+            u = u + self._weighted_etas @ n_inv_phi
+        return _compose(self.determinant, self.gram, u, exponent_quadratic,
+                        route="dense", cond_estimate=self.cond_estimate)
 
-        det_factor = 1.0 / _branch_sqrt(self.determinant, notes, "det(Id+L(Id+K)^-1)")
 
-        if j == 0:
-            gram_factor = 1.0 + 0.0j
-            u = np.zeros(0, dtype=complex)
-            exponent_delta = 0.0 + 0.0j
-        else:
-            det_m = complex(np.linalg.det(self.gram))
-            gram_factor = 1.0 / _branch_sqrt((2.0 * np.pi) ** j * det_m, notes,
-                                             "(2pi)^J det(M)")
-            u = 1j * ys
-            if n_inv_phi is not None:
-                u = u + self._weighted_etas @ n_inv_phi
-            # Sign fixed by performing the Gaussian integrals over the pinning
-            # parameters: completing the square yields +1/2 u^T M^{-1} u.
-            exponent_delta = 0.5 * complex(u @ np.linalg.solve(self.gram, u))
-            notes.append("delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)")
+def _refuse_singular_determinant(determinant: complex) -> None:
+    if abs(determinant) < _DET_FLOOR:
+        raise CausticError(
+            f"det(Id + L(Id+K)^{{-1}}) = {determinant:.3g} is singular",
+            classification="half_integer_caustic")
 
-        value = det_factor * gram_factor * np.exp(exponent_quadratic + exponent_delta)
-        return TTransformReport(value=complex(value), det_factor=complex(det_factor),
-                                gram_factor=complex(gram_factor),
-                                exponent_quadratic=complex(exponent_quadratic),
-                                exponent_delta=complex(exponent_delta),
-                                u=u, branch_note=tuple(notes), convention="composed",
-                                gram=self.gram.copy(), determinant=self.determinant)
+
+def _refuse_ill_conditioned(cond_estimate: float) -> None:
+    if cond_estimate > COND_LIMIT:
+        raise NearSingularError("N = Id+K+L is numerically singular",
+                                cond_estimate=cond_estimate)
+
+
+def _gram_branch(gram: np.ndarray, tol: float) -> str:
+    """'imaginary' or 'positive_real'; any other Gram matrix is refused."""
+    scale = np.abs(gram).max()
+    re, im = gram.real, gram.imag
+    if np.abs(re).max() <= tol * max(scale, 1e-300):
+        if np.abs(im).max() == 0:
+            raise ConditionViolationError("Gram matrix vanishes identically")
+        return "imaginary"
+    try:
+        np.linalg.cholesky((re + re.T) / 2.0)
+    except np.linalg.LinAlgError:
+        raise ConditionViolationError(
+            "Gram matrix is neither positive-real nor purely imaginary; "
+            "the pinned product is not defined for these directions") from None
+    return "positive_real"
+
+
+def _compose(determinant: complex, gram: np.ndarray, u: np.ndarray,
+             exponent_quadratic: complex, route: str,
+             cond_estimate: float) -> TTransformReport:
+    """det^{-1/2} ((2pi)^J det M)^{-1/2} exp(exponent_quadratic + 1/2 u^T M^{-1} u)."""
+    notes: list = []
+    det_factor = 1.0 / _branch_sqrt(determinant, notes, "det(Id+L(Id+K)^-1)")
+    j = len(u)
+    if j == 0:
+        gram_factor = 1.0 + 0.0j
+        exponent_delta = 0.0 + 0.0j
+    else:
+        det_m = complex(np.linalg.det(gram))
+        gram_factor = 1.0 / _branch_sqrt((2.0 * np.pi) ** j * det_m, notes,
+                                         "(2pi)^J det(M)")
+        # Sign fixed by performing the Gaussian integrals over the pinning
+        # parameters: completing the square yields +1/2 u^T M^{-1} u.
+        exponent_delta = 0.5 * complex(u @ np.linalg.solve(gram, u))
+        notes.append("delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)")
+
+    value = det_factor * gram_factor * np.exp(exponent_quadratic + exponent_delta)
+    return TTransformReport(value=complex(value), det_factor=complex(det_factor),
+                            gram_factor=complex(gram_factor),
+                            exponent_quadratic=complex(exponent_quadratic),
+                            exponent_delta=complex(exponent_delta),
+                            u=u, branch_note=tuple(notes), convention="composed",
+                            gram=gram.copy(), determinant=determinant, route=route,
+                            cond_estimate=cond_estimate)
 
 
 def _combine(g: Grid, f, g_fn):
@@ -351,17 +378,35 @@ def _closed_form(k: float, t: float, r2, sign: float = 1.0):
 
 
 def propagator(m: MagneticModel, y, n_grid: int = 600) -> PropagatorValue:
-    """Generalized expectation by full numeric composition.
+    """Generalized expectation by structured numeric composition.
 
-    Numeric determinant, numeric Gram matrix and numeric resolvent; the
-    as-quoted cos-prefactor formula is attached for comparison only.
+    Numeric determinant, numeric Gram matrix and numeric resolvent, as in
+    :class:`LemmaEvaluator` with the magnetic K, L and the indicator
+    directions, but with no dense matrix: O(n log n) time and O(n) memory.
+    On the grid (Id+K)^{-1} = i Id, so det(Id + L(Id+K)^{-1}) = det(Id + B)
+    = prod(1 - sigma^2) over the skew-circulant spectrum sigma, and the
+    condition number is the exact max|1+-sigma|/min|1+-sigma|.  The Gram
+    matrix needs one solve: N^{-1} eta_1 = i (x1, x2) with (x1, x2) =
+    (Id+B)^{-1} eta_1, and N^{-1} eta_2 = i (-x2, x1).  Composition and
+    refusals are those of :class:`LemmaEvaluator`, which :func:`lemma_T`
+    keeps as the dense oracle.  The as-quoted cos-prefactor formula is
+    attached for comparison only.
     """
     _require_regular(m)
     y = np.asarray(y, dtype=float)
     g = make_grid(m.t, n_grid)
-    evaluator = LemmaEvaluator(free_K(m, g), magnetic_L(m, g),
-                               etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
-    report = evaluator.evaluate(ys=y)
+    sigma, cond = _spectrum_and_cond(m, g)
+    determinant = complex(np.prod(1.0 - sigma ** 2))
+    _refuse_singular_determinant(determinant)
+    _refuse_ill_conditioned(cond)
+    x = solve_id_plus_core(sigma, indicator_pair(g, 1).as_vector().real)
+    # M_ab = (eta_a, N^{-1} eta_b): the eta_1 and eta_2 components of i x.
+    m11 = 1j * (g.weights @ x[:g.n])
+    m21 = 1j * (g.weights @ x[g.n:])
+    gram = np.array([[m11, -m21], [m21, m11]])
+    _gram_branch(gram, _GRAM_TOL)     # LemmaEvaluator's admissibility verdict
+    report = _compose(determinant, gram, 1j * y, 0.0 + 0.0j,
+                      route="structured", cond_estimate=cond)
     return PropagatorValue(model=m, y=(float(y[0]), float(y[1])),
                            value=report.value, convention="composed",
                            printed_value=printed_propagator_value(m, y),

@@ -44,13 +44,19 @@ class Resolvent:
         return solve_id_plus_core(self.sigma, rhs_vec)
 
 
-def resolvent(m: MagneticModel, g: Grid) -> Resolvent:
-    """Structured inverse of Id + B; refuses a 2-norm condition above COND_LIMIT."""
-    check_away_from_caustic(m)
+def _spectrum_and_cond(m: MagneticModel, g: Grid) -> tuple:
+    """sigma = skew_spectrum and the exact 2-norm condition max|1+-sigma|/min|1+-sigma|."""
     sigma = skew_spectrum(m, g)
     moduli = np.abs(np.concatenate([1.0 + sigma, 1.0 - sigma]))
     smallest = moduli.min()
     cond = np.inf if smallest == 0 else float(moduli.max() / smallest)
+    return sigma, cond
+
+
+def resolvent(m: MagneticModel, g: Grid) -> Resolvent:
+    """Structured inverse of Id + B; refuses a 2-norm condition above COND_LIMIT."""
+    check_away_from_caustic(m)
+    sigma, cond = _spectrum_and_cond(m, g)
     if cond > COND_LIMIT:
         raise NearSingularError(
             f"Id + B is numerically singular (cond = {cond:.3g}); "

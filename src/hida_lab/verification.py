@@ -8,7 +8,8 @@ shared by the ``hida-lab verify`` subcommand and the acceptance tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,6 +32,7 @@ class CheckResult:
     measured: float
     threshold: float
     detail: str
+    seconds: float = field(default=0.0, compare=False)   # wall time of the check
 
     def __post_init__(self):
         object.__setattr__(self, "passed", bool(self.passed))
@@ -249,19 +251,25 @@ def check_schrodinger(levels: int = 3, base_n: int = 11) -> CheckResult:
 
 
 def run_checks(quick: bool = False, seed: int = 777) -> list:
-    """All ten checks in order; ``quick`` trades grid size for runtime."""
+    """All ten checks in order, each timed; ``quick`` trades grid size for runtime."""
     n_grid = 1000 if quick else 2000
     sizes = (250, 500, 1000) if quick else (500, 1000, 2000)
     samples = 20_000 if quick else 100_000
-    return [
-        check_spectrum(n_grid=n_grid),
-        check_determinant(n_grid=n_grid),
-        check_preimage(sizes=sizes),
-        check_gram(n_grid=n_grid),
-        check_two_path(n_grid=n_grid, seed=seed),
-        check_free_limit(n_grid=300 if quick else 600),
-        check_gauss_identity(samples=samples),
-        check_delta_normalization(),
-        check_caustics(n_grid=200 if quick else 400, points=5 if quick else 7),
-        check_schrodinger(),
+    plan = [
+        (check_spectrum, {"n_grid": n_grid}),
+        (check_determinant, {"n_grid": n_grid}),
+        (check_preimage, {"sizes": sizes}),
+        (check_gram, {"n_grid": n_grid}),
+        (check_two_path, {"n_grid": n_grid, "seed": seed}),
+        (check_free_limit, {"n_grid": 300 if quick else 600}),
+        (check_gauss_identity, {"samples": samples}),
+        (check_delta_normalization, {}),
+        (check_caustics, {"n_grid": 200 if quick else 400, "points": 5 if quick else 7}),
+        (check_schrodinger, {}),
     ]
+    results = []
+    for check, kwargs in plan:
+        start = time.perf_counter()
+        result = check(**kwargs)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results

@@ -1,11 +1,15 @@
 """Command-line interface: report structure, config handling, exit codes."""
 
 import json
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import hida_lab.cli as cli
+import hida_lab.verification as verification
+from hida_lab.errors import NearSingularError
 from hida_lab.verification import CheckResult
 
 
@@ -32,6 +36,19 @@ def test_complex_numbers_serialize_as_re_im(capsys):
     assert code == 0
     composed = json.loads(out)["results"]["composed"]
     assert set(composed) == {"re", "im"}
+
+
+def test_propagator_diagnostics_name_the_route(capsys):
+    code, out, _ = run_cli(capsys, "propagator", "--k", "1", "--t", "1",
+                           "--grid-points", "150")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload["results"]) == {
+        "composed", "composed_closed_form", "printed_formula",
+        "composed_vs_printed_gap", "free_reference", "branch_note"}
+    diagnostics = payload["diagnostics"]
+    assert diagnostics["route"] == "structured"
+    assert 1.0 <= diagnostics["cond_estimate"] < 10.0
 
 
 def test_report_body_is_deterministic(tmp_path, capsys):
@@ -98,6 +115,25 @@ def test_sweep_csv_is_sorted(capsys, monkeypatch):
     assert ts == sorted(ts)
 
 
+def test_sweep_survives_a_refused_row(capsys, monkeypatch):
+    def propagator(m, y, n_grid):
+        if m.t == 2.0:
+            raise NearSingularError("stub refusal", cond_estimate=1e13)
+        return SimpleNamespace(value=1j * m.t)
+
+    monkeypatch.setattr(cli, "propagator", propagator)
+    code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "t",
+                           "--sweep-start", "1.0", "--sweep-stop", "3.0",
+                           "--sweep-steps", "3", "--grid-points", "80")
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    assert [r["t"] for r in rows] == [1.0, 2.0, 3.0]
+    assert rows[1]["value"] is None and rows[1]["error"] == "stub refusal"
+    assert [r["value"] for r in (rows[0], rows[2])] == [{"re": 0.0, "im": 1.0},
+                                                        {"re": 0.0, "im": 3.0}]
+    assert "error" not in rows[0] and "error" not in rows[2]
+
+
 def test_sweep_marks_caustic_rows(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "t",
                            "--sweep-start", str(np.pi - 0.2),
@@ -138,3 +174,27 @@ def test_verify_exit_codes(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_checks", lambda quick, seed: _fake_checks(False))
     code, _, err = run_cli(capsys, "verify", "--quick")
     assert code == 1 and "[FAIL] fake" in err
+
+
+def test_verify_reports_seconds_per_check_outside_results(capsys, monkeypatch):
+    names = []
+    for attr in [a for a in dir(verification) if a.startswith("check_")]:
+        def stub(*args, _name=attr, **kwargs):
+            if _name == "check_gram":
+                time.sleep(0.02)
+            return CheckResult(name=_name, passed=True, measured=0.0,
+                               threshold=1.0, detail="stub")
+        monkeypatch.setattr(verification, attr, stub)
+        names.append(attr)
+    outputs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 0
+        outputs.append(json.loads(out))
+    seconds = outputs[0]["diagnostics"]["check_seconds"]
+    assert sorted(seconds) == sorted(names) and len(names) == 10
+    assert all(s >= 0.0 for s in seconds.values())
+    assert seconds["check_gram"] >= 0.02
+    assert outputs[0]["results"] == outputs[1]["results"]
+    assert all(set(row) == {"name", "passed", "measured", "threshold", "detail"}
+               for row in outputs[0]["results"]["rows"])

@@ -1,11 +1,14 @@
 """The skew-circulant route for Id + B against the dense operators as oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hida_lab import (MagneticModel, analytic_gram_diagonal, closed_preimage_f,
-                      discrete_spectrum, gram_matrix, solve_N)
+                      composed_closed_value, discrete_spectrum, feynman, gram_matrix,
+                      operators, propagator, solve_N)
+from hida_lab.errors import HidaLabError
 from hida_lab.feynman import LemmaEvaluator
 from hida_lab.fredholm import resolvent
 from hida_lab.grid import make_grid
@@ -122,3 +125,83 @@ def test_structured_route_at_a_size_the_dense_route_cannot_hold():
     rep = discrete_spectrum(m, g, count=10)
     assert rep.discrete.shape == (2 * g.n,)
     assert rep.match_errors.max() < 1e-6
+
+
+def _dense_propagator(m, y, n):
+    """The propagator's ingredients through the dense oracle LemmaEvaluator."""
+    g = make_grid(m.t, n)
+    return LemmaEvaluator(free_K(m, g), magnetic_L(m, g),
+                          etas=(indicator_pair(g, 1), indicator_pair(g, 2))).evaluate(ys=y)
+
+
+def _outcome(fn):
+    """(value, None) or (None, class of the refusal)."""
+    try:
+        return fn(), None
+    except HidaLabError as exc:
+        return None, type(exc)
+
+
+endpoints = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
+
+
+@DENSE
+@given(couplings, times, sizes, endpoints, endpoints)
+@example(0.0, 1.0, 2, 0.3, -0.4)       # k = 0: the free propagator
+@example(0.0, 7.5, 151, -1.0, 1.0)
+@example(1.3, 3.0, 7, 0.5, 0.2)        # odd n, kt > pi
+@example(-2.5, 9.5, 199, -0.7, 0.9)    # odd n, kt ~ 7.6 pi
+@example(1.0, 5.0, 200, 0.3, -0.4)     # kt past the first two caustics
+def test_structured_propagator_matches_dense_oracle(k, t, n, y1, y2):
+    m = MagneticModel(k=k, t=t)
+    # Both routes first refuse continuum caustics (kt ~ 0 included), and at
+    # t < 1e-154 both divide by an underflowed det M = -t^2.
+    assume(feynman.caustic_check(m).classification == "regular" and t > 1e-150)
+    kt, step = abs(k * t), abs(k) * t / n
+    j = round(kt / np.pi)
+    assume(j == 0 or abs(kt - j * np.pi) > 10 * step)
+    assume(abs(kt - (np.floor(kt / np.pi) + 0.5) * np.pi) > 1e-6)
+    y = (y1, y2)
+    dense, dense_refusal = _outcome(lambda: _dense_propagator(m, y, n))
+    structured, refusal = _outcome(lambda: propagator(m, y, n_grid=n))
+    assert refusal is dense_refusal
+    if dense_refusal is None:
+        rep = structured.report
+        # A relative rounding e of M turns into a phase error e |u^T M^-1 u / 2|.
+        tol = 1e-8 + 1e-13 * abs(dense.exponent_delta)
+        assert abs(structured.value - dense.value) <= tol * abs(dense.value)
+        assert rep.branch_note == dense.branch_note
+        assert (rep.route, dense.route) == ("structured", "dense")
+
+
+def _parity_points(n, js):
+    points = []
+    for j in js:
+        points += [j * np.pi + s * d for d in (1e-7, 1e-5, 1e-3) for s in (-1, 1)]
+        points += [(j + 0.5) * np.pi + s * 1e-7 for s in (-1, 1)]
+        # The discrete half-integer caustic, where sigma_m = 1: refused by both.
+        points.append(n * np.tan((2 * j + 1) * np.pi / (2 * n)))
+    return [(n, kt) for kt in points]
+
+
+@pytest.mark.parametrize("n, kt", _parity_points(200, (1, 2)) + _parity_points(1000, (1,)))
+def test_structured_and_dense_propagator_refuse_alike(n, kt):
+    m = MagneticModel(k=1.0, t=kt)
+    y = (0.3, -0.2)
+    _, dense_refusal = _outcome(lambda: _dense_propagator(m, y, n))
+    _, refusal = _outcome(lambda: propagator(m, y, n_grid=n))
+    assert refusal is dense_refusal
+
+
+def test_structured_propagator_at_a_million_nodes_builds_no_dense_matrix(monkeypatch):
+    def dense_route(*args, **kwargs):
+        raise AssertionError("the structured propagator took a dense route")
+    monkeypatch.setattr(operators, "volterra", dense_route)
+    monkeypatch.setattr(feynman, "LemmaEvaluator", dense_route)
+    m = MagneticModel(k=1.0, t=2.0)
+    y = (0.3, -0.4)
+    pv = propagator(m, y, n_grid=1_000_000)
+    closed = composed_closed_value(m, y)
+    assert abs(pv.value - closed) <= 1e-5 * abs(closed)
+    assert pv.report.route == "structured"
+    assert 1.0 <= pv.report.cond_estimate < 100.0
