@@ -27,8 +27,7 @@ from . import __version__
 from .errors import (CausticError, HidaLabError, InvalidParameterError,
                      NearSingularError, NumericFailureError)
 from .feynman import (caustic_check, composed_closed_value, free_limit_reference,
-                      magnetic_T, printed_propagator_value, propagator,
-                      residual_convergence, schrodinger_residual)
+                      magnetic_T, propagator, residual_convergence)
 from .fredholm import (analytic_gram_diagonal, closed_preimage_f, gram_matrix,
                        solve_N, verify_preimage)
 from .grid import make_grid
@@ -107,12 +106,16 @@ def _coerce(cfg: RunConfig, overrides: dict) -> RunConfig:
         if not hasattr(cfg, key):
             raise InvalidParameterError(f"unknown config key {key!r}")
         current = getattr(cfg, key)
-        if isinstance(current, bool):
-            val = str(val).lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, int):
-            val = int(val)
-        elif isinstance(current, float):
-            val = float(val)
+        try:
+            if isinstance(current, bool):
+                val = str(val).lower() in ("1", "true", "yes", "on")
+            elif isinstance(current, int):
+                val = int(val)
+            elif isinstance(current, float):
+                val = float(val)
+        except ValueError:
+            raise InvalidParameterError(
+                f"{key} = {val!r}: expected {type(current).__name__}") from None
         setattr(cfg, key, val)
     return cfg
 

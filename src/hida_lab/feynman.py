@@ -10,8 +10,8 @@ Two independent evaluation paths exist on purpose:
   determinant, closed-form preimages, analytic Gram matrix).
 
 :func:`propagator` is the structured numeric route: the same numeric
-ingredients for the magnetic K, L, taken from the skew-circulant spectrum
-of B and one structured solve in O(n log n), with no dense matrix.  It
+ingredients for the magnetic K, L, taken from the structured N^{-1}
+(:class:`fredholm.Resolvent`) in O(n log n), with no dense matrix.  It
 shares the composition and the refusals with :class:`LemmaEvaluator`, and
 the tests hold it to that dense oracle.
 
@@ -37,12 +37,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (CausticError, ConditionViolationError, InvalidParameterError,
-                     NearSingularError)
-from .fredholm import (COND_LIMIT, _spectrum_and_cond, analytic_gram_diagonal,
-                       check_away_from_caustic, closed_preimage_f, closed_preimage_g,
+                     NearSingularError, NumericFailureError)
+from .fredholm import (Resolvent, analytic_gram_diagonal, check_away_from_caustic,
+                       closed_preimage_f, closed_preimage_g, refuse_ill_conditioned,
                        solve_N)
 from .grid import Grid, GridFunctionPair, make_grid, pair
-from .operators import BlockOperator, MagneticModel, solve_id_plus_core
+from .operators import BlockOperator, MagneticModel
 from .testfunctions import indicator_pair
 
 _NEAR_REAL = 1e-8
@@ -141,7 +141,7 @@ class LemmaEvaluator:
         anorm = np.linalg.norm(n_matrix, 1)
         rcond, _ = sla.lapack.zgecon(lu, anorm)
         self.cond_estimate = np.inf if rcond == 0 else 1.0 / rcond
-        _refuse_ill_conditioned(self.cond_estimate)
+        refuse_ill_conditioned(self.cond_estimate)
 
         # Pairings are dots against the stacked weights (w, w).
         self._weights = np.tile(self.grid.weights, 2)
@@ -178,12 +178,6 @@ def _refuse_singular_determinant(determinant: complex) -> None:
             classification="half_integer_caustic")
 
 
-def _refuse_ill_conditioned(cond_estimate: float) -> None:
-    if cond_estimate > COND_LIMIT:
-        raise NearSingularError("N = Id+K+L is numerically singular",
-                                cond_estimate=cond_estimate)
-
-
 def _gram_branch(gram: np.ndarray, tol: float) -> str:
     """'imaginary' or 'positive_real'; any other Gram matrix is refused."""
     scale = np.abs(gram).max()
@@ -212,9 +206,10 @@ def _compose(determinant: complex, gram: np.ndarray, u: np.ndarray,
         gram_factor = 1.0 + 0.0j
         exponent_delta = 0.0 + 0.0j
     else:
-        det_m = complex(np.linalg.det(gram))
-        gram_factor = 1.0 / _branch_sqrt((2.0 * np.pi) ** j * det_m, notes,
-                                         "(2pi)^J det(M)")
+        scaled_det_m = (2.0 * np.pi) ** j * complex(np.linalg.det(gram))
+        if scaled_det_m == 0:
+            raise NumericFailureError("(2pi)^J det(M) underflows to 0")
+        gram_factor = 1.0 / _branch_sqrt(scaled_det_m, notes, "(2pi)^J det(M)")
         # Sign fixed by performing the Gaussian integrals over the pinning
         # parameters: completing the square yields +1/2 u^T M^{-1} u.
         exponent_delta = 0.5 * complex(u @ np.linalg.solve(gram, u))
@@ -256,7 +251,8 @@ def caustic_check(m: MagneticModel) -> CausticClassification:
         return CausticClassification(classification="regular", kt=0.0,
                                      distance=float("inf"))
     half = np.pi / 2.0
-    nearest_idx = round(kt / half)
+    # kt = 0 is the t -> 0 limit, not a caustic: the nearest one is +-pi/2.
+    nearest_idx = round(kt / half) or (1 if kt >= 0 else -1)
     distance = abs(kt - nearest_idx * half)
     if distance <= 1e-9 * max(1.0, abs(kt)):
         kind = "integer_caustic" if nearest_idx % 2 == 0 else "half_integer_caustic"
@@ -289,23 +285,17 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
     g = f.grid if f is not None else make_grid(m.t, n_grid)
     notes = [f"analytic determinant cos^2(kt) = {np.cos(m.k * m.t) ** 2:.6g}"]
 
-    if m.k == 0:
-        pre_f = None
-        gram_diag = 1j * m.t
-        det_factor = 1.0 + 0.0j
-    else:
-        check_away_from_caustic(m)
-        pre_f = closed_preimage_f(m, g)
-        gram_diag = analytic_gram_diagonal(m)
-        # Branch: sqrt(cos^2) = cos, continuous from the t -> 0+ limit on the
-        # first caustic-free interval and consistent with the sin-form prefactor.
-        det_factor = 1.0 / complex(np.cos(m.k * m.t))
-        notes.append("det branch: sqrt(cos^2(kt)) = cos(kt) (continuity in t)")
+    check_away_from_caustic(m)
+    gram_diag = analytic_gram_diagonal(m)
+    # Branch: sqrt(cos^2) = cos, continuous from the t -> 0+ limit on the
+    # first caustic-free interval and consistent with the sin-form prefactor.
+    det_factor = 1.0 / complex(np.cos(m.k * m.t))
+    notes.append("det branch: sqrt(cos^2(kt)) = cos(kt) (continuity in t)")
 
     gram = gram_diag * np.eye(2, dtype=complex)
-    # sqrt((2pi)^2 det M) = 2 pi i mu for det M = (i mu)^2, mu = tan(kt)/k:
-    # the branch that reproduces the free propagator normalization.
-    mu = m.t if m.k == 0 else np.tan(m.k * m.t) / m.k
+    # sqrt((2pi)^2 det M) = 2 pi i mu for det M = (i mu)^2, mu = tan(kt)/k
+    # (t at k = 0): the branch that reproduces the free propagator normalization.
+    mu = gram_diag.imag
     gram_factor = 1.0 / (2.0 * np.pi * 1j * mu)
     notes.append("gram branch: sqrt(det M) = i tan(kt)/k (free-limit continuity)")
 
@@ -315,14 +305,8 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
     else:
         n_inv_f = solve_N(m, g, f)
         exponent_quadratic = -0.5 * pair(f, n_inv_f)
-        if pre_f is None:
-            c1 = pair(indicator_pair(g, 1), n_inv_f)
-            c2 = pair(indicator_pair(g, 2), n_inv_f)
-        else:
-            pre_g = closed_preimage_g(m, g)
-            c1 = pair(pre_f, f)
-            c2 = pair(pre_g, f)
-        coupling = np.array([c1, c2])
+        coupling = np.array([pair(closed_preimage_f(m, g), f),
+                             pair(closed_preimage_g(m, g), f)])
 
     u = 1j * y + coupling
     minv = 1.0 / gram_diag
@@ -383,11 +367,9 @@ def propagator(m: MagneticModel, y, n_grid: int = 600) -> PropagatorValue:
     Numeric determinant, numeric Gram matrix and numeric resolvent, as in
     :class:`LemmaEvaluator` with the magnetic K, L and the indicator
     directions, but with no dense matrix: O(n log n) time and O(n) memory.
-    On the grid (Id+K)^{-1} = i Id, so det(Id + L(Id+K)^{-1}) = det(Id + B)
-    = prod(1 - sigma^2) over the skew-circulant spectrum sigma, and the
-    condition number is the exact max|1+-sigma|/min|1+-sigma|.  The Gram
-    matrix needs one solve: N^{-1} eta_1 = i (x1, x2) with (x1, x2) =
-    (Id+B)^{-1} eta_1, and N^{-1} eta_2 = i (-x2, x1).  Composition and
+    The determinant, the condition number and N^{-1} all come from
+    :class:`fredholm.Resolvent`.  The Gram matrix needs one solve: with
+    N^{-1} eta_1 = (x1, x2), N^{-1} eta_2 = (-x2, x1).  Composition and
     refusals are those of :class:`LemmaEvaluator`, which :func:`lemma_T`
     keeps as the dense oracle.  The as-quoted cos-prefactor formula is
     attached for comparison only.
@@ -395,18 +377,18 @@ def propagator(m: MagneticModel, y, n_grid: int = 600) -> PropagatorValue:
     _require_regular(m)
     y = np.asarray(y, dtype=float)
     g = make_grid(m.t, n_grid)
-    sigma, cond = _spectrum_and_cond(m, g)
-    determinant = complex(np.prod(1.0 - sigma ** 2))
+    res = Resolvent.of(m, g)
+    determinant = res.determinant
     _refuse_singular_determinant(determinant)
-    _refuse_ill_conditioned(cond)
-    x = solve_id_plus_core(sigma, indicator_pair(g, 1).as_vector().real)
-    # M_ab = (eta_a, N^{-1} eta_b): the eta_1 and eta_2 components of i x.
-    m11 = 1j * (g.weights @ x[:g.n])
-    m21 = 1j * (g.weights @ x[g.n:])
+    refuse_ill_conditioned(res.cond_estimate)
+    x = res.solve(indicator_pair(g, 1).as_vector().real)
+    # M_ab = (eta_a, N^{-1} eta_b): the eta_1 and eta_2 components of x.
+    m11 = g.weights @ x[:g.n]
+    m21 = g.weights @ x[g.n:]
     gram = np.array([[m11, -m21], [m21, m11]])
     _gram_branch(gram, _GRAM_TOL)     # LemmaEvaluator's admissibility verdict
     report = _compose(determinant, gram, 1j * y, 0.0 + 0.0j,
-                      route="structured", cond_estimate=cond)
+                      route="structured", cond_estimate=res.cond_estimate)
     return PropagatorValue(model=m, y=(float(y[0]), float(y[1])),
                            value=report.value, convention="composed",
                            printed_value=printed_propagator_value(m, y),

@@ -1,9 +1,11 @@
 """Resolvent solves N x = eta, closed-form preimages, and the Gram matrix.
 
-On the grid N = -i (Id + B), so x = i (Id + B)^{-1} rhs.  Id + B is
-inverted through the skew-circulant structure of B (see
-:func:`operators.solve_id_plus_core`); its eigenvalues 1 +- sigma give the
-exact 2-norm condition number, which doubles as the caustic diagnostic.
+On the grid N = -i (Id + B).  :class:`Resolvent` is the structured N^{-1}:
+it reads the spectrum sigma of B's skew-circulant block once (see
+:func:`operators.skew_spectrum`) and gives the Fredholm determinant
+det(Id + B) = prod(1 - sigma^2), the exact 2-norm condition number
+max|1 +- sigma| / min|1 +- sigma|, which doubles as the caustic diagnostic,
+and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs.
 """
 
 from __future__ import annotations
@@ -14,13 +16,21 @@ import numpy as np
 
 from .errors import (CausticError, GridMismatchError, InvalidParameterError,
                      NearSingularError)
-from .grid import Grid, GridFunctionPair, pair, pair_from_vector
+from .grid import Grid, GridFunctionPair, pair_from_vector
 from .operators import MagneticModel, build_N, skew_spectrum, solve_id_plus_core
 
 # Refuse closed forms and solves this close to a caustic; the closed
 # preimage has cos(2kt) + 1 = 2 cos^2(kt) in a denominator.
 CAUSTIC_GUARD = 1e-8
 COND_LIMIT = 1e12
+
+
+def refuse_ill_conditioned(cond_estimate: float) -> None:
+    """Refuse a condition number of N above COND_LIMIT."""
+    if cond_estimate > COND_LIMIT:
+        raise NearSingularError(
+            f"N = Id+K+L is numerically singular (cond = {cond_estimate:.3g})",
+            cond_estimate=cond_estimate)
 
 
 def check_away_from_caustic(m: MagneticModel) -> None:
@@ -34,48 +44,48 @@ def check_away_from_caustic(m: MagneticModel) -> None:
 
 @dataclass(frozen=True)
 class Resolvent:
-    """(Id + B)^{-1} through the spectrum sigma of B's skew-circulant block."""
+    """N^{-1} = i (Id + B)^{-1} through the spectrum sigma of B's skew-circulant block."""
 
     sigma: np.ndarray = field(repr=False)
     cond_estimate: float
 
-    def solve(self, rhs_vec: np.ndarray) -> np.ndarray:
-        """(Id+B)^{-1} rhs for a real 2n-vector rhs."""
-        return solve_id_plus_core(self.sigma, rhs_vec)
+    @classmethod
+    def of(cls, m: MagneticModel, g: Grid) -> "Resolvent":
+        """sigma = skew_spectrum and the exact max|1+-sigma|/min|1+-sigma|; no refusals."""
+        sigma = skew_spectrum(m, g)
+        moduli = np.abs(np.concatenate([1.0 + sigma, 1.0 - sigma]))
+        smallest = moduli.min()
+        cond = np.inf if smallest == 0 else float(moduli.max() / smallest)
+        return cls(sigma=sigma, cond_estimate=cond)
 
+    @property
+    def determinant(self) -> complex:
+        """det(Id + B) = det(Id + L(Id+K)^{-1}) = prod(1 - sigma^2)."""
+        return complex(np.prod(1.0 - self.sigma ** 2))
 
-def _spectrum_and_cond(m: MagneticModel, g: Grid) -> tuple:
-    """sigma = skew_spectrum and the exact 2-norm condition max|1+-sigma|/min|1+-sigma|."""
-    sigma = skew_spectrum(m, g)
-    moduli = np.abs(np.concatenate([1.0 + sigma, 1.0 - sigma]))
-    smallest = moduli.min()
-    cond = np.inf if smallest == 0 else float(moduli.max() / smallest)
-    return sigma, cond
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """N^{-1} rhs = i (Id + B)^{-1} rhs for a real or complex 2n-vector rhs."""
+        # The structured solve is real; solving real and imaginary parts
+        # separately keeps a real rhs producing an exactly imaginary x.
+        sol = solve_id_plus_core(self.sigma, rhs.real)
+        if np.iscomplexobj(rhs) and np.count_nonzero(rhs.imag):
+            sol = sol + 1j * solve_id_plus_core(self.sigma, rhs.imag)
+        return 1j * sol
 
 
 def resolvent(m: MagneticModel, g: Grid) -> Resolvent:
-    """Structured inverse of Id + B; refuses a 2-norm condition above COND_LIMIT."""
+    """Structured N^{-1}; refuses the caustic band and a condition above COND_LIMIT."""
     check_away_from_caustic(m)
-    sigma, cond = _spectrum_and_cond(m, g)
-    if cond > COND_LIMIT:
-        raise NearSingularError(
-            f"Id + B is numerically singular (cond = {cond:.3g}); "
-            f"kt = {m.k * m.t:.6g} is too close to a caustic", cond_estimate=cond)
-    return Resolvent(sigma=sigma, cond_estimate=cond)
+    res = Resolvent.of(m, g)
+    refuse_ill_conditioned(res.cond_estimate)
+    return res
 
 
 def solve_N(m: MagneticModel, g: Grid, rhs: GridFunctionPair) -> GridFunctionPair:
     """x = N^{-1} rhs = i (Id + B)^{-1} rhs on the grid."""
     if rhs.grid != g:
         raise GridMismatchError("rhs lives on a different grid")
-    fact = resolvent(m, g)
-    vec = rhs.as_vector()
-    # The structured solve is real; solving real and imaginary parts
-    # separately keeps a real rhs producing an exactly imaginary x.
-    sol = fact.solve(vec.real.astype(float))
-    if np.any(vec.imag):
-        sol = sol + 1j * fact.solve(vec.imag.astype(float))
-    return pair_from_vector(g, 1j * sol)
+    return pair_from_vector(g, resolvent(m, g).solve(rhs.as_vector()))
 
 
 def _tan_ratio(m: MagneticModel) -> float:
@@ -144,15 +154,16 @@ class GramMatrix:
 
 
 def gram_matrix(m: MagneticModel, g: Grid, etas) -> GramMatrix:
+    """M_ab = (eta_a, N^{-1} eta_b) from one resolvent: (W E) @ solutions."""
     etas = tuple(etas)
     if not etas:
         raise InvalidParameterError("need at least one generating function")
-    solved = [solve_N(m, g, eta) for eta in etas]
-    j = len(etas)
-    entries = np.empty((j, j), dtype=complex)
-    for a in range(j):
-        for b in range(j):
-            entries[a, b] = pair(etas[a], solved[b])
+    if any(eta.grid != g for eta in etas):
+        raise GridMismatchError("every eta must live on the grid")
+    res = resolvent(m, g)
+    stacked = np.array([eta.as_vector() for eta in etas])
+    solutions = np.array([res.solve(vec) for vec in stacked]).T
+    entries = (np.tile(g.weights, 2) * stacked) @ solutions
     return GramMatrix(entries=entries, etas=etas)
 
 

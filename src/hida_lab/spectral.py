@@ -61,8 +61,7 @@ def analytic_eigenfunction(m: MagneticModel, n: int, c1: complex, c2: complex,
         raise InvalidParameterError("coefficient pair must not be (0, 0)")
     # The frequency 2k/lambda_n = (2n-1) pi / t is k-independent and well
     # defined for either sign branch (n -> -n+1 flips lambda's sign only).
-    lam_n = 2.0 * m.k * m.t / ((2 * n - 1) * np.pi)
-    freq = (2 * n - 1) * np.pi / m.t if m.k == 0 else 2.0 * m.k / lam_n
+    freq = (2 * n - 1) * np.pi / m.t
     s = g.nodes
     comp1 = c1 * np.cos(freq * s) + c2 * np.sin(freq * s)
     comp2 = c1 * np.sin(freq * s) - c2 * np.cos(freq * s)

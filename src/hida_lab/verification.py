@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .feynman import (caustic_check, composed_closed_value, free_limit_reference,
-                      lemma_T, magnetic_T, propagator, residual_convergence)
+                      magnetic_T, propagator, residual_convergence)
 from .fredholm import (closed_preimage_f, gram_matrix, solve_N, verify_preimage)
 from .gausskernels import FiniteRankKernel, donsker_T, montecarlo_gauss_expectation
 from .grid import make_grid

@@ -90,6 +90,15 @@ def test_malformed_config_line_is_a_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("line", ["grid_points = 1.5", "k = abc"])
+def test_bad_config_value_is_a_config_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "determinant")
+    assert code == 2
+    assert "config error" in err
+
+
 def test_caustic_exit_code(capsys):
     code, _, err = run_cli(capsys, "propagator", "--k", "1.0",
                            "--t", str(np.pi), "--grid-points", "100")

@@ -33,6 +33,15 @@ def test_caustic_classification_exact_points():
     assert caustic_check(MagneticModel(k=0.0, t=5.0)).classification == "regular"
 
 
+def test_kt_near_zero_is_the_short_time_limit_not_a_caustic():
+    m = MagneticModel(k=1.0, t=1e-12)
+    assert caustic_check(m).classification == "regular"
+    y = (0.0, 0.0)
+    closed = composed_closed_value(m, y)
+    assert propagator(m, y, n_grid=50).value == pytest.approx(closed, rel=1e-12)
+    assert magnetic_T(m, y).value == pytest.approx(closed, rel=1e-12)
+
+
 def test_caustic_distance_is_reported():
     cls = caustic_check(M11)
     assert cls.distance == pytest.approx(np.pi / 2 - 1.0)
@@ -108,12 +117,13 @@ def test_lemma_input_validation():
 def test_two_paths_agree_on_test_functions():
     g = make_grid(1.0, 400)
     y = (0.3, -0.4)
-    evaluator = LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g),
-                               etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
     f = generate(TestFunctionSpec(kind="gaussian_bump", center=0.45, width=0.06), g)
-    numeric = evaluator.evaluate(f=f, ys=y).value
-    closed = magnetic_T(M11, y, f=f).value
-    assert closed == pytest.approx(numeric, rel=3e-3)
+    for m in (M11, MagneticModel(k=0.0, t=1.0)):
+        evaluator = LemmaEvaluator(free_K(m, g), magnetic_L(m, g),
+                                   etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
+        numeric = evaluator.evaluate(f=f, ys=y).value
+        closed = magnetic_T(m, y, f=f).value
+        assert closed == pytest.approx(numeric, rel=3e-3)
 
 
 def test_propagator_matches_closed_form():

@@ -7,9 +7,10 @@ from hida_lab import (CausticError, GridMismatchError, MagneticModel,
                       NearSingularError, analytic_gram_diagonal,
                       closed_preimage_f, closed_preimage_g, gram_matrix,
                       solve_N, verify_preimage)
+from hida_lab import fredholm
 from hida_lab.fredholm import check_away_from_caustic, resolvent
-from hida_lab.grid import make_grid, sample
-from hida_lab.operators import build_N
+from hida_lab.grid import make_grid, pair, sample
+from hida_lab.operators import build_N, skew_spectrum
 from hida_lab.testfunctions import indicator_pair
 
 M11 = MagneticModel(k=1.0, t=1.0)
@@ -79,6 +80,24 @@ def test_gram_matrix_closed_form():
     assert abs(m.entries[1, 0]) < 1e-12
     assert m.entries[0, 0] == pytest.approx(1j * np.tan(1.0), abs=1e-5)
     assert m.entries[1, 1] == pytest.approx(1j * np.tan(1.0), abs=1e-5)
+
+
+def test_gram_matrix_reads_the_spectrum_once(monkeypatch):
+    calls = []
+
+    def counted(m, g):
+        calls.append(g.n)
+        return skew_spectrum(m, g)
+    monkeypatch.setattr(fredholm, "skew_spectrum", counted)
+    g = make_grid(1.0, 64)
+    etas = [indicator_pair(g, 1), indicator_pair(g, 2)]
+    entries = gram_matrix(M11, g, etas).entries
+    assert calls == [64]
+    pairings = [[pair(a, solve_N(M11, g, b)) for b in etas] for a in etas]
+    np.testing.assert_allclose(entries, pairings, rtol=0, atol=1e-14 * abs(entries).max())
+    foreign = make_grid(1.0, 32)
+    with pytest.raises(GridMismatchError):
+        gram_matrix(M11, g, [indicator_pair(g, 1), indicator_pair(foreign, 2)])
 
 
 def test_analytic_gram_diagonal_values():

@@ -12,8 +12,8 @@ from hida_lab.errors import HidaLabError
 from hida_lab.feynman import LemmaEvaluator
 from hida_lab.fredholm import resolvent
 from hida_lab.grid import make_grid
-from hida_lab.operators import (BlockOperator, free_K, magnetic_L, skew_spectrum,
-                                solve_id_plus_core, symmetric_core)
+from hida_lab.operators import (BlockOperator, build_N, free_K, magnetic_L,
+                                skew_spectrum, solve_id_plus_core, symmetric_core)
 from hida_lab.testfunctions import indicator_pair
 
 DENSE = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -61,9 +61,15 @@ def test_structured_spectrum_matches_dense_and_closed_form(k, t, n):
 def test_structured_solve_matches_dense_solve(k, t, n, seed):
     m, g = _model(k, t, n)
     cond = _dense_cond(m, g)
-    rhs = np.random.default_rng(seed).standard_normal(2 * n)
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(2 * n)
     dense = np.linalg.solve(np.eye(2 * n) + symmetric_core(m, g), rhs)
     structured = solve_id_plus_core(skew_spectrum(m, g), rhs)
+    assert np.linalg.norm(structured - dense) <= 1e-13 * cond * np.linalg.norm(dense)
+    # N = -i (Id + B) has the same condition number as Id + B.
+    rhs = rhs + 1j * rng.standard_normal(2 * n)
+    dense = np.linalg.solve(build_N(m, g).entries, rhs)
+    structured = resolvent(m, g).solve(rhs)
     assert np.linalg.norm(structured - dense) <= 1e-13 * cond * np.linalg.norm(dense)
 
 
@@ -152,11 +158,13 @@ endpoints = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
 @example(1.3, 3.0, 7, 0.5, 0.2)        # odd n, kt > pi
 @example(-2.5, 9.5, 199, -0.7, 0.9)    # odd n, kt ~ 7.6 pi
 @example(1.0, 5.0, 200, 0.3, -0.4)     # kt past the first two caustics
+@example(0.0, 1e-200, 2, 0.3, -0.4)    # det M = -t^2 underflows: both refuse
+@example(2.0, 1e-160, 7, 1.0, 1.0)     # det M = -t^2 is subnormal
+@example(1.0, 1e-12, 50, 0.3, -0.4)    # kt ~ 0: the short-time limit
 def test_structured_propagator_matches_dense_oracle(k, t, n, y1, y2):
     m = MagneticModel(k=k, t=t)
-    # Both routes first refuse continuum caustics (kt ~ 0 included), and at
-    # t < 1e-154 both divide by an underflowed det M = -t^2.
-    assume(feynman.caustic_check(m).classification == "regular" and t > 1e-150)
+    # Both routes first refuse continuum caustics.
+    assume(feynman.caustic_check(m).classification == "regular")
     kt, step = abs(k * t), abs(k) * t / n
     j = round(kt / np.pi)
     assume(j == 0 or abs(kt - j * np.pi) > 10 * step)
