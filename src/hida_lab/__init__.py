@@ -5,7 +5,7 @@ from .errors import (CausticError, ConditionViolationError, GridMismatchError,
                      HidaLabError, InvalidParameterError, NearSingularError,
                      NumericFailureError)
 from .grid import Grid, GridFunctionPair, make_grid, pair, sample
-from .operators import (BlockOperator, MagneticModel, build_N, free_K,
+from .operators import (BlockOperator, MagneticModel, apply_N, build_N, free_K,
                         magnetic_L, potential_form_direct, quadratic_form,
                         symmetric_core, volterra, volterra_adjoint)
 from .spectral import (DeterminantReport, SpectralReport, analytic_eigenfunction,

@@ -32,9 +32,9 @@ for comparison but never silently substituted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (CausticError, ConditionViolationError, InvalidParameterError,
                      NearSingularError, NumericFailureError)
@@ -118,17 +118,24 @@ class LemmaEvaluator:
         for eta in self.etas:
             if eta.grid != self.grid:
                 raise InvalidParameterError("every eta must live on the operator grid")
+        # Deferred: only this dense oracle needs scipy, which is slow to import.
+        import scipy.linalg as sla
+
         n2 = 2 * self.grid.n
 
-        n_matrix = np.eye(n2, dtype=complex) + K.entries
+        # Id + K, then N = Id + K + L, in place in one copy of K.
+        n_matrix = K.entries.copy()
+        n_matrix[np.diag_indices(n2)] += 1.0
         sign_k, logdet_k = np.linalg.slogdet(n_matrix)
         if sign_k == 0:
             raise NearSingularError("Id + K is singular", cond_estimate=np.inf)
         n_matrix += L.entries
-        self._n_lu = sla.lu_factor(n_matrix)
+        # The LU may overwrite n_matrix, so its 1-norm is taken first.
+        anorm = np.linalg.norm(n_matrix, 1)
+        lu, piv = sla.lu_factor(n_matrix, overwrite_a=True)
+        self._solve = partial(sla.lu_solve, (lu, piv))
         # det N = (-1)^swaps prod diag(U), as unit phases times exp(sum log|U_jj|);
         # a zero pivot zeroes both factors.
-        lu, piv = self._n_lu
         diag = np.diagonal(lu)
         moduli = np.abs(diag)
         with np.errstate(divide="ignore"):
@@ -138,7 +145,6 @@ class LemmaEvaluator:
         self.determinant = complex(phase_n / sign_k * np.exp(log_abs_n - logdet_k))
         _refuse_singular_determinant(self.determinant)
 
-        anorm = np.linalg.norm(n_matrix, 1)
         rcond, _ = sla.lapack.zgecon(lu, anorm)
         self.cond_estimate = np.inf if rcond == 0 else 1.0 / rcond
         refuse_ill_conditioned(self.cond_estimate)
@@ -148,7 +154,7 @@ class LemmaEvaluator:
         etas_mat = np.array([eta.as_vector() for eta in self.etas],
                             dtype=complex).reshape(len(self.etas), n2)
         self._weighted_etas = self._weights * etas_mat
-        self.gram = self._weighted_etas @ sla.lu_solve(self._n_lu, etas_mat.T)
+        self.gram = self._weighted_etas @ self._solve(etas_mat.T)
         if self.etas:
             self.gram_branch = _gram_branch(self.gram, gram_tol)
 
@@ -164,7 +170,7 @@ class LemmaEvaluator:
         if phi is None:
             exponent_quadratic = 0.0 + 0.0j
         else:
-            n_inv_phi = sla.lu_solve(self._n_lu, phi)
+            n_inv_phi = self._solve(phi)
             exponent_quadratic = -0.5 * complex((self._weights * phi) @ n_inv_phi)
             u = u + self._weighted_etas @ n_inv_phi
         return _compose(self.determinant, self.gram, u, exponent_quadratic,

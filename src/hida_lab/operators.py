@@ -8,6 +8,7 @@ L (Id + K)^{-1} exactly real symmetric at every resolution, which is what
 keeps its discrete spectrum clean.  On the uniform grid the off-diagonal
 block S of B is skew-circulant; :func:`skew_spectrum` and
 :func:`solve_id_plus_core` diagonalize and invert Id + B through it.
+:func:`apply_N` applies N in O(n) through running sums, with no matrix.
 """
 
 from __future__ import annotations
@@ -57,15 +58,13 @@ class BlockOperator:
 
 
 def blocks(top_left, top_right, bottom_left, bottom_right, g: Grid) -> BlockOperator:
+    """2x2 block operator from n x n blocks; None is a zero block."""
     n = g.n
-
-    def _mat(b):
-        if b is None:
-            return np.zeros((n, n), dtype=complex)
-        return np.asarray(b, dtype=complex)
-
-    entries = np.block([[_mat(top_left), _mat(top_right)],
-                        [_mat(bottom_left), _mat(bottom_right)]])
+    entries = np.zeros((2 * n, 2 * n), dtype=complex)
+    layout = {(0, 0): top_left, (0, 1): top_right, (1, 0): bottom_left, (1, 1): bottom_right}
+    for (i, j), b in layout.items():
+        if b is not None:
+            entries[i * n:(i + 1) * n, j * n:(j + 1) * n] = b
     return BlockOperator(grid=g, entries=entries)
 
 
@@ -74,6 +73,12 @@ def volterra(g: Grid) -> np.ndarray:
     a = np.tril(np.tile(g.weights, (g.n, 1)), k=-1)
     np.fill_diagonal(a, g.weights / 2.0)
     return a
+
+
+def apply_volterra(g: Grid, v: np.ndarray) -> np.ndarray:
+    """A v = volterra(g) @ v in O(n): the running sum of w v less half its last term."""
+    wv = g.weights * v
+    return np.cumsum(wv) - 0.5 * wv
 
 
 def volterra_adjoint(g: Grid) -> np.ndarray:
@@ -112,6 +117,27 @@ def identity(g: Grid) -> BlockOperator:
 def build_N(m: MagneticModel, g: Grid) -> BlockOperator:
     """N = Id + K + L; on the grid this is -i(Id + B) with B real symmetric."""
     return identity(g) + free_K(m, g) + magnetic_L(m, g)
+
+
+def apply_N(m: MagneticModel, g: Grid, f: GridFunctionPair) -> GridFunctionPair:
+    """N f = build_N(m, g).apply(f) in O(n) time and memory, with no matrix.
+
+    On the grid Id + K = -i Id and L f = (ik (A - A*) f2, -ik (A - A*) f1).
+    A v is a running sum (:func:`apply_volterra`), and (A + A*)_jl = w_l,
+    the discrete int_0^tau + int_tau^t = int_0^t, so A* v = (w . v) - A v.
+    Neither the FFT solve nor a closed form enters, so this apply stays
+    independent of both routes it is used to check.
+    """
+    if f.grid != g:
+        raise GridMismatchError("operator and function live on different grids")
+
+    def coupling(v):
+        av = apply_volterra(g, v)
+        astar_v = g.weights @ v - av
+        return 1j * m.k * (av - astar_v)
+
+    return GridFunctionPair(grid=g, comp1=-1j * f.comp1 + coupling(f.comp2),
+                            comp2=-1j * f.comp2 - coupling(f.comp1))
 
 
 def symmetric_core(m: MagneticModel, g: Grid) -> np.ndarray:
@@ -169,8 +195,7 @@ def potential_form_direct(m: MagneticModel, f: GridFunctionPair) -> complex:
     quadrature error); serves as the independent route for checking L.
     """
     g = f.grid
-    a = volterra(g)
-    inner1 = a @ f.comp1
-    inner2 = a @ f.comp2
+    inner1 = apply_volterra(g, f.comp1)
+    inner2 = apply_volterra(g, f.comp2)
     integrand = inner1 * f.comp2 - f.comp1 * inner2
     return complex(-1j * m.k * np.sum(g.weights * integrand))

@@ -12,10 +12,10 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 
-from .feynman import (caustic_check, composed_closed_value, free_limit_reference,
-                      magnetic_T, propagator, residual_convergence)
+from .feynman import (LemmaEvaluator, caustic_check, composed_closed_value,
+                      free_limit_reference, magnetic_T, printed_propagator_value,
+                      propagator, residual_convergence)
 from .fredholm import (closed_preimage_f, gram_matrix, solve_N, verify_preimage)
 from .gausskernels import FiniteRankKernel, donsker_T, montecarlo_gauss_expectation
 from .grid import make_grid
@@ -121,7 +121,6 @@ def check_two_path(n_grid: int = 2000, seed: int = 777) -> CheckResult:
     m = MagneticModel(k=1.0, t=1.0)
     g = make_grid(m.t, n_grid)
     y = (0.3, -0.4)
-    from .feynman import LemmaEvaluator
     evaluator = LemmaEvaluator(free_K(m, g), magnetic_L(m, g),
                                etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
     worst = 0.0
@@ -170,14 +169,26 @@ def check_gauss_identity(samples: int = 100_000, seed: int = 2024) -> CheckResul
 
 
 def check_delta_normalization() -> CheckResult:
-    """x-integral of the pinned-delta T-transform at f = 0 equals 1."""
-    integral, _ = quad(lambda x: donsker_T(1.0, 0.0, 0.0, x).real,
-                       -np.inf, np.inf)
+    """x-integral of the pinned-delta T-transform at f = 0 equals 1.
+
+    The integrand is the unit Gaussian exp(-x^2/2)/sqrt(2 pi), summed by the
+    trapezoidal rule with step h over [-40, 40].  By Poisson summation the
+    rule on the whole line errs by the Fourier transform exp(-w^2/2) sampled
+    at w = 2 pi j / h, j != 0, i.e. by about 2 exp(-2 pi^2 / h^2), which is
+    exp(-1974) at h = 0.1 (Trefethen & Weideman, SIAM Rev. 56, 2014); the
+    mass beyond |x| = 40 is below exp(-800).  Both vanish in double
+    precision, so the measured error is rounding alone, while a wrong
+    normalization or variance shifts the integral by its own relative size.
+    """
+    x, h = np.linspace(-40.0, 40.0, 801, retstep=True)
+    values = donsker_T(1.0, 0.0, 0.0, x).real
+    integral = h * (values.sum() - 0.5 * (values[0] + values[-1]))
     err = float(abs(integral - 1.0))
     return CheckResult(
         name="delta_normalization", passed=err <= 1e-6, measured=err,
         threshold=1e-6,
-        detail=f"|integral - 1| = {err:.3e} (<= 1e-6)")
+        detail=(f"trapezoidal sum, h = {h:g} on [-40, 40]: "
+                f"|integral - 1| = {err:.3e} (<= 1e-6)"))
 
 
 def check_caustics(n_grid: int = 400, points: int = 7) -> CheckResult:
@@ -233,7 +244,6 @@ def check_schrodinger(levels: int = 3, base_n: int = 11) -> CheckResult:
         verdicts[convention] = _orders(res)[-1]
     converging = [c for c, order in verdicts.items() if order >= 1.9]
 
-    from .feynman import printed_propagator_value
     y = (0.3, -0.4)
     composed = composed_closed_value(m, y)
     printed = printed_propagator_value(m, y)

@@ -9,7 +9,7 @@ from hida_lab import (CausticError, GridMismatchError, MagneticModel,
                       solve_N, verify_preimage)
 from hida_lab import fredholm
 from hida_lab.fredholm import check_away_from_caustic, resolvent
-from hida_lab.grid import make_grid, pair, sample
+from hida_lab.grid import GridFunctionPair, conj_norm_sq, make_grid, pair, sample
 from hida_lab.operators import build_N, skew_spectrum
 from hida_lab.testfunctions import indicator_pair
 
@@ -69,6 +69,30 @@ def test_residual_report_second_order():
     orders = np.log2(np.array(sups[:-1]) / np.array(sups[1:]))
     assert np.all(orders > 1.9)
     assert sups[-1] < 1e-5
+
+
+@pytest.mark.parametrize("k, t", [(1.0, 1.0), (0.7, 2.3), (-2.0, 0.9), (0.0, 1.5)])
+def test_verify_preimage_matches_the_dense_apply(k, t):
+    """All four residuals agree with those of the dense build_N at n = 200.
+
+    Each residual is N x - eta with N x = eta + O(h^2), so both applies
+    round at eps (1 + |k| t) max|x| and the residuals can agree only to
+    that, absolutely: 1e-14 of it here is about 1e-9 relative to the residual.
+    """
+    m = MagneticModel(k=k, t=t)
+    g = make_grid(t, 200)
+    n_op = build_N(m, g)
+    dense, scale = [], 0.0
+    for x, eta in ((closed_preimage_f(m, g), indicator_pair(g, 1)),
+                   (closed_preimage_g(m, g), indicator_pair(g, 2))):
+        res = n_op.apply(x)
+        diff = GridFunctionPair(grid=g, comp1=res.comp1 - eta.comp1,
+                                comp2=res.comp2 - eta.comp2)
+        dense.append((diff.sup_norm(), np.sqrt(conj_norm_sq(diff))))
+        scale = max(scale, (1.0 + abs(k) * t) * x.sup_norm())
+    rep = verify_preimage(m, g)
+    fast = [(rep.sup_f, rep.quad_f), (rep.sup_g, rep.quad_g)]
+    np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-14 * scale)
 
 
 def test_gram_matrix_closed_form():

@@ -1,0 +1,43 @@
+"""What a run loads: scipy is for the dense oracle only.
+
+Each test runs in a fresh interpreter, because the test session itself has
+long since imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hida_lab
+
+SRC = Path(hida_lab.__file__).resolve().parent.parent
+
+
+def _loaded_after(code: str) -> set:
+    """Names in sys.modules after running ``code`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    script = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_cli_and_structured_routes_load_no_scipy():
+    loaded = _loaded_after(
+        "import hida_lab.cli\n"
+        "from hida_lab import MagneticModel, propagator\n"
+        "propagator(MagneticModel(k=1.0, t=1.0), (0.3, -0.4), n_grid=100)")
+    assert "hida_lab.cli" in loaded
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+
+
+def test_quick_verify_loads_no_scipy_integrate():
+    loaded = _loaded_after(
+        "from hida_lab.verification import run_checks\n"
+        "assert all(r.passed for r in run_checks(quick=True))")
+    assert "scipy.integrate" not in loaded
+    assert "scipy.linalg" in loaded     # the dense oracle of two_path_consistency

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hida_lab import (GridMismatchError, InvalidParameterError, MagneticModel,
-                      build_N, free_K, magnetic_L, potential_form_direct,
+                      apply_N, build_N, free_K, magnetic_L, potential_form_direct,
                       quadratic_form, symmetric_core, volterra, volterra_adjoint)
-from hida_lab.grid import make_grid, pair, pair_from_vector, sample
-from hida_lab.operators import BlockOperator, identity
+from hida_lab.grid import GridFunctionPair, make_grid, pair, pair_from_vector, sample
+from hida_lab.operators import BlockOperator, apply_volterra, identity
 
 
 def test_model_requires_positive_time():
@@ -107,3 +109,35 @@ def test_apply_matches_matrix_vector_product():
     direct = pair_from_vector(g, magnetic_L(m, g).entries @ f.as_vector())
     np.testing.assert_allclose(out.as_vector(), direct.as_vector())
     assert pair(f, out) == pytest.approx(quadratic_form(magnetic_L(m, g), f))
+
+
+def test_apply_volterra_is_the_volterra_matrix_product():
+    g = make_grid(2.0, 37)
+    v = np.random.default_rng(3).standard_normal(g.n) * (1.0 - 0.5j)
+    np.testing.assert_allclose(apply_volterra(g, v), volterra(g) @ v, rtol=0,
+                               atol=1e-15 * np.abs(volterra(g) @ v).max())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=-3.0, max_value=3.0, allow_subnormal=False),
+       st.floats(min_value=0.0, max_value=10.0, exclude_min=True, allow_subnormal=False),
+       st.integers(min_value=2, max_value=200),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(0.0, 1.0, 2, 0)        # k = 0: N = -i Id
+@example(-3.0, 10.0, 200, 1)
+@example(1.0, 1.0, 3, 2)
+def test_apply_N_matches_the_dense_N(k, t, n, seed):
+    """The O(n) apply equals build_N(m, g).apply(f) for complex f, relative to max|N f|."""
+    m, g = MagneticModel(k=k, t=t), make_grid(t, n)
+    rng = np.random.default_rng(seed)
+    comps = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+    f = GridFunctionPair(grid=g, comp1=comps[0], comp2=comps[1])
+    dense = build_N(m, g).apply(f).as_vector()
+    fast = apply_N(m, g, f).as_vector()
+    np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-13 * np.abs(dense).max())
+
+
+def test_apply_N_rejects_a_foreign_grid():
+    m = MagneticModel(k=1.0, t=1.0)
+    with pytest.raises(GridMismatchError):
+        apply_N(m, make_grid(1.0, 4), sample(1.0, 0.0, make_grid(1.0, 5)))

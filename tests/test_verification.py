@@ -1,7 +1,8 @@
-"""The caustic growth gate of ``check_caustics``, pinned with exact stubs.
+"""The gates of ``check_caustics`` and ``check_delta_normalization``, pinned with stubs.
 
-Each test replaces the numeric propagator by a stub whose value is exact, so
-the gate is tested on its own and no dense operator is built.
+Each test replaces the function a check measures by a stub whose value is
+exact or off by a known amount, so the gate is tested on its own and no
+dense operator is built.
 """
 
 from types import SimpleNamespace
@@ -11,6 +12,7 @@ import pytest
 
 from hida_lab import verification as v
 from hida_lab.feynman import CausticClassification
+from hida_lab.gausskernels import donsker_T
 
 
 def _stub(magnitude):
@@ -87,3 +89,28 @@ def test_swapped_caustic_flag_fails(monkeypatch):
     assert not r.passed
     assert "kt=pi -> half_integer_caustic" in r.detail
     assert r.measured <= r.threshold
+
+
+def test_delta_normalization_passes_at_rounding_level():
+    r = v.check_delta_normalization()
+    assert r.passed, r.detail
+    assert r.measured <= 1e-12
+    assert r.threshold == 1e-6
+
+
+def _scaled_density(eta, c, f, x):
+    return (1.0 + 1e-5) * donsker_T(eta, c, f, x)
+
+
+def _widened_density(eta, c, f, x):
+    # variance times 1 + 1e-5 under the old normalization: integral sqrt(1 + 1e-5)
+    return np.sqrt(1.0 + 1e-5) * donsker_T((1.0 + 1e-5) * eta, c, f, x)
+
+
+@pytest.mark.parametrize("stub, expected", [(_scaled_density, 1e-5),
+                                            (_widened_density, np.sqrt(1.0 + 1e-5) - 1.0)])
+def test_delta_normalization_fails_a_density_off_by_1e5(monkeypatch, stub, expected):
+    monkeypatch.setattr(v, "donsker_T", stub)
+    r = v.check_delta_normalization()
+    assert not r.passed
+    assert r.measured == pytest.approx(expected, rel=1e-6)
