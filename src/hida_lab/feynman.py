@@ -4,8 +4,9 @@ classification and the Schrödinger-residual verification.
 Two independent evaluation paths exist on purpose:
 
 * :func:`lemma_T` (:class:`LemmaEvaluator`) composes the T-transform from
-  fully numeric dense ingredients (dense LU determinant, dense resolvent
-  solves, numeric Gram matrix) for any K, L.  It is the dense oracle.
+  fully numeric dense ingredients for any K, L: one dense LU of N gives the
+  determinant, the resolvent solves and the numeric Gram matrix.  It is the
+  dense oracle.
 * :func:`magnetic_T` evaluates the closed-form specialization (analytic
   determinant, closed-form preimages, analytic Gram matrix).
 
@@ -104,10 +105,13 @@ class CausticClassification:
 class LemmaEvaluator:
     """Numeric ingredients of the master T-transform, computed once per (K, L, etas).
 
-    N = Id+K+L is LU-factorized once.  Those factors give det N, so the
-    determinant det(Id + L(Id+K)^{-1}) = det N / det(Id+K) costs one more
-    slogdet.  The Gram matrix of the pinning directions is built from
-    resolvent solves.  ``evaluate`` is then cheap per test function.
+    N = Id+K+L is assembled in one dense buffer and LU-factorized there,
+    once.  Those factors give det N and the solves, so the determinant
+    det(Id + L(Id+K)^{-1}) = det N / det(Id+K) needs only det(Id+K): the
+    product of its diagonal when K has no off-diagonal nonzero (the magnetic
+    free_K), a dense slogdet otherwise.  The Gram matrix of the pinning
+    directions is built from resolvent solves.  ``evaluate`` is then cheap
+    per test function.
     """
 
     def __init__(self, K: BlockOperator, L: BlockOperator, etas=(), gram_tol=_GRAM_TOL):
@@ -123,29 +127,26 @@ class LemmaEvaluator:
 
         n2 = 2 * self.grid.n
 
-        # Id + K, then N = Id + K + L, in place in one copy of K.
-        n_matrix = K.entries.copy()
+        # N = Id + K + L, the one dense buffer.
+        n_matrix = K.entries + L.entries
         n_matrix[np.diag_indices(n2)] += 1.0
-        sign_k, logdet_k = np.linalg.slogdet(n_matrix)
+        sign_k, logdet_k = _slogdet_id_plus(K.entries)
         if sign_k == 0:
             raise NearSingularError("Id + K is singular", cond_estimate=np.inf)
-        n_matrix += L.entries
-        # The LU may overwrite n_matrix, so its 1-norm is taken first.
+        # The LU overwrites n_matrix, so its 1-norm is taken first.
         anorm = np.linalg.norm(n_matrix, 1)
-        lu, piv = sla.lu_factor(n_matrix, overwrite_a=True)
-        self._solve = partial(sla.lu_solve, (lu, piv))
-        # det N = (-1)^swaps prod diag(U), as unit phases times exp(sum log|U_jj|);
-        # a zero pivot zeroes both factors.
-        diag = np.diagonal(lu)
-        moduli = np.abs(diag)
-        with np.errstate(divide="ignore"):
-            log_abs_n = np.sum(np.log(moduli))
-        phase_n = (-1) ** np.count_nonzero(piv != np.arange(n2)) * np.prod(
-            diag / np.maximum(moduli, 1e-300))
+        # n_matrix.T is N^T in Fortran order, which LAPACK factors in place
+        # where a C-ordered N would be copied.  So solves take trans=1, and
+        # the condition of N in the 1-norm is that of N^T in the inf-norm.
+        lu, piv = sla.lu_factor(n_matrix.T, overwrite_a=True)
+        self._solve = partial(sla.lu_solve, (lu, piv), trans=1)
+        # det N = (-1)^swaps prod diag(U); a zero pivot gives det N = 0.
+        sign_u, log_abs_n = _slogdet_diagonal(np.diagonal(lu))
+        phase_n = (-1) ** np.count_nonzero(piv != np.arange(n2)) * sign_u
         self.determinant = complex(phase_n / sign_k * np.exp(log_abs_n - logdet_k))
         _refuse_singular_determinant(self.determinant)
 
-        rcond, _ = sla.lapack.zgecon(lu, anorm)
+        rcond, _ = sla.lapack.zgecon(lu, anorm, norm="I")
         self.cond_estimate = np.inf if rcond == 0 else 1.0 / rcond
         refuse_ill_conditioned(self.cond_estimate)
 
@@ -182,6 +183,28 @@ def _refuse_singular_determinant(determinant: complex) -> None:
         raise CausticError(
             f"det(Id + L(Id+K)^{{-1}}) = {determinant:.3g} is singular",
             classification="half_integer_caustic")
+
+
+def _slogdet_id_plus(k: np.ndarray):
+    """(sign, log|det|) of Id + k, as np.linalg.slogdet; (0, -inf) when singular.
+
+    A k with no off-diagonal nonzero (the magnetic free_K) is read off its
+    diagonal with no factorization; any other k takes a dense slogdet.
+    """
+    diag = np.diagonal(k)
+    if np.count_nonzero(k) != np.count_nonzero(diag):
+        id_plus_k = k.copy()
+        id_plus_k[np.diag_indices_from(k)] += 1.0
+        return np.linalg.slogdet(id_plus_k)
+    return _slogdet_diagonal(1.0 + diag)
+
+
+def _slogdet_diagonal(d: np.ndarray):
+    """(sign, log|det|) of diag(d): unit phases and sum log|d_j|; (0, -inf) on a zero."""
+    moduli = np.abs(d)
+    if not np.all(moduli):
+        return 0.0, -np.inf
+    return np.prod(d / moduli), np.sum(np.log(moduli))
 
 
 def _gram_branch(gram: np.ndarray, tol: float) -> str:
@@ -269,8 +292,9 @@ def caustic_check(m: MagneticModel) -> CausticClassification:
 def _require_regular(m: MagneticModel) -> None:
     cls = caustic_check(m)
     if cls.classification != "regular":
-        raise CausticError(f"kt = {cls.kt:.6g} is a {cls.classification}",
-                           classification=cls.classification, kt=cls.kt)
+        raise CausticError(
+            f"kt = {cls.kt:.6g} is at a caustic of class {cls.classification}",
+            classification=cls.classification, kt=cls.kt)
 
 
 def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,

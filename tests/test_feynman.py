@@ -1,5 +1,7 @@
 """T-transform composition, propagator values, caustics, residual checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
                       external_force_green, free_limit_reference, lemma_T,
                       magnetic_T, printed_propagator_value, propagator,
                       residual_convergence, schrodinger_residual)
-from hida_lab.errors import ConditionViolationError
+from hida_lab.errors import ConditionViolationError, NearSingularError
 from hida_lab.feynman import LemmaEvaluator
 from hida_lab.gausskernels import donsker_T
 from hida_lab.grid import GridFunctionPair, make_grid, pair, sample
 from hida_lab.operators import BlockOperator, free_K, magnetic_L
-from hida_lab.testfunctions import TestFunctionSpec, generate, indicator_pair
+from hida_lab.testfunctions import (TestFunctionSpec, generate, indicator_pair,
+                                    random_suite)
 
 M11 = MagneticModel(k=1.0, t=1.0)
 
@@ -51,6 +54,7 @@ def test_propagator_refuses_caustic_times():
     with pytest.raises(CausticError) as exc:
         propagator(MagneticModel(k=1.0, t=np.pi), (0.0, 0.0))
     assert exc.value.classification == "integer_caustic"
+    assert str(exc.value) == "kt = 3.14159 is at a caustic of class integer_caustic"
     with pytest.raises(CausticError):
         magnetic_T(MagneticModel(k=1.0, t=np.pi / 2), (0.0, 0.0))
 
@@ -110,6 +114,75 @@ def test_lemma_input_validation():
     evaluator = LemmaEvaluator(_zero_op(g), _zero_op(g), etas=(indicator_pair(g, 1),))
     with pytest.raises(InvalidParameterError):
         evaluator.evaluate(ys=[1.0, 2.0])
+
+
+def test_lemma_solves_N_not_its_transpose():
+    """A non-symmetric N: the Gram matrix and the couplings against np.linalg.solve."""
+    g = make_grid(1.0, 60)
+    n2 = 2 * g.n
+    K = BlockOperator(grid=g, entries=0.2 * np.random.default_rng(5).standard_normal(
+        (n2, n2)) / np.sqrt(n2) + 0j)
+    etas = (indicator_pair(g, 1), indicator_pair(g, 2))
+    f = random_suite(777, 1, g)[0]
+    rep = LemmaEvaluator(K, _zero_op(g), etas=etas).evaluate(f=f, ys=(0.3, -0.4))
+    etas_mat = np.array([eta.as_vector() for eta in etas])
+    weighted = np.tile(g.weights, 2) * etas_mat
+    n_matrix = np.eye(n2) + K.entries
+    gram = weighted @ np.linalg.solve(n_matrix, etas_mat.T)
+    u = 1j * np.array([0.3, -0.4]) + weighted @ np.linalg.solve(n_matrix, f.as_vector())
+    np.testing.assert_allclose(rep.gram, gram, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(rep.u, u, rtol=0, atol=1e-13)
+
+
+def test_lemma_refuses_a_singular_id_plus_K():
+    g = make_grid(1.0, 20)
+    n2 = 2 * g.n
+    L = magnetic_L(M11, g)
+    k_diag = np.full(n2, -1.0 - 1.0j)
+    k_diag[5] = -1.0
+    with pytest.raises(NearSingularError, match=r"Id \+ K is singular"):
+        LemmaEvaluator(BlockOperator(grid=g, entries=np.diag(k_diag)), L)
+    # A dense Id + K with a zero column.
+    id_plus_k = np.random.default_rng(3).standard_normal((n2, n2)) + 0j
+    id_plus_k[:, 7] = 0.0
+    with pytest.raises(NearSingularError, match=r"Id \+ K is singular"):
+        LemmaEvaluator(BlockOperator(grid=g, entries=id_plus_k - np.eye(n2)), L)
+
+
+def test_lemma_factors_N_once_and_reads_det_id_plus_K_off_the_diagonal(monkeypatch):
+    import scipy.linalg as sla
+    lu_factor = sla.lu_factor
+    calls = []
+
+    def counting_lu_factor(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lu_factor(*args, **kwargs)
+
+    def no_slogdet(*args, **kwargs):
+        raise AssertionError("a diagonal K needs no slogdet")
+
+    monkeypatch.setattr(sla, "lu_factor", counting_lu_factor)
+    monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
+    g = make_grid(1.0, 50)
+    LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g),
+                   etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
+    assert calls == [(100, 100)]
+
+
+def test_lemma_holds_one_dense_buffer_beyond_its_inputs():
+    """The tracemalloc peak of LemmaEvaluator.__init__ is N plus temporaries."""
+    g = make_grid(1.0, 400)
+    K, L = free_K(M11, g), magnetic_L(M11, g)
+    etas = (indicator_pair(g, 1), indicator_pair(g, 2))
+    small = make_grid(1.0, 4)
+    LemmaEvaluator(free_K(M11, small), magnetic_L(M11, small))   # loads scipy first
+    tracemalloc.start()
+    try:
+        LemmaEvaluator(K, L, etas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * K.entries.nbytes
 
 
 # ----------------------------------------------------- two evaluation paths

@@ -21,6 +21,7 @@ DENSE = settings(max_examples=25, deadline=None, derandomize=True, database=None
 couplings = st.floats(min_value=-3.0, max_value=3.0, allow_subnormal=False)
 times = st.floats(min_value=0.0, max_value=10.0, exclude_min=True, allow_subnormal=False)
 sizes = st.integers(min_value=2, max_value=200)
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
 
 
 def _model(k, t, n):
@@ -55,7 +56,7 @@ def test_structured_spectrum_matches_dense_and_closed_form(k, t, n):
 
 
 @DENSE
-@given(couplings, times, sizes, st.integers(min_value=0, max_value=2 ** 32 - 1))
+@given(couplings, times, sizes, seeds)
 @example(1.3, 3.0, 7, 0)
 @example(-2.5, 9.5, 199, 1)
 def test_structured_solve_matches_dense_solve(k, t, n, seed):
@@ -97,15 +98,60 @@ def test_lemma_determinant_is_the_eigenvalue_product(k, t, n):
 
 
 @DENSE
-@given(couplings, times, sizes, st.integers(min_value=0, max_value=2 ** 32 - 1))
+@given(couplings, times, sizes)
+@example(1.3, 3.0, 7)
+@example(-2.5, 9.5, 199)
+@example(0.0, 1.0, 2)
+@example(2.53515625, 9.359375, 161)   # kappa_1 ~ 1.8e5: the reference is off by 2.5e-12
+def test_lemma_cond_estimate_is_the_one_norm_condition(k, t, n):
+    m, g = _model(k, t, n)
+    _dense_cond(m, g)
+    assume(abs(resolvent(m, g).determinant) > 1e-9)
+    kappa = np.linalg.cond(build_N(m, g).entries, 1)
+    estimate = LemmaEvaluator(free_K(m, g), magnetic_L(m, g)).cond_estimate
+    # kappa comes from a computed inverse and the estimate from computed solves:
+    # each is off by a relative eps kappa.
+    assert abs(estimate - kappa) <= (1e-12 + np.finfo(float).eps * kappa) * kappa
+
+
+@DENSE
+@given(couplings, times, sizes, seeds)
+@example(1.3, 3.0, 7, 0)
+@example(0.0, 1.0, 2, 1)
+def test_lemma_determinant_with_diagonal_K(k, t, n, seed):
+    """A random complex diagonal K, whose det(Id + K) is read off its diagonal."""
+    m, g = _model(k, t, n)
+    rng = np.random.default_rng(seed)
+    n2 = 2 * n
+    # 1 + K_jj has modulus in [0.5, 2] and any phase, so K is not scalar.
+    k_diag = rng.uniform(0.5, 2.0, n2) * np.exp(2j * np.pi * rng.uniform(size=n2)) - 1.0
+    K = BlockOperator(grid=g, entries=np.diag(k_diag))
+    L = magnetic_L(m, g)
+    n_matrix = np.eye(n2) + K.entries + L.entries
+    cond = np.linalg.cond(n_matrix)
+    assume(cond < 1e8)
+    expected = np.linalg.det(n_matrix) / np.prod(1.0 + k_diag)
+    assume(abs(expected) > 1e-9)
+    det = LemmaEvaluator(K, L).determinant
+    assert abs(det - expected) <= 1e-12 * cond * abs(expected)
+
+
+def _dense_K(m, g, seed):
+    """free_K plus complex Gaussian noise: a dense, non-symmetric K."""
+    rng = np.random.default_rng(seed)
+    n2 = 2 * g.n
+    noise = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
+    return BlockOperator(grid=g, entries=free_K(m, g).entries + 0.2 * noise / np.sqrt(n2))
+
+
+@DENSE
+@given(couplings, times, sizes, seeds)
 @example(1.3, 3.0, 7, 0)
 def test_lemma_determinant_with_non_diagonal_K(k, t, n, seed):
     """A dense K: det(Id + L(Id+K)^{-1}) against the product over its eigenvalues."""
     m, g = _model(k, t, n)
-    rng = np.random.default_rng(seed)
     n2 = 2 * n
-    noise = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
-    K = BlockOperator(grid=g, entries=free_K(m, g).entries + 0.2 * noise / np.sqrt(n2))
+    K = _dense_K(m, g, seed)
     L = magnetic_L(m, g)
     id_plus_k = np.eye(n2) + K.entries
     n_matrix = id_plus_k + L.entries
@@ -116,6 +162,26 @@ def test_lemma_determinant_with_non_diagonal_K(k, t, n, seed):
     assume(abs(expected) > 1e-9)
     det = LemmaEvaluator(K, L).determinant
     assert abs(det - expected) <= 1e-12 * cond * abs(expected)
+
+
+@DENSE
+@given(couplings, times, sizes, seeds)
+@example(1.3, 3.0, 7, 0)
+def test_lemma_cond_estimate_bounds_the_one_norm_condition_of_a_dense_N(k, t, n, seed):
+    """LAPACK estimates ||N^{-1}||_1 from below, so never above kappa_1, and here within 3x.
+
+    As above, both sides round at a relative eps kappa.
+    """
+    m, g = _model(k, t, n)
+    K = _dense_K(m, g, seed)
+    L = magnetic_L(m, g)
+    id_plus_k = np.eye(2 * n) + K.entries
+    n_matrix = id_plus_k + L.entries
+    assume(np.linalg.cond(n_matrix) < 1e8)
+    assume(abs(np.linalg.det(n_matrix) / np.linalg.det(id_plus_k)) > 1e-9)
+    kappa = np.linalg.cond(n_matrix, 1)
+    estimate = LemmaEvaluator(K, L).cond_estimate
+    assert kappa / 3.0 <= estimate <= kappa * (1.0 + 1e-12 + np.finfo(float).eps * kappa)
 
 
 def test_structured_route_at_a_size_the_dense_route_cannot_hold():
