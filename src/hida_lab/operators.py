@@ -87,9 +87,14 @@ def volterra_adjoint(g: Grid) -> np.ndarray:
     With uniform midpoint weights this is the plain transpose; it approximates
     A* f(tau) = int_tau^t f(s) ds to the same order as A.
     """
-    a = volterra(g)
-    w = g.weights
-    return (a.T * w[None, :]) / w[:, None]
+    return _pairing_adjoint(volterra(g), g.weights)
+
+
+def _pairing_adjoint(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The pairing-adjoint (w_l / w_j) a_{lj} of a, as one new matrix."""
+    adjoint = a.T * w[None, :]
+    adjoint /= w[:, None]
+    return adjoint
 
 
 def free_K(m: MagneticModel, g: Grid) -> BlockOperator:
@@ -98,16 +103,26 @@ def free_K(m: MagneticModel, g: Grid) -> BlockOperator:
     The projection onto [0, t) acts as the identity because the grid never
     leaves the interval.
     """
-    d = -(1.0 + 1.0j) * np.eye(g.n)
-    return blocks(d, None, None, d, g)
+    entries = np.zeros((2 * g.n, 2 * g.n), dtype=complex)
+    np.fill_diagonal(entries, -(1.0 + 1.0j))
+    return BlockOperator(grid=g, entries=entries)
 
 
 def magnetic_L(m: MagneticModel, g: Grid) -> BlockOperator:
-    """Velocity-coupling block operator: off-diagonal blocks +-ik(A - A*)."""
+    """Velocity-coupling block operator: off-diagonal blocks +-ik(A - A*).
+
+    Its entries are purely imaginary; k(A - A*) is written straight into the
+    imaginary parts of the two blocks.
+    """
+    n = g.n
     a = volterra(g)
-    astar = volterra_adjoint(g)
-    d = 1j * m.k * (a - astar)
-    return blocks(None, d, -d, None, g)
+    s = _pairing_adjoint(a, g.weights)
+    np.subtract(a, s, out=s)
+    entries = np.zeros((2 * n, 2 * n), dtype=complex)
+    top_right = entries[:n, n:].imag
+    np.multiply(m.k, s, out=top_right)
+    np.negative(top_right, out=entries[n:, :n].imag)
+    return BlockOperator(grid=g, entries=entries)
 
 
 def identity(g: Grid) -> BlockOperator:
@@ -147,7 +162,7 @@ def symmetric_core(m: MagneticModel, g: Grid) -> np.ndarray:
     which is symmetric because A* is the exact pairing-adjoint of A.
     """
     a = volterra(g)
-    astar = volterra_adjoint(g)
+    astar = _pairing_adjoint(a, g.weights)
     s = m.k * (astar - a)
     zero = np.zeros_like(s)
     return np.block([[zero, s], [s.T, zero]])

@@ -11,7 +11,7 @@ from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
                       magnetic_T, printed_propagator_value, propagator,
                       residual_convergence, schrodinger_residual)
 from hida_lab.errors import ConditionViolationError, NearSingularError
-from hida_lab.feynman import LemmaEvaluator
+from hida_lab.feynman import LemmaEvaluator, _one_norm
 from hida_lab.gausskernels import donsker_T
 from hida_lab.grid import GridFunctionPair, make_grid, pair, sample
 from hida_lab.operators import BlockOperator, free_K, magnetic_L
@@ -151,22 +151,36 @@ def test_lemma_refuses_a_singular_id_plus_K():
 
 def test_lemma_factors_N_once_and_reads_det_id_plus_K_off_the_diagonal(monkeypatch):
     import scipy.linalg as sla
-    lu_factor = sla.lu_factor
-    calls = []
+    lu_factor, lu_solve = sla.lu_factor, sla.lu_solve
+    factored, solved = [], []
 
-    def counting_lu_factor(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lu_factor(*args, **kwargs)
+    def counting_lu_factor(a, *args, **kwargs):
+        factored.append((a.shape, a.dtype))
+        return lu_factor(a, *args, **kwargs)
+
+    def recording_lu_solve(factors, b, *args, **kwargs):
+        solved.append(np.asarray(b).dtype)
+        return lu_solve(factors, b, *args, **kwargs)
 
     def no_slogdet(*args, **kwargs):
         raise AssertionError("a diagonal K needs no slogdet")
 
     monkeypatch.setattr(sla, "lu_factor", counting_lu_factor)
+    monkeypatch.setattr(sla, "lu_solve", recording_lu_solve)
     monkeypatch.setattr(np.linalg, "slogdet", no_slogdet)
     g = make_grid(1.0, 50)
-    LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g),
-                   etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
-    assert calls == [(100, 100)]
+    etas = (indicator_pair(g, 1), indicator_pair(g, 2))
+    f = random_suite(777, 1, g)[0]
+    # The magnetic N = -i(Id + B): one real factorization, fed only real columns.
+    LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g), etas).evaluate(f=f, ys=(0.3, -0.4))
+    assert factored == [((100, 100), np.float64)]
+    assert solved and set(solved) == {np.dtype(np.float64)}
+    # A complex diagonal K leaves N genuinely complex: one complex factorization.
+    factored.clear()
+    re, im = np.random.default_rng(11).uniform(-0.5, 0.5, (2, 100))
+    k_diag = re + 1j * im
+    LemmaEvaluator(BlockOperator(grid=g, entries=np.diag(k_diag)), magnetic_L(M11, g), etas)
+    assert factored == [((100, 100), np.complex128)]
 
 
 def test_lemma_holds_one_dense_buffer_beyond_its_inputs():
@@ -183,6 +197,34 @@ def test_lemma_holds_one_dense_buffer_beyond_its_inputs():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * K.entries.nbytes
+
+
+def test_lemma_holds_the_magnetic_N_as_one_real_buffer():
+    """N = -i(Id + B) is factored as a real matrix, half the bytes of a complex N.
+
+    The peak is that buffer (0.5 of K) plus one 256-row block temporary (0.16).
+    """
+    g = make_grid(1.0, 400)
+    K, L = free_K(M11, g), magnetic_L(M11, g)
+    etas = (indicator_pair(g, 1), indicator_pair(g, 2))
+    small = make_grid(1.0, 4)
+    LemmaEvaluator(free_K(M11, small), magnetic_L(M11, small))   # loads scipy first
+    tracemalloc.start()
+    try:
+        LemmaEvaluator(K, L, etas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.7 * K.entries.nbytes
+
+
+def test_one_norm_sums_every_block_of_rows():
+    """600 rows are two full blocks and a partial one; the largest column sum is last."""
+    rng = np.random.default_rng(9)
+    real = rng.standard_normal((600, 600))
+    real[-1] = 50.0
+    for a in (real, real + 1j * rng.standard_normal((600, 600))):
+        assert _one_norm(a) == pytest.approx(np.linalg.norm(a, 1), rel=1e-14)
 
 
 # ----------------------------------------------------- two evaluation paths

@@ -9,7 +9,7 @@ from hida_lab import (GridMismatchError, InvalidParameterError, MagneticModel,
                       apply_N, build_N, free_K, magnetic_L, potential_form_direct,
                       quadratic_form, symmetric_core, volterra, volterra_adjoint)
 from hida_lab.grid import GridFunctionPair, make_grid, pair, pair_from_vector, sample
-from hida_lab.operators import BlockOperator, apply_volterra, identity
+from hida_lab.operators import BlockOperator, apply_volterra, blocks, identity
 
 
 def test_model_requires_positive_time():
@@ -99,6 +99,19 @@ def test_block_operator_shape_and_grid_checks():
         identity(g).apply(other)
     with pytest.raises(GridMismatchError):
         identity(g) + identity(make_grid(1.0, 5))
+
+
+@pytest.mark.parametrize("n", [7, 300])
+@pytest.mark.parametrize("k", [-0.7, 0.0, 1.3])
+def test_free_K_and_magnetic_L_match_their_block_construction(k, n):
+    """The in-place builders against n x n blocks put together by blocks(...)."""
+    m, g = MagneticModel(k=k, t=2.0), make_grid(2.0, n)
+    d = -(1.0 + 1.0j) * np.eye(n)
+    c = 1j * k * (volterra(g) - volterra_adjoint(g))
+    for built, expected in ((free_K(m, g), blocks(d, None, None, d, g)),
+                            (magnetic_L(m, g), blocks(None, c, -c, None, g))):
+        np.testing.assert_allclose(built.entries, expected.entries, rtol=0,
+                                   atol=1e-15 * np.abs(expected.entries).max())
 
 
 def test_apply_matches_matrix_vector_product():

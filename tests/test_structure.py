@@ -11,7 +11,7 @@ from hida_lab import (MagneticModel, analytic_gram_diagonal, closed_preimage_f,
 from hida_lab.errors import HidaLabError
 from hida_lab.feynman import LemmaEvaluator
 from hida_lab.fredholm import resolvent
-from hida_lab.grid import make_grid
+from hida_lab.grid import GridFunctionPair, make_grid
 from hida_lab.operators import (BlockOperator, build_N, free_K, magnetic_L,
                                 skew_spectrum, solve_id_plus_core, symmetric_core)
 from hida_lab.testfunctions import indicator_pair
@@ -112,6 +112,54 @@ def test_lemma_cond_estimate_is_the_one_norm_condition(k, t, n):
     # kappa comes from a computed inverse and the estimate from computed solves:
     # each is off by a relative eps kappa.
     assert abs(estimate - kappa) <= (1e-12 + np.finfo(float).eps * kappa) * kappa
+
+
+@DENSE
+@given(couplings, times, sizes, seeds)
+@example(1.3, 3.0, 7, 0)        # kt > pi
+@example(-2.5, 9.5, 199, 1)     # k < 0, kt ~ 7.6 pi
+@example(0.0, 1.0, 2, 2)        # k = 0: N = -i Id
+@example(1.9263267919580302, 5.563708223055348, 178, 0)   # det 1.28x past 1e-12 + eps kappa_1
+@example(2.622344437835052, 8.476817097084291, 177, 0)    # (eta_1, x) cancels 180-fold
+def test_lemma_real_factorization_matches_the_complex_N(k, t, n, seed):
+    """The magnetic N = -i(Id + B), factored as a real matrix, against the complex N.
+
+    The Gram matrix and the couplings u of a complex f are held to numpy's
+    complex solves, and the estimate to kappa_1, up to a rounding eps kappa_1 on
+    both sides.  The Gram matrix and u are pairings (eta_a, x) of solves x, which
+    cancel, so their error is taken relative to the pairing of the moduli,
+    (|eta_a|, |x|).  The determinant is held to numpy's complex slogdet up to
+    2n eps kappa_1: a backward error E with ||E||_1 = eps ||N||_1 moves det N by
+    the relative tr(N^{-1} E), at most 2n eps kappa_1.
+    """
+    m, g = _model(k, t, n)
+    _dense_cond(m, g)
+    K, L = free_K(m, g), magnetic_L(m, g)
+    n_matrix = np.eye(2 * n) + K.entries + L.entries
+    sign, logdet = np.linalg.slogdet(n_matrix)
+    expected = sign * np.exp(logdet) / np.prod(1.0 + np.diagonal(K.entries))
+    assume(abs(expected) > 1e-9)
+    kappa = np.linalg.cond(n_matrix, 1)
+    tol = 1e-12 + np.finfo(float).eps * kappa
+    etas = (indicator_pair(g, 1), indicator_pair(g, 2))
+    comps = np.random.default_rng(seed).standard_normal((4, n))
+    f = GridFunctionPair(grid=g, comp1=comps[0] + 1j * comps[1],
+                         comp2=comps[2] + 1j * comps[3])
+    ys = np.array([0.3, -0.4])
+    etas_mat = np.array([eta.as_vector() for eta in etas])
+    weighted = np.tile(g.weights, 2) * etas_mat
+    x_etas = np.linalg.solve(n_matrix, etas_mat.T)
+    x_f = np.linalg.solve(n_matrix, f.as_vector())
+    gram = weighted @ x_etas
+    assume(np.linalg.det(gram) != 0)     # else evaluate refuses an underflowed det M
+    u = 1j * ys + weighted @ x_f
+    evaluator = LemmaEvaluator(K, L, etas)
+    rep = evaluator.evaluate(f=f, ys=ys)
+    det_tol = 1e-12 + 2 * n * np.finfo(float).eps * kappa
+    assert abs(evaluator.determinant - expected) <= det_tol * abs(expected)
+    assert np.abs(rep.gram - gram).max() <= tol * (np.abs(weighted) @ np.abs(x_etas)).max()
+    assert np.abs(rep.u - u).max() <= tol * (np.abs(weighted) @ np.abs(x_f)).max()
+    assert kappa / 3.0 <= evaluator.cond_estimate <= kappa * (1.0 + tol)
 
 
 @DENSE
