@@ -6,7 +6,7 @@ Two independent evaluation paths exist on purpose:
 * :func:`lemma_T` (:class:`LemmaEvaluator`) composes the T-transform from
   fully numeric dense ingredients for any K, L: one dense LU of N gives the
   determinant, the resolvent solves and the numeric Gram matrix.  It is the
-  dense oracle.  When N is a real matrix times 1 or i, as the magnetic
+  dense oracle.  When N is i times a real matrix, as the magnetic
   N = -i(Id + B) is, that LU is a real one.
 * :func:`magnetic_T` evaluates the closed-form specialization (analytic
   determinant, closed-form preimages, analytic Gram matrix).
@@ -116,11 +116,11 @@ class LemmaEvaluator:
     directions is built from resolvent solves.  ``evaluate`` is then cheap
     per test function.
 
-    When N = c R exactly, with R real and c = 1 or i, the buffer holds R and
-    the LU is real, about a quarter of the flops of a complex one.  The
-    magnetic N = -i(Id + B) is such a case, with c = i.  Nothing is
-    approximated: a scalar phase factors out exactly, as det N = c^2n det R,
-    N^{-1} b = R^{-1} b / c and cond(N) = cond(R).  A complex b goes through
+    When Re N = 0 exactly, so N = i R with R real, the buffer holds R and the
+    LU is real, about a quarter of the flops of a complex one.  The magnetic
+    N = -i(Id + B) is such a case.  Nothing is approximated: the phase i
+    factors out exactly, as det N = (-1)^n det R for 2n x 2n N,
+    N^{-1} b = -i R^{-1} b and cond(N) = cond(R).  A complex b goes through
     R^{-1} as two real columns, its real and imaginary parts.  Any other N is
     factored as a complex matrix.
     """
@@ -140,21 +140,22 @@ class LemmaEvaluator:
         sign_k, logdet_k = _slogdet_id_plus(K.entries)
         if sign_k == 0:
             raise NearSingularError("Id + K is singular", cond_estimate=np.inf)
-        # N = Id + K + L = c a, the one dense buffer a: real whenever N allows.
-        c, a = _assemble_N(K.entries, L.entries)
-        # The LU overwrites a, so its 1-norm (that of N, as |c| = 1) is taken first.
+        # The one dense buffer a: N itself, or the real Im N when N = i a.
+        a = _assemble_N(K.entries, L.entries)
+        real = not np.iscomplexobj(a)
+        # The LU overwrites a, so its 1-norm (that of N) is taken first.
         anorm = _one_norm(a)
         # a.T is a^T in Fortran order, which LAPACK factors in place where a
         # C-ordered a would be copied.  So solves take trans=1, and the
         # condition of a in the 1-norm is that of a^T in the inf-norm.
         lu, piv = sla.lu_factor(a.T, overwrite_a=True)
         solve = partial(sla.lu_solve, (lu, piv), trans=1)
-        self._solve = solve if np.iscomplexobj(a) else partial(_solve_real, solve, c)
-        # det N = c^2n det a, and det a = (-1)^swaps prod diag(U); a zero pivot
-        # gives det N = 0.
+        self._solve = partial(_solve_real, solve) if real else solve
+        # det a = (-1)^swaps prod diag(U), a zero pivot giving det N = 0; for
+        # N = i a, det N = i^2n det a = (-1)^n det a.
         sign_u, log_abs_n = _slogdet_diagonal(np.diagonal(lu))
-        phase_n = ((-1) ** np.count_nonzero(piv != np.arange(n2)) * sign_u
-                   * (c * c).real ** self.grid.n)
+        swaps = np.count_nonzero(piv != np.arange(n2)) + (self.grid.n if real else 0)
+        phase_n = (-1) ** swaps * sign_u
         self.determinant = complex(phase_n / sign_k * np.exp(log_abs_n - logdet_k))
         _refuse_singular_determinant(self.determinant)
 
@@ -198,48 +199,29 @@ def _refuse_singular_determinant(determinant: complex) -> None:
             classification="half_integer_caustic")
 
 
-def _assemble_N(k: np.ndarray, l: np.ndarray):
-    """(c, a) with Id + k + l = c a, where a is real whenever c in {1, i} allows.
-
-    Any N that is not a real matrix times 1 or i comes back whole and complex
-    with c = 1; the real buffer is dropped before that one is made.
-    """
-    n2 = len(k)
-    real = np.empty((n2, n2))
-    c = _real_factor(k, l, real)
-    if c is not None:
-        return c, real
-    del real
-    n_matrix = k + l
-    n_matrix[np.diag_indices(n2)] += 1.0
-    return 1.0, n_matrix
-
-
-def _real_factor(k: np.ndarray, l: np.ndarray, out: np.ndarray):
-    """c with N = Id + k + l = c out, writing the real out; None if there is none.
+def _assemble_N(k: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """N = Id + k + l as one dense buffer, or the real Im N when Re N = 0.
 
     The test is exact: Re N = 0 everywhere (the magnetic N = -i(Id + B)) gives
-    c = i and out = Im N; Im N = 0 gives c = 1 and out = Re N.  Re N and Im N
-    are formed a block of rows at a time, so no complex 2n x 2n matrix is made.
+    the real buffer Im N, with N = i Im N.  Re N is formed a block of rows at
+    a time, so that case makes no complex 2n x 2n matrix.  Any other N comes
+    back whole and complex; the real buffer is dropped before that one is made.
     """
     n2 = len(k)
+    im_n = np.empty((n2, n2))
     re_block = np.empty((min(_ROWS, n2), n2))
-    re_zero = im_zero = True
     for start in range(0, n2, _ROWS):
         stop = min(start + _ROWS, n2)
         re = re_block[:stop - start]
         np.add(k.real[start:stop], l.real[start:stop], out=re)
         re[np.arange(stop - start), np.arange(start, stop)] += 1.0
-        im = np.add(k.imag[start:stop], l.imag[start:stop], out=out[start:stop])
-        re_zero = re_zero and not re.any()
-        im_zero = im_zero and not im.any()
-        if not (re_zero or im_zero):
-            return None
-    if re_zero:
-        return 1j
-    np.add(k.real, l.real, out=out)
-    out[np.diag_indices(n2)] += 1.0
-    return 1.0
+        if re.any():
+            del im_n
+            n_matrix = k + l
+            n_matrix[np.diag_indices(n2)] += 1.0
+            return n_matrix
+        np.add(k.imag[start:stop], l.imag[start:stop], out=im_n[start:stop])
+    return im_n
 
 
 def _one_norm(a: np.ndarray) -> float:
@@ -250,8 +232,8 @@ def _one_norm(a: np.ndarray) -> float:
     return float(column_sums.max())
 
 
-def _solve_real(solve, c: complex, rhs: np.ndarray) -> np.ndarray:
-    """N^{-1} rhs for N = c a with a real, given solve = a^{-1} on real arrays.
+def _solve_real(solve, rhs: np.ndarray) -> np.ndarray:
+    """N^{-1} rhs for N = i a with a real, given solve = a^{-1} on real arrays.
 
     The real and imaginary parts of rhs go in as separate real columns: a
     complex rhs would make scipy cast the real LU to complex.
@@ -260,7 +242,8 @@ def _solve_real(solve, c: complex, rhs: np.ndarray) -> np.ndarray:
     columns = rhs.reshape(len(rhs), -1)
     j = columns.shape[1]
     x = solve(np.concatenate([columns.real, columns.imag], axis=1))
-    return ((x[:, :j] + 1j * x[:, j:]) / c).reshape(rhs.shape)
+    # N^{-1} rhs = -i a^{-1} rhs.
+    return (x[:, j:] - 1j * x[:, :j]).reshape(rhs.shape)
 
 
 def _slogdet_id_plus(k: np.ndarray):

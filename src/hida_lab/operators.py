@@ -162,7 +162,7 @@ def symmetric_core(m: MagneticModel, g: Grid) -> np.ndarray:
     which is symmetric because A* is the exact pairing-adjoint of A.
     """
     a = volterra(g)
-    astar = _pairing_adjoint(a, g.weights)
+    astar = volterra_adjoint(g)
     s = m.k * (astar - a)
     zero = np.zeros_like(s)
     return np.block([[zero, s], [s.T, zero]])

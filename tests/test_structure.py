@@ -121,6 +121,7 @@ def test_lemma_cond_estimate_is_the_one_norm_condition(k, t, n):
 @example(0.0, 1.0, 2, 2)        # k = 0: N = -i Id
 @example(1.9263267919580302, 5.563708223055348, 178, 0)   # det 1.28x past 1e-12 + eps kappa_1
 @example(2.622344437835052, 8.476817097084291, 177, 0)    # (eta_1, x) cancels 180-fold
+@example(2.011, 3.857, 180, 0)  # det 1.05x past 1e-12 + 4 eps kappa_1
 def test_lemma_real_factorization_matches_the_complex_N(k, t, n, seed):
     """The magnetic N = -i(Id + B), factored as a real matrix, against the complex N.
 
@@ -129,8 +130,12 @@ def test_lemma_real_factorization_matches_the_complex_N(k, t, n, seed):
     both sides.  The Gram matrix and u are pairings (eta_a, x) of solves x, which
     cancel, so their error is taken relative to the pairing of the moduli,
     (|eta_a|, |x|).  The determinant is held to numpy's complex slogdet up to
-    2n eps kappa_1: a backward error E with ||E||_1 = eps ||N||_1 moves det N by
-    the relative tr(N^{-1} E), at most 2n eps kappa_1.
+    sqrt(2n) eps kappa_1: a backward error E with ||E||_1 = eps ||N||_1 moves
+    det N by the relative tr(N^{-1} E), a sum of 2n rounding terms each up to
+    eps kappa_1, which add like a random walk rather than in step.  Over about
+    1000 draws of this test's (k, t, n) the error stayed within 0.46 of that
+    bound; 1e-12 + eps kappa_1 and 1e-12 + 4 eps kappa_1 are each exceeded at
+    one of the examples above.
     """
     m, g = _model(k, t, n)
     _dense_cond(m, g)
@@ -155,7 +160,7 @@ def test_lemma_real_factorization_matches_the_complex_N(k, t, n, seed):
     u = 1j * ys + weighted @ x_f
     evaluator = LemmaEvaluator(K, L, etas)
     rep = evaluator.evaluate(f=f, ys=ys)
-    det_tol = 1e-12 + 2 * n * np.finfo(float).eps * kappa
+    det_tol = 1e-12 + np.sqrt(2 * n) * np.finfo(float).eps * kappa
     assert abs(evaluator.determinant - expected) <= det_tol * abs(expected)
     assert np.abs(rep.gram - gram).max() <= tol * (np.abs(weighted) @ np.abs(x_etas)).max()
     assert np.abs(rep.u - u).max() <= tol * (np.abs(weighted) @ np.abs(x_f)).max()
