@@ -52,7 +52,6 @@ class RunConfig:
     n_max: int = 100_000
     y1: float = 0.0
     y2: float = 0.0
-    samples: int = 100_000
     seed: int = 12345
     output: str = "json"
     out_file: str | None = None
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", type=int, dest="n_max")
         p.add_argument("--y1", type=float)
         p.add_argument("--y2", type=float)
-        p.add_argument("--samples", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--output", choices=("json", "csv"))
         p.add_argument("--out-file", dest="out_file")

@@ -26,9 +26,16 @@ choices the composed generalized expectation at k > 0 is
     k / (2 pi i sin(kt)) * exp(+(ik/2) cot(kt) (y1^2 + y2^2)),
 
 which reduces to the free two-dimensional propagator as k -> 0 and solves
-the magnetic Schrödinger equation (both verified in the test suite).  The
-often-quoted variant with cos(kt) in the prefactor is evaluated alongside
-for comparison but never silently substituted.
+the magnetic Schrödinger equation (both verified in the test suite).
+
+"Printed" names two things.  ``convention="printed"`` (:func:`magnetic_T`,
+:func:`composed_closed_value`, :func:`schrodinger_residual`, ``--convention``)
+keeps the sin prefactor and flips the delta exponent to -1/2 u^T M^{-1} u;
+the residual check judges the composed convention against this one.
+:func:`printed_propagator_value` is the often-quoted cos-prefactor formula
+k / (2 pi i cos(kt)) * exp(+(ik/2) cot(kt) |y|^2): evaluated alongside for
+comparison, never substituted, and selected by no convention.  A composed
+value that is not finite is refused with :class:`NumericFailureError`.
 """
 
 from __future__ import annotations
@@ -125,7 +132,7 @@ class LemmaEvaluator:
     factored as a complex matrix.
     """
 
-    def __init__(self, K: BlockOperator, L: BlockOperator, etas=(), gram_tol=_GRAM_TOL):
+    def __init__(self, K: BlockOperator, L: BlockOperator, etas=()):
         if K.grid != L.grid:
             raise InvalidParameterError("K and L must live on the same grid")
         self.grid = K.grid
@@ -143,11 +150,11 @@ class LemmaEvaluator:
         # The one dense buffer a: N itself, or the real Im N when N = i a.
         a = _assemble_N(K.entries, L.entries)
         real = not np.iscomplexobj(a)
-        # The LU overwrites a, so its 1-norm (that of N) is taken first.
-        anorm = _one_norm(a)
-        # a.T is a^T in Fortran order, which LAPACK factors in place where a
-        # C-ordered a would be copied.  So solves take trans=1, and the
-        # condition of a in the 1-norm is that of a^T in the inf-norm.
+        # a.T is a^T in Fortran order, which LAPACK reads and factors in place.
+        # So solves take trans=1, and the 1-norm of a (that of N) is the
+        # inf-norm of a^T, taken before the LU overwrites a.
+        lange = sla.get_lapack_funcs("lange", (a,))
+        anorm = lange("I", a.T)
         lu, piv = sla.lu_factor(a.T, overwrite_a=True)
         solve = partial(sla.lu_solve, (lu, piv), trans=1)
         self._solve = partial(_solve_real, solve) if real else solve
@@ -164,14 +171,12 @@ class LemmaEvaluator:
         self.cond_estimate = np.inf if rcond == 0 else 1.0 / rcond
         refuse_ill_conditioned(self.cond_estimate)
 
-        # Pairings are dots against the stacked weights (w, w).
-        self._weights = np.tile(self.grid.weights, 2)
         etas_mat = np.array([eta.as_vector() for eta in self.etas],
                             dtype=complex).reshape(len(self.etas), n2)
-        self._weighted_etas = self._weights * etas_mat
+        self._weighted_etas = self.grid.h * etas_mat
         self.gram = self._weighted_etas @ self._solve(etas_mat.T)
         if self.etas:
-            self.gram_branch = _gram_branch(self.gram, gram_tol)
+            self.gram_branch = _gram_branch(self.gram, _GRAM_TOL)
 
     def evaluate(self, f: GridFunctionPair | None = None, ys=(),
                  g_fn: GridFunctionPair | None = None) -> TTransformReport:
@@ -186,7 +191,7 @@ class LemmaEvaluator:
             exponent_quadratic = 0.0 + 0.0j
         else:
             n_inv_phi = self._solve(phi)
-            exponent_quadratic = -0.5 * complex((self._weights * phi) @ n_inv_phi)
+            exponent_quadratic = -0.5 * complex((self.grid.h * phi) @ n_inv_phi)
             u = u + self._weighted_etas @ n_inv_phi
         return _compose(self.determinant, self.gram, u, exponent_quadratic,
                         route="dense", cond_estimate=self.cond_estimate)
@@ -222,14 +227,6 @@ def _assemble_N(k: np.ndarray, l: np.ndarray) -> np.ndarray:
             return n_matrix
         np.add(k.imag[start:stop], l.imag[start:stop], out=im_n[start:stop])
     return im_n
-
-
-def _one_norm(a: np.ndarray) -> float:
-    """max_j sum_i |a_ij|, summed a block of rows at a time: no |a| of a's size."""
-    column_sums = np.zeros(a.shape[1])
-    for start in range(0, len(a), _ROWS):
-        column_sums += np.abs(a[start:start + _ROWS]).sum(axis=0)
-    return float(column_sums.max())
 
 
 def _solve_real(solve, rhs: np.ndarray) -> np.ndarray:
@@ -305,7 +302,7 @@ def _compose(determinant: complex, gram: np.ndarray, u: np.ndarray,
         exponent_delta = 0.5 * complex(u @ np.linalg.solve(gram, u))
         notes.append("delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)")
 
-    value = det_factor * gram_factor * np.exp(exponent_quadratic + exponent_delta)
+    value = _finite_value(det_factor * gram_factor, exponent_quadratic + exponent_delta)
     return TTransformReport(value=complex(value), det_factor=complex(det_factor),
                             gram_factor=complex(gram_factor),
                             exponent_quadratic=complex(exponent_quadratic),
@@ -313,6 +310,16 @@ def _compose(determinant: complex, gram: np.ndarray, u: np.ndarray,
                             u=u, branch_note=tuple(notes), convention="composed",
                             gram=gram.copy(), determinant=determinant, route=route,
                             cond_estimate=cond_estimate)
+
+
+def _finite_value(prefactor: complex, exponent: complex) -> complex:
+    """prefactor * exp(exponent), refused when it is not a finite number."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = prefactor * np.exp(exponent)
+    if not np.isfinite(value):
+        raise NumericFailureError(
+            f"T-transform {complex(value)} is not finite (exponent {exponent:.6g})")
+    return value
 
 
 def _combine(g: Grid, f, g_fn):
@@ -406,7 +413,7 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
     notes.append(f"delta exponent sign: {'+' if sign > 0 else '-'}1/2 u^T M^-1 u "
                  f"({convention})")
 
-    value = det_factor * gram_factor * np.exp(exponent_quadratic + exponent_delta)
+    value = _finite_value(det_factor * gram_factor, exponent_quadratic + exponent_delta)
     return TTransformReport(value=complex(value), det_factor=complex(det_factor),
                             gram_factor=complex(gram_factor),
                             exponent_quadratic=complex(exponent_quadratic),
@@ -474,8 +481,8 @@ def propagator(m: MagneticModel, y, n_grid: int = 600) -> PropagatorValue:
     refuse_ill_conditioned(res.cond_estimate)
     x = res.solve(indicator_pair(g, 1).as_vector().real)
     # M_ab = (eta_a, N^{-1} eta_b): the eta_1 and eta_2 components of x.
-    m11 = g.weights @ x[:g.n]
-    m21 = g.weights @ x[g.n:]
+    m11 = g.h * np.sum(x[:g.n])
+    m21 = g.h * np.sum(x[g.n:])
     gram = np.array([[m11, -m21], [m21, m11]])
     _gram_branch(gram, _GRAM_TOL)     # LemmaEvaluator's admissibility verdict
     report = _compose(determinant, gram, 1j * y, 0.0 + 0.0j,

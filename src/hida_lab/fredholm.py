@@ -155,7 +155,7 @@ class GramMatrix:
 
 
 def gram_matrix(m: MagneticModel, g: Grid, etas) -> GramMatrix:
-    """M_ab = (eta_a, N^{-1} eta_b) from one resolvent: (W E) @ solutions."""
+    """M_ab = (eta_a, N^{-1} eta_b) from one resolvent: (h E) @ solutions."""
     etas = tuple(etas)
     if not etas:
         raise InvalidParameterError("need at least one generating function")
@@ -164,7 +164,7 @@ def gram_matrix(m: MagneticModel, g: Grid, etas) -> GramMatrix:
     res = resolvent(m, g)
     stacked = np.array([eta.as_vector() for eta in etas])
     solutions = np.array([res.solve(vec) for vec in stacked]).T
-    entries = (np.tile(g.weights, 2) * stacked) @ solutions
+    entries = (g.h * stacked) @ solutions
     return GramMatrix(entries=entries, etas=etas)
 
 

@@ -1,9 +1,10 @@
-"""Midpoint quadrature grid on [0, t) and the bilinear pairing.
+"""Uniform midpoint grid on [0, t), step h, and the bilinear pairing.
 
 Everything downstream works on two-component functions sampled at the
-midpoints s_j = (j + 1/2) * t / n.  Midpoints keep every sample strictly
-inside [0, t), so the indicator of the interval is sampled exactly and no
-boundary convention is ever needed.
+midpoints s_j = (j + 1/2) h with h = t / n.  Midpoints keep every sample
+strictly inside [0, t), so the indicator of the interval is sampled exactly
+and no boundary convention is ever needed.  Every quadrature weight is the
+one step h, so a grid is fixed by (t, n) alone.
 """
 
 from __future__ import annotations
@@ -17,20 +18,25 @@ from .errors import GridMismatchError, InvalidParameterError
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform midpoint grid on [0, t)."""
+    """Uniform midpoint grid with n nodes on [0, t), step h = t / n."""
 
     t: float
     n: int
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return self.t == other.t and self.n == other.n
+    def __post_init__(self):
+        if not self.t > 0:
+            raise InvalidParameterError(f"duration t must be positive, got {self.t}")
+        if self.n < 2:
+            raise InvalidParameterError(f"need at least 2 nodes, got {self.n}")
 
-    def __hash__(self):
-        return hash((self.t, self.n))
+    @property
+    def h(self) -> float:
+        return self.t / self.n
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """Midpoints s_j = (j + 1/2) h."""
+        return (np.arange(self.n) + 0.5) * self.h
 
 
 @dataclass(frozen=True)
@@ -51,14 +57,7 @@ class GridFunctionPair:
 
 def make_grid(t: float, n: int) -> Grid:
     """Build the midpoint grid with n nodes on [0, t)."""
-    if not t > 0:
-        raise InvalidParameterError(f"duration t must be positive, got {t}")
-    if n < 2:
-        raise InvalidParameterError(f"need at least 2 nodes, got {n}")
-    h = t / n
-    nodes = (np.arange(n) + 0.5) * h
-    weights = np.full(n, h)
-    return Grid(t=float(t), n=int(n), nodes=nodes, weights=weights)
+    return Grid(float(t), int(n))
 
 
 def pair_from_vector(g: Grid, vec: np.ndarray) -> GridFunctionPair:
@@ -88,20 +87,18 @@ def check_same_grid(u: GridFunctionPair, v: GridFunctionPair) -> None:
 
 
 def pair(u: GridFunctionPair, v: GridFunctionPair) -> complex:
-    """Bilinear dual pairing sum_j w_j (u1_j v1_j + u2_j v2_j).
+    """Bilinear dual pairing h sum_j (u1_j v1_j + u2_j v2_j).
 
     No complex conjugation: this is the bilinear extension of the real
     pairing, the convention used by every formula in this package.
     """
     check_same_grid(u, v)
-    w = u.grid.weights
-    return complex(np.sum(w * (u.comp1 * v.comp1 + u.comp2 * v.comp2)))
+    return complex(np.sum(u.grid.h * (u.comp1 * v.comp1 + u.comp2 * v.comp2)))
 
 
 def conj_norm_sq(u: GridFunctionPair) -> float:
-    """Hermitian squared norm sum_j w_j (|u1_j|^2 + |u2_j|^2).
+    """Hermitian squared norm h sum_j (|u1_j|^2 + |u2_j|^2).
 
     Only used for solver diagnostics; the formulas use :func:`pair`.
     """
-    w = u.grid.weights
-    return float(np.sum(w * (np.abs(u.comp1) ** 2 + np.abs(u.comp2) ** 2)))
+    return float(np.sum(u.grid.h * (np.abs(u.comp1) ** 2 + np.abs(u.comp2) ** 2)))

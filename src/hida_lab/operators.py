@@ -1,13 +1,13 @@
 """Discretized Volterra operator, its adjoint, and the block operators K, L, N.
 
-The cumulative-integration operator A f(tau) = int_0^tau f(s) ds becomes a
-strictly-lower-triangular matrix plus half the quadrature weight on the
-diagonal.  Its adjoint is taken w.r.t. the *bilinear* pairing, i.e. exactly
-the weighted transpose of the discrete A.  This makes the product
-L (Id + K)^{-1} exactly real symmetric at every resolution, which is what
-keeps its discrete spectrum clean.  On the uniform grid the off-diagonal
-block S of B is skew-circulant; :func:`skew_spectrum` and
-:func:`solve_id_plus_core` diagonalize and invert Id + B through it.
+On the uniform midpoint grid, step h, the cumulative-integration operator
+A f(tau) = int_0^tau f(s) ds becomes h below the diagonal and h/2 on it.
+Its adjoint w.r.t. the *bilinear* pairing h sum_j u_j v_j is the plain
+transpose A^T.  This makes the product L (Id + K)^{-1} exactly real
+symmetric at every resolution, which is what keeps its discrete spectrum
+clean.  The off-diagonal block S = k(A^T - A) = k h sign(l - j) of B is
+skew-circulant; :func:`skew_spectrum` and :func:`solve_id_plus_core`
+diagonalize and invert Id + B through it.
 :func:`apply_N` applies N in O(n) through running sums, with no matrix.
 """
 
@@ -69,32 +69,24 @@ def blocks(top_left, top_right, bottom_left, bottom_right, g: Grid) -> BlockOper
 
 
 def volterra(g: Grid) -> np.ndarray:
-    """Matrix of A f(tau) = int_0^tau f: weight w_l below the diagonal, w_j/2 on it."""
-    a = np.tril(np.tile(g.weights, (g.n, 1)), k=-1)
-    np.fill_diagonal(a, g.weights / 2.0)
+    """Matrix of A f(tau) = int_0^tau f: h below the diagonal, h/2 on it."""
+    a = np.tril(np.full((g.n, g.n), g.h), k=-1)
+    np.fill_diagonal(a, g.h / 2.0)
     return a
 
 
 def apply_volterra(g: Grid, v: np.ndarray) -> np.ndarray:
-    """A v = volterra(g) @ v in O(n): the running sum of w v less half its last term."""
-    wv = g.weights * v
-    return np.cumsum(wv) - 0.5 * wv
+    """A v = volterra(g) @ v in O(n): the running sum of h v less half its last term."""
+    hv = g.h * v
+    return np.cumsum(hv) - 0.5 * hv
 
 
 def volterra_adjoint(g: Grid) -> np.ndarray:
-    """Exact pairing-adjoint of the discrete A: (A*)_{jl} = (w_l / w_j) A_{lj}.
+    """Exact pairing-adjoint of the discrete A, its transpose A^T.
 
-    With uniform midpoint weights this is the plain transpose; it approximates
-    A* f(tau) = int_tau^t f(s) ds to the same order as A.
+    It approximates A* f(tau) = int_tau^t f(s) ds to the same order as A.
     """
-    return _pairing_adjoint(volterra(g), g.weights)
-
-
-def _pairing_adjoint(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The pairing-adjoint (w_l / w_j) a_{lj} of a, as one new matrix."""
-    adjoint = a.T * w[None, :]
-    adjoint /= w[:, None]
-    return adjoint
+    return volterra(g).T
 
 
 def free_K(m: MagneticModel, g: Grid) -> BlockOperator:
@@ -116,8 +108,7 @@ def magnetic_L(m: MagneticModel, g: Grid) -> BlockOperator:
     """
     n = g.n
     a = volterra(g)
-    s = _pairing_adjoint(a, g.weights)
-    np.subtract(a, s, out=s)
+    s = a - a.T
     entries = np.zeros((2 * n, 2 * n), dtype=complex)
     top_right = entries[:n, n:].imag
     np.multiply(m.k, s, out=top_right)
@@ -138,8 +129,8 @@ def apply_N(m: MagneticModel, g: Grid, f: GridFunctionPair) -> GridFunctionPair:
     """N f = build_N(m, g).apply(f) in O(n) time and memory, with no matrix.
 
     On the grid Id + K = -i Id and L f = (ik (A - A*) f2, -ik (A - A*) f1).
-    A v is a running sum (:func:`apply_volterra`), and (A + A*)_jl = w_l,
-    the discrete int_0^tau + int_tau^t = int_0^t, so A* v = (w . v) - A v.
+    A v is a running sum (:func:`apply_volterra`), and (A + A*)_jl = h,
+    the discrete int_0^tau + int_tau^t = int_0^t, so A* v = h sum(v) - A v.
     Neither the FFT solve nor a closed form enters, so this apply stays
     independent of both routes it is used to check.
     """
@@ -148,7 +139,7 @@ def apply_N(m: MagneticModel, g: Grid, f: GridFunctionPair) -> GridFunctionPair:
 
     def coupling(v):
         av = apply_volterra(g, v)
-        astar_v = g.weights @ v - av
+        astar_v = g.h * np.sum(v) - av
         return 1j * m.k * (av - astar_v)
 
     return GridFunctionPair(grid=g, comp1=-1j * f.comp1 + coupling(f.comp2),
@@ -159,7 +150,7 @@ def symmetric_core(m: MagneticModel, g: Grid) -> np.ndarray:
     """Real symmetric matrix B = L (Id + K)^{-1} restricted to the grid.
 
     (Id + K)^{-1} = i Id there, so B = iL = [[0, k(A* - A)], [k(A - A*), 0]],
-    which is symmetric because A* is the exact pairing-adjoint of A.
+    which is symmetric because A* = A^T is the exact pairing-adjoint of A.
     """
     a = volterra(g)
     astar = volterra_adjoint(g)
@@ -175,7 +166,7 @@ def skew_spectrum(m: MagneticModel, g: Grid) -> np.ndarray:
     the FFT of its first column twisted by exp(i pi j / n) gives its
     eigenvalues (Davis, *Circulant Matrices*, 1979).
     """
-    column = np.full(g.n, -m.k * g.weights[0])
+    column = np.full(g.n, -m.k * g.h)
     column[0] = 0.0
     return np.fft.fft(column * _twist(g.n)).imag
 
@@ -213,4 +204,4 @@ def potential_form_direct(m: MagneticModel, f: GridFunctionPair) -> complex:
     inner1 = apply_volterra(g, f.comp1)
     inner2 = apply_volterra(g, f.comp2)
     integrand = inner1 * f.comp2 - f.comp1 * inner2
-    return complex(-1j * m.k * np.sum(g.weights * integrand))
+    return complex(-1j * m.k * np.sum(g.h * integrand))

@@ -111,6 +111,15 @@ def test_bad_flag_value_exit_code(capsys):
     assert cli.main(["sweep"]) == 2        # missing sweep parameters
 
 
+def test_there_is_no_samples_flag(tmp_path, capsys):
+    """verify takes its sample count from --quick; --samples is not an option."""
+    assert cli.main(["verify", "--samples", "5"]) == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 5\n")
+    code, _, err = run_cli(capsys, "--config", str(cfg), "verify")
+    assert code == 2 and "unknown config key" in err
+
+
 def test_sweep_csv_is_sorted(capsys, monkeypatch):
     monkeypatch.setenv("HIDA_LAB_THREADS", "2")
     code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "t",

@@ -10,8 +10,9 @@ from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
                       external_force_green, free_limit_reference, lemma_T,
                       magnetic_T, printed_propagator_value, propagator,
                       residual_convergence, schrodinger_residual)
-from hida_lab.errors import ConditionViolationError, NearSingularError
-from hida_lab.feynman import LemmaEvaluator, _one_norm
+from hida_lab.errors import (ConditionViolationError, NearSingularError,
+                             NumericFailureError)
+from hida_lab.feynman import LemmaEvaluator
 from hida_lab.gausskernels import donsker_T
 from hida_lab.grid import GridFunctionPair, make_grid, pair, sample
 from hida_lab.operators import BlockOperator, free_K, magnetic_L
@@ -126,7 +127,7 @@ def test_lemma_solves_N_not_its_transpose():
     f = random_suite(777, 1, g)[0]
     rep = LemmaEvaluator(K, _zero_op(g), etas=etas).evaluate(f=f, ys=(0.3, -0.4))
     etas_mat = np.array([eta.as_vector() for eta in etas])
-    weighted = np.tile(g.weights, 2) * etas_mat
+    weighted = g.h * etas_mat
     n_matrix = np.eye(n2) + K.entries
     gram = weighted @ np.linalg.solve(n_matrix, etas_mat.T)
     u = 1j * np.array([0.3, -0.4]) + weighted @ np.linalg.solve(n_matrix, f.as_vector())
@@ -219,12 +220,46 @@ def test_lemma_holds_the_magnetic_N_as_one_real_buffer():
 
 
 def test_one_norm_sums_every_block_of_rows():
-    """600 rows are two full blocks and a partial one; the largest column sum is last."""
+    """The condition estimate of a 600 x 600 N whose largest column sums come from its last row.
+
+    Every column sum of N is about 6 but for the 50 of the last row.  A norm
+    that missed the last rows would put the estimate about 9x below kappa_1,
+    and a row-sum (inf) norm about 500x above it; LAPACK's estimate of
+    ||N^{-1}||_1 lies within [1/3, 1] of the true one.  Both the real
+    factorization (N = i R) and the complex one are checked.
+    """
+    g = make_grid(1.0, 300)
     rng = np.random.default_rng(9)
-    real = rng.standard_normal((600, 600))
-    real[-1] = 50.0
-    for a in (real, real + 1j * rng.standard_normal((600, 600))):
-        assert _one_norm(a) == pytest.approx(np.linalg.norm(a, 1), rel=1e-14)
+    r = np.eye(600) + 0.01 * rng.standard_normal((600, 600))
+    r[-1] = 50.0
+    for n_matrix in (1j * r, r + 0.01j * rng.standard_normal((600, 600))):
+        K = BlockOperator(grid=g, entries=n_matrix - np.eye(600))
+        estimate = LemmaEvaluator(K, _zero_op(g)).cond_estimate
+        kappa = np.linalg.cond(n_matrix, 1)
+        assert kappa / 3.0 <= estimate <= kappa * (1.0 + 1e-12)
+
+
+def _force(g, amplitude):
+    """f = amplitude (1+i) (cos 7s, sin 5s); at k = t = 1, n = 50 and amplitude 40
+    the real part of the exponent is 1472, past the overflow of exp at 709."""
+    c = amplitude * (1.0 + 1.0j)
+    return sample(lambda s: c * np.cos(7 * s), lambda s: c * np.sin(5 * s), g)
+
+
+def test_dense_route_refuses_an_overflowing_T_transform():
+    g = make_grid(1.0, 50)
+    evaluator = LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g),
+                               etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
+    assert np.isfinite(evaluator.evaluate(f=_force(g, 0.4), ys=(0.3, -0.4)).value)
+    with pytest.raises(NumericFailureError, match="not finite"):
+        evaluator.evaluate(f=_force(g, 40.0), ys=(0.3, -0.4))
+
+
+def test_closed_route_refuses_an_overflowing_T_transform():
+    g = make_grid(1.0, 50)
+    assert np.isfinite(magnetic_T(M11, (0.3, -0.4), f=_force(g, 0.4)).value)
+    with pytest.raises(NumericFailureError, match="not finite"):
+        magnetic_T(M11, (0.3, -0.4), f=_force(g, 40.0))
 
 
 # ----------------------------------------------------- two evaluation paths

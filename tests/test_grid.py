@@ -1,30 +1,44 @@
 """Grid construction, sampling, and the bilinear pairing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hida_lab import GridMismatchError, InvalidParameterError
-from hida_lab.grid import (conj_norm_sq, make_grid, pair, pair_from_vector,
+from hida_lab.grid import (Grid, conj_norm_sq, make_grid, pair, pair_from_vector,
                            sample)
 
 
 def test_midpoint_nodes_and_weights():
     g = make_grid(2.0, 4)
     np.testing.assert_allclose(g.nodes, [0.25, 0.75, 1.25, 1.75])
-    np.testing.assert_allclose(g.weights, 0.5)
+    assert g.h == 0.5
     assert g.nodes[0] > 0 and g.nodes[-1] < g.t
 
 
 def test_grid_equality_is_by_parameters():
-    assert make_grid(1.0, 8) == make_grid(1.0, 8)
+    """(t, n) are the only fields: equality and hashing are exactly on them."""
+    assert [f.name for f in dataclasses.fields(Grid)] == ["t", "n"]
+    assert make_grid(1.0, 8) == make_grid(1.0, 8) == Grid(1.0, 8)
     assert make_grid(1.0, 8) != make_grid(1.0, 9)
-    assert hash(make_grid(1.0, 8)) == hash(make_grid(1.0, 8))
+    assert make_grid(1.0, 8) != make_grid(np.nextafter(1.0, 2.0), 8)
+    assert hash(make_grid(1.0, 8)) == hash(make_grid(1, 8))
+    assert len({make_grid(1.0, 8), Grid(1.0, 8), Grid(1.0, 9)}) == 2
+
+
+@pytest.mark.parametrize("t,n", [(2.0, 4), (1.0, 300), (1.7, 999), (3.3, 1000)])
+def test_grid_step_and_nodes(t, n):
+    g = Grid(t, n)
+    assert g.h == t / n
+    np.testing.assert_array_equal(g.nodes, (np.arange(n) + 0.5) * (t / n))
 
 
 @pytest.mark.parametrize("t,n", [(0.0, 4), (-1.0, 4), (1.0, 1), (1.0, 0)])
 def test_make_grid_rejects_bad_parameters(t, n):
-    with pytest.raises(InvalidParameterError):
-        make_grid(t, n)
+    for build in (make_grid, Grid):
+        with pytest.raises(InvalidParameterError):
+            build(t, n)
 
 
 def test_sample_accepts_constants_and_callables():

@@ -37,8 +37,8 @@ def test_adjoint_is_exact_for_the_bilinear_pairing():
     rng = np.random.default_rng(5)
     u = rng.standard_normal(g.n)
     v = rng.standard_normal(g.n)
-    lhs = np.sum(g.weights * (volterra(g) @ u) * v)
-    rhs = np.sum(g.weights * u * (volterra_adjoint(g) @ v))
+    lhs = np.sum(g.h * (volterra(g) @ u) * v)
+    rhs = np.sum(g.h * u * (volterra_adjoint(g) @ v))
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -107,12 +107,25 @@ def test_free_K_and_magnetic_L_match_their_block_construction(k, n):
     """The in-place builders against n x n blocks put together by blocks(...)."""
     m, g = MagneticModel(k=k, t=2.0), make_grid(2.0, n)
     d = -(1.0 + 1.0j) * np.eye(n)
-    a, w = volterra(g), g.weights
+    a, w = volterra(g), np.full(n, g.h)
     c = 1j * k * (a - (a.T * w[None, :]) / w[:, None])
     for built, expected in ((free_K(m, g), blocks(d, None, None, d, g)),
                             (magnetic_L(m, g), blocks(None, c, -c, None, g))):
         np.testing.assert_allclose(built.entries, expected.entries, rtol=0,
                                    atol=1e-15 * np.abs(expected.entries).max())
+
+
+@pytest.mark.parametrize("t,n", [(1.0, 300), (2.0, 300), (3.3, 999), (0.1, 7)])
+def test_adjoint_is_the_exact_transpose_and_B_is_exactly_symmetric(t, n):
+    """A* = A^T to the bit, so B = iL is symmetric to the bit.
+
+    A weighted transpose (h a_lj) / h rounds (h h) / h away from h at some of
+    these (t, n); the plain transpose has no such rounding.
+    """
+    g = make_grid(t, n)
+    np.testing.assert_array_equal(volterra_adjoint(g), volterra(g).T)
+    b = (1j * magnetic_L(MagneticModel(k=1.3, t=t), g).entries).real
+    np.testing.assert_array_equal(b, b.T)
 
 
 def test_apply_matches_matrix_vector_product():

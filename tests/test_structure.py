@@ -152,7 +152,7 @@ def test_lemma_real_factorization_matches_the_complex_N(k, t, n, seed):
                          comp2=comps[2] + 1j * comps[3])
     ys = np.array([0.3, -0.4])
     etas_mat = np.array([eta.as_vector() for eta in etas])
-    weighted = np.tile(g.weights, 2) * etas_mat
+    weighted = g.h * etas_mat
     x_etas = np.linalg.solve(n_matrix, etas_mat.T)
     x_f = np.linalg.solve(n_matrix, f.as_vector())
     gram = weighted @ x_etas
