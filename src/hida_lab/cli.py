@@ -5,6 +5,12 @@ versions}; complex numbers are serialized as {"re": ..., "im": ...} and the
 timestamp lives in a separate header field so identical configs produce
 byte-identical result sections.
 
+Every option is defined, typed, checked and defaulted once, in
+`build_parser`.  A `--config` file of `key = value` lines goes through the
+same command parser as the flags, so a bad value, an unknown key or an
+unreadable file is a config error; `quick` takes 1/true/yes/on or
+0/false/no/off.  Flags on the command line win over the file.
+
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 numeric failure, 4 caustic.
 """
@@ -18,7 +24,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -43,91 +49,62 @@ EXIT_NUMERIC = 3
 EXIT_CAUSTIC = 4
 
 
-@dataclass
-class RunConfig:
-    k: float = 1.0
-    t: float = 1.0
-    grid_points: int = 2000
-    count: int = 10
-    n_max: int = 100_000
-    y1: float = 0.0
-    y2: float = 0.0
-    seed: int = 12345
-    output: str = "json"
-    out_file: str | None = None
-    convention: str = "composed"
-    quick: bool = False
-    sweep_param: str | None = None
-    sweep_start: float = 0.0
-    sweep_stop: float = 0.0
-    sweep_steps: int = 0
-
-    def model(self) -> MagneticModel:
-        return MagneticModel(k=self.k, t=self.t)
+_SWITCH = {"1": True, "true": True, "yes": True, "on": True,
+           "0": False, "false": False, "no": False, "off": False}
 
 
-def _cfloat(z) -> dict:
-    z = complex(z)
-    return {"re": z.real, "im": z.imag}
-
-
-def _jsonable(obj):
-    if isinstance(obj, complex):
-        return _cfloat(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def load_config_file(path: str) -> dict:
-    """Flat key = value text; '#' starts a comment."""
-    values = {}
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidParameterError(f"bad config line: {raw.rstrip()}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
-    return values
-
-
-def _coerce(cfg: RunConfig, overrides: dict) -> RunConfig:
-    for key, val in overrides.items():
-        if not hasattr(cfg, key):
+def load_config_file(path: str, parser: argparse.ArgumentParser) -> None:
+    """Install a flat `key = value` file ('#' starts a comment) as defaults of
+    one command's `parser`, which checks every value exactly as it checks the
+    same flag; flags given on the command line still win."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameterError(f"cannot read config file {path}: {exc}") from None
+    known = vars(parser.parse_args([]))
+    tokens = []
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidParameterError(f"bad config line: {raw.rstrip()}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in known:
             raise InvalidParameterError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        try:
-            if isinstance(current, bool):
-                val = str(val).lower() in ("1", "true", "yes", "on")
-            elif isinstance(current, int):
-                val = int(val)
-            elif isinstance(current, float):
-                val = float(val)
-        except ValueError:
-            raise InvalidParameterError(
-                f"{key} = {val!r}: expected {type(current).__name__}") from None
-        setattr(cfg, key, val)
-    return cfg
+        if key == "quick":
+            if val.lower() not in _SWITCH:
+                raise InvalidParameterError(
+                    f"quick = {val!r}: expected one of {', '.join(_SWITCH)}")
+            tokens += ["--quick"] if _SWITCH[val.lower()] else []
+        else:
+            tokens.append(f"--{key.replace('_', '-')}={val}")
+    try:
+        parser.set_defaults(**vars(parser.parse_args(tokens)))
+    except argparse.ArgumentError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from None
 
 
-def emit(config: RunConfig, results: dict, diagnostics: dict | None = None) -> None:
+def _json(obj):
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def emit(args: argparse.Namespace, results: dict, diagnostics: dict | None = None) -> None:
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     payload = {
         "header": {"timestamp": datetime.now(timezone.utc).isoformat()},
-        "config": _jsonable(asdict(config)),
-        "results": _jsonable(results),
-        "diagnostics": _jsonable(diagnostics or {}),
+        "config": config,
+        "results": results,
+        "diagnostics": diagnostics or {},
         "versions": {"hida_lab": __version__, "numpy": np.__version__},
     }
-    if config.output == "csv" and "rows" in results:
+    if args.output == "csv" and "rows" in results:
         buf = io.StringIO()
         rows = results["rows"]
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -136,9 +113,9 @@ def emit(config: RunConfig, results: dict, diagnostics: dict | None = None) -> N
             writer.writerow({k: _scalarize(v) for k, v in row.items()})
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if config.out_file:
-        with open(config.out_file, "w", encoding="utf-8") as handle:
+        text = json.dumps(payload, indent=2, sort_keys=True, default=_json) + "\n"
+    if args.out_file:
+        with open(args.out_file, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -160,8 +137,8 @@ def worker_count() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    m = cfg.model()
+def cmd_spectrum(cfg: argparse.Namespace) -> int:
+    m = MagneticModel(k=cfg.k, t=cfg.t)
     g = make_grid(cfg.t, cfg.grid_points)
     rep = discrete_spectrum(m, g, count=cfg.count)
     results = {
@@ -176,8 +153,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_determinant(cfg: RunConfig) -> int:
-    m = cfg.model()
+def cmd_determinant(cfg: argparse.Namespace) -> int:
+    m = MagneticModel(k=cfg.k, t=cfg.t)
     g = make_grid(cfg.t, cfg.grid_points)
     rep = determinant_report(m, g, n_max=cfg.n_max)
     caustic = caustic_check(m)
@@ -192,8 +169,8 @@ def cmd_determinant(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_preimage(cfg: RunConfig) -> int:
-    m = cfg.model()
+def cmd_preimage(cfg: argparse.Namespace) -> int:
+    m = MagneticModel(k=cfg.k, t=cfg.t)
     g = make_grid(cfg.t, cfg.grid_points)
     rep = verify_preimage(m, g)
     solved = solve_N(m, g, indicator_pair(g, 1))
@@ -212,10 +189,10 @@ def cmd_preimage(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_ttransform(cfg: RunConfig) -> int:
-    m = cfg.model()
+def cmd_ttransform(cfg: argparse.Namespace) -> int:
+    m = MagneticModel(k=cfg.k, t=cfg.t)
     g = make_grid(cfg.t, cfg.grid_points)
-    suite = random_suite(cfg.seed, max(1, min(cfg.count, 16)), g)
+    suite = random_suite(cfg.seed, cfg.count, g)
     rows = []
     for idx, f in enumerate(suite):
         rep = magnetic_T(m, (cfg.y1, cfg.y2), f=f, convention=cfg.convention)
@@ -226,8 +203,8 @@ def cmd_ttransform(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_propagator(cfg: RunConfig) -> int:
-    m = cfg.model()
+def cmd_propagator(cfg: argparse.Namespace) -> int:
+    m = MagneticModel(k=cfg.k, t=cfg.t)
     pv = propagator(m, (cfg.y1, cfg.y2), n_grid=cfg.grid_points)
     results = {
         "composed": pv.value,
@@ -244,8 +221,8 @@ def cmd_propagator(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_residual(cfg: RunConfig) -> int:
-    m = cfg.model()
+def cmd_residual(cfg: argparse.Namespace) -> int:
+    m = MagneticModel(k=cfg.k, t=cfg.t)
     levels = 2 if cfg.quick else 3
     reports = residual_convergence(m, convention=cfg.convention, levels=levels)
     residuals = [r.residual for r in reports]
@@ -256,7 +233,7 @@ def cmd_residual(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     checks = run_checks(quick=cfg.quick, seed=cfg.seed)
     rows = [{"name": c.name, "passed": c.passed, "measured": c.measured,
              "threshold": c.threshold, "detail": c.detail} for c in checks]
@@ -269,8 +246,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.sweep_param not in ("k", "t"):
+def cmd_sweep(cfg: argparse.Namespace) -> int:
+    if cfg.sweep_param is None:
         raise InvalidParameterError("sweep requires --sweep-param k or t")
     if cfg.sweep_steps < 2:
         raise InvalidParameterError("sweep requires --sweep-steps >= 2")
@@ -312,48 +289,47 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and, per command, the subparser that defines,
+    types, checks and defaults every option (config files included)."""
     parser = argparse.ArgumentParser(
         prog="hida-lab",
         description="Numeric laboratory for the magnetic-field Feynman integrand")
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--k", type=float)
-        p.add_argument("--t", type=float)
-        p.add_argument("--grid-points", type=int, dest="grid_points")
-        p.add_argument("--count", type=int)
-        p.add_argument("--n-max", type=int, dest="n_max")
-        p.add_argument("--y1", type=float)
-        p.add_argument("--y2", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--output", choices=("json", "csv"))
-        p.add_argument("--out-file", dest="out_file")
-        p.add_argument("--convention", choices=("composed", "printed"))
-        p.add_argument("--quick", action="store_true", default=None)
-        p.add_argument("--sweep-param", dest="sweep_param", choices=("k", "t"))
-        p.add_argument("--sweep-start", type=float, dest="sweep_start")
-        p.add_argument("--sweep-stop", type=float, dest="sweep_stop")
-        p.add_argument("--sweep-steps", type=int, dest="sweep_steps")
-    return parser
+        p = sub.add_parser(name, exit_on_error=False)
+        p.add_argument("--k", type=float, default=1.0)
+        p.add_argument("--t", type=float, default=1.0)
+        p.add_argument("--grid-points", type=int, default=2000)
+        p.add_argument("--count", type=int, default=10)
+        p.add_argument("--n-max", type=int, default=100_000)
+        p.add_argument("--y1", type=float, default=0.0)
+        p.add_argument("--y2", type=float, default=0.0)
+        p.add_argument("--seed", type=int, default=12345)
+        p.add_argument("--output", choices=("json", "csv"), default="json")
+        p.add_argument("--out-file")
+        p.add_argument("--convention", choices=("composed", "printed"), default="composed")
+        p.add_argument("--quick", action="store_true")
+        p.add_argument("--sweep-param", choices=("k", "t"))
+        p.add_argument("--sweep-start", type=float, default=0.0)
+        p.add_argument("--sweep-stop", type=float, default=0.0)
+        p.add_argument("--sweep-steps", type=int, default=0)
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
 
-    cfg = RunConfig()
     try:
         if args.config:
-            _coerce(cfg, load_config_file(args.config))
-        overrides = {k: v for k, v in vars(args).items()
-                     if k not in ("command", "config") and v is not None}
-        _coerce(cfg, overrides)
-        return COMMANDS[args.command](cfg)
+            load_config_file(args.config, commands[args.command])
+            args = parser.parse_args(argv)
+        return COMMANDS[args.command](args)
     except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -537,8 +537,8 @@ def schrodinger_residual(m: MagneticModel, y_half: float = 1.0, n_y: int = 21,
     if n_y < 5 or n_t < 5:
         raise InvalidParameterError("need at least 5 nodes per axis")
     for t_edge in np.linspace(t0, t1, n_t):
-        cls = caustic_check(MagneticModel(k=m.k, t=float(t_edge))) if m.k else None
-        if cls is not None and cls.classification != "regular":
+        cls = caustic_check(MagneticModel(k=m.k, t=float(t_edge)))
+        if cls.classification != "regular":
             raise CausticError(f"caustic at t = {t_edge:.6g} inside the time span",
                                classification=cls.classification, kt=cls.kt)
 

@@ -20,8 +20,7 @@ from .fredholm import (closed_preimage_f, gram_matrix, solve_N, verify_preimage)
 from .gausskernels import FiniteRankKernel, donsker_T, montecarlo_gauss_expectation
 from .grid import make_grid
 from .operators import MagneticModel, free_K, magnetic_L
-from .spectral import (determinant_closed, determinant_discrete,
-                       determinant_product, discrete_spectrum)
+from .spectral import determinant_report, discrete_spectrum
 from .testfunctions import indicator_pair, random_suite
 
 
@@ -62,12 +61,9 @@ def check_determinant(n_grid: int = 2000, n_max: int = 100_000) -> CheckResult:
     """Closed cos^2(kt) vs truncated product vs discrete eigen-product."""
     worst_disc, worst_prod = 0.0, 0.0
     for k, t in ((1.0, 1.0), (0.5, 2.0), (0.3, 0.7)):
-        m = MagneticModel(k=k, t=t)
-        closed = determinant_closed(m)
-        disc = determinant_discrete(discrete_spectrum(m, make_grid(t, n_grid), count=1))
-        prod = determinant_product(m, n_max)
-        worst_disc = max(worst_disc, abs(disc - closed))
-        worst_prod = max(worst_prod, abs(prod - closed))
+        rep = determinant_report(MagneticModel(k=k, t=t), make_grid(t, n_grid), n_max)
+        worst_disc = max(worst_disc, abs(rep.discrete - rep.closed))
+        worst_prod = max(worst_prod, abs(rep.product - rep.closed))
     passed = worst_disc <= 1e-2 and worst_prod <= 1e-4
     return CheckResult(
         name="determinant_three_way", passed=passed, measured=worst_disc,

@@ -9,7 +9,7 @@ import pytest
 
 import hida_lab.cli as cli
 import hida_lab.verification as verification
-from hida_lab.errors import NearSingularError
+from hida_lab.errors import InvalidParameterError, NearSingularError
 from hida_lab.verification import CheckResult
 
 
@@ -90,13 +90,71 @@ def test_malformed_config_line_is_a_config_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("line", ["grid_points = 1.5", "k = abc"])
+@pytest.mark.parametrize("line", [
+    "grid_points = 1.5", "k = abc", "output = xml", "convention = bogus",
+    "quick = maybe", "sweep-param = x", "grid-points = 1.5", "nonsense = 1",
+    "no equals sign here"])
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, line):
+    """A config-file value is checked exactly as the same flag is."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    code, _, err = run_cli(capsys, "--config", str(cfg), "determinant")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "determinant")
     assert code == 2
     assert "config error" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("word, quick", [("yes", True), ("off", False), ("ON", True)])
+def test_config_file_quick_words(tmp_path, capsys, word, quick):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"quick = {word}\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "propagator",
+                           "--grid-points", "50")
+    assert code == 0
+    assert json.loads(out)["config"]["quick"] is quick
+
+
+def test_config_file_and_flags_give_the_same_report(tmp_path, capsys):
+    flags = ["--k", "0.7", "--t", "1.3", "--grid-points", "120", "--count", "3",
+             "--seed", "777", "--y1", "0.3", "--y2", "-0.4",
+             "--convention", "printed", "--quick"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 0.7\nt = 1.3\ngrid-points = 120\ncount = 3\nseed = 777\n"
+                   "y1 = 0.3\ny2 = -0.4\nconvention = printed\nquick = yes\n")
+    code, out, _ = run_cli(capsys, "ttransform", *flags)
+    assert code == 0
+    by_flags = json.loads(out)
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "ttransform")
+    assert code == 0
+    by_file = json.loads(out)
+    assert by_file["config"] == by_flags["config"]
+    assert by_file["results"] == by_flags["results"]
+    assert by_flags["config"]["quick"] is True and len(by_flags["results"]["rows"]) == 3
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"\xff\xfek = 1\n")
+    code, out, err = run_cli(capsys, "--config", str(path), "verify")
+    assert code == 2
+    assert "config error" in err
+    assert out == ""
+
+
+def test_ttransform_emits_the_requested_count(capsys):
+    code, out, _ = run_cli(capsys, "ttransform", "--count", "40", "--grid-points", "60")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["count"] == 40
+    assert [r["index"] for r in payload["results"]["rows"]] == list(range(40))
+
+    code, out, err = run_cli(capsys, "ttransform", "--count", "0", "--grid-points", "60")
+    assert code == 2
+    assert "config error" in err and out == ""
 
 
 def test_caustic_exit_code(capsys):
@@ -175,7 +233,7 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("HIDA_LAB_THREADS", "3")
     assert cli.worker_count() == 3
     monkeypatch.setenv("HIDA_LAB_THREADS", "zero")
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidParameterError):
         cli.worker_count()
 
 
