@@ -5,9 +5,11 @@ versions}; complex numbers are serialized as {"re": ..., "im": ...} and the
 timestamp lives in a separate header field so identical configs produce
 byte-identical result sections.
 
-Every option is defined, typed, checked and defaulted once, in
-`build_parser`.  A `--config` file of `key = value` lines goes through the
-same command parser as the flags, so a bad value, an unknown key or an
+Every option is defined, typed, checked and defaulted once, in `OPTIONS`,
+and each command in `COMMANDS` declares only the options it reads, so a
+report's `config` holds exactly the options that made it.  A `--config`
+file of `key = value` lines goes through the chosen command's parser, as
+the flags do, so a bad value, a key that command does not declare or an
 unreadable file is a config error; `quick` takes 1/true/yes/on or
 0/false/no/off.  Flags on the command line win over the file.
 
@@ -104,13 +106,13 @@ def emit(args: argparse.Namespace, results: dict, diagnostics: dict | None = Non
         "diagnostics": diagnostics or {},
         "versions": {"hida_lab": __version__, "numpy": np.__version__},
     }
-    if args.output == "csv" and "rows" in results:
+    if "rows" in results and args.output == "csv":
         buf = io.StringIO()
         rows = results["rows"]
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(k for r in rows for k in r)))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _scalarize(v) for k, v in row.items()})
+        writer.writerows({k: f"{v.real}{v.imag:+}j" if isinstance(v, complex) else v
+                          for k, v in row.items()} for row in rows)
         text = buf.getvalue()
     else:
         text = json.dumps(payload, indent=2, sort_keys=True, default=_json) + "\n"
@@ -119,12 +121,6 @@ def emit(args: argparse.Namespace, results: dict, diagnostics: dict | None = Non
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _scalarize(v):
-    if isinstance(v, complex):
-        return f"{v.real}{v.imag:+}j"
-    return v
 
 
 def worker_count() -> int:
@@ -177,12 +173,11 @@ def cmd_preimage(cfg: argparse.Namespace) -> int:
     closed = closed_preimage_f(m, g)
     gap = max(np.abs(solved.comp1 - closed.comp1).max(),
               np.abs(solved.comp2 - closed.comp2).max())
-    gm = gram_matrix(m, g, [indicator_pair(g, 1), indicator_pair(g, 2)])
     results = {
         "residual_sup_f": rep.sup_f, "residual_sup_g": rep.sup_g,
         "residual_quad_f": rep.quad_f, "residual_quad_g": rep.quad_g,
         "solve_vs_closed_sup": float(gap),
-        "gram": gm.entries,
+        "gram": gram_matrix(m, g, [indicator_pair(g, 1), indicator_pair(g, 2)]),
         "gram_analytic_diagonal": analytic_gram_diagonal(m),
     }
     emit(cfg, results)
@@ -199,7 +194,7 @@ def cmd_ttransform(cfg: argparse.Namespace) -> int:
         rows.append({"index": idx, "value": rep.value,
                      "exponent_quadratic": rep.exponent_quadratic,
                      "exponent_delta": rep.exponent_delta})
-    emit(cfg, {"rows": rows}, {"convention": cfg.convention})
+    emit(cfg, {"rows": rows}, {"convention": cfg.convention, "route": rep.route})
     return EXIT_OK
 
 
@@ -223,8 +218,7 @@ def cmd_propagator(cfg: argparse.Namespace) -> int:
 
 def cmd_residual(cfg: argparse.Namespace) -> int:
     m = MagneticModel(k=cfg.k, t=cfg.t)
-    levels = 2 if cfg.quick else 3
-    reports = residual_convergence(m, convention=cfg.convention, levels=levels)
+    reports = residual_convergence(m, convention=cfg.convention, levels=2 if cfg.quick else 3)
     residuals = [r.residual for r in reports]
     orders = [float(np.log2(residuals[i] / residuals[i + 1]))
               for i in range(len(residuals) - 1)]
@@ -260,8 +254,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         row = {cfg.sweep_param: float(value),
                "caustic": caustic_check(m).classification}
         try:
-            pv = propagator(m, (cfg.y1, cfg.y2),
-                            n_grid=min(cfg.grid_points, 400 if cfg.quick else cfg.grid_points))
+            pv = propagator(m, (cfg.y1, cfg.y2), n_grid=cfg.grid_points)
             row["value"] = pv.value
             row["abs_value"] = abs(pv.value)
         except HidaLabError as exc:
@@ -277,44 +270,51 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each option once: its name and its add_argument keywords (type, choices, default).
+OPTIONS = {
+    "k": {"type": float, "default": 1.0}, "t": {"type": float, "default": 1.0},
+    "grid-points": {"type": int, "default": 2000},
+    "count": {"type": int, "default": 10},
+    "n-max": {"type": int, "default": 100_000},
+    "y1": {"type": float, "default": 0.0}, "y2": {"type": float, "default": 0.0},
+    "seed": {"type": int, "default": 12345},
+    "output": {"choices": ("json", "csv"), "default": "json"},
+    "out-file": {},
+    "convention": {"choices": ("composed", "printed"), "default": "composed"},
+    "quick": {"action": "store_true"},
+    "sweep-param": {"choices": ("k", "t")},
+    "sweep-start": {"type": float, "default": 0.0}, "sweep-stop": {"type": float, "default": 0.0},
+    "sweep-steps": {"type": int, "default": 0},
+}
+
+# Each command and the options it reads; `emit` reads out-file always and
+# output only for results with rows.
 COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "determinant": cmd_determinant,
-    "preimage": cmd_preimage,
-    "ttransform": cmd_ttransform,
-    "propagator": cmd_propagator,
-    "residual": cmd_residual,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
+    "spectrum": (cmd_spectrum, ("k", "t", "grid-points", "count", "out-file")),
+    "determinant": (cmd_determinant, ("k", "t", "grid-points", "n-max", "out-file")),
+    "preimage": (cmd_preimage, ("k", "t", "grid-points", "out-file")),
+    "ttransform": (cmd_ttransform, ("k", "t", "grid-points", "count", "seed", "y1", "y2",
+                                    "convention", "output", "out-file")),
+    "propagator": (cmd_propagator, ("k", "t", "grid-points", "y1", "y2", "out-file")),
+    "residual": (cmd_residual, ("k", "t", "quick", "convention", "out-file")),
+    "verify": (cmd_verify, ("quick", "seed", "output", "out-file")),
+    "sweep": (cmd_sweep, ("k", "t", "grid-points", "y1", "y2", "sweep-param", "sweep-start",
+                          "sweep-stop", "sweep-steps", "output", "out-file")),
 }
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and, per command, the subparser that defines,
-    types, checks and defaults every option (config files included)."""
+    types, checks and defaults that command's options (config files included)."""
     parser = argparse.ArgumentParser(
         prog="hida-lab",
         description="Numeric laboratory for the magnetic-field Feynman integrand")
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, options) in COMMANDS.items():
         p = sub.add_parser(name, exit_on_error=False)
-        p.add_argument("--k", type=float, default=1.0)
-        p.add_argument("--t", type=float, default=1.0)
-        p.add_argument("--grid-points", type=int, default=2000)
-        p.add_argument("--count", type=int, default=10)
-        p.add_argument("--n-max", type=int, default=100_000)
-        p.add_argument("--y1", type=float, default=0.0)
-        p.add_argument("--y2", type=float, default=0.0)
-        p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument("--out-file")
-        p.add_argument("--convention", choices=("composed", "printed"), default="composed")
-        p.add_argument("--quick", action="store_true")
-        p.add_argument("--sweep-param", choices=("k", "t"))
-        p.add_argument("--sweep-start", type=float, default=0.0)
-        p.add_argument("--sweep-stop", type=float, default=0.0)
-        p.add_argument("--sweep-steps", type=int, default=0)
+        for option in options:
+            p.add_argument(f"--{option}", **OPTIONS[option])
     return parser, sub.choices
 
 
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         if args.config:
             load_config_file(args.config, commands[args.command])
             args = parser.parse_args(argv)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except InvalidParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

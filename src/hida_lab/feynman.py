@@ -3,10 +3,10 @@ classification and the Schrödinger-residual verification.
 
 Two independent evaluation paths exist on purpose:
 
-* :func:`lemma_T` (:class:`LemmaEvaluator`) composes the T-transform from
-  fully numeric dense ingredients for any K, L: one dense LU of N gives the
-  determinant, the resolvent solves and the numeric Gram matrix.  It is the
-  dense oracle.  When N is i times a real matrix, as the magnetic
+* :class:`LemmaEvaluator` composes the T-transform from fully numeric
+  dense ingredients for any K, L: one dense LU of N gives the determinant,
+  the resolvent solves and the numeric Gram matrix.  It is the dense
+  oracle.  When N is i times a real matrix, as the magnetic
   N = -i(Id + B) is, that LU is a real one.
 * :func:`magnetic_T` evaluates the closed-form specialization (analytic
   determinant, closed-form preimages, analytic Gram matrix).
@@ -91,7 +91,7 @@ class TTransformReport:
     convention: str
     gram: np.ndarray = field(default=None, repr=False)
     determinant: complex = None
-    route: str = None                 # structured | dense
+    route: str = None                 # closed | structured | dense
     cond_estimate: float = None       # cond of N: exact 2-norm (structured), 1-norm estimate (dense)
 
 
@@ -335,12 +335,6 @@ def _combine(g: Grid, f, g_fn):
     return total
 
 
-def lemma_T(K: BlockOperator, L: BlockOperator, g_fn, etas, ys,
-            f: GridFunctionPair | None = None) -> TTransformReport:
-    """One-shot evaluation of the master formula; see :class:`LemmaEvaluator`."""
-    return LemmaEvaluator(K, L, etas).evaluate(f=f, ys=ys, g_fn=g_fn)
-
-
 def caustic_check(m: MagneticModel) -> CausticClassification:
     """Classify kt against the exclusion set {n pi} u {(n + 1/2) pi}."""
     kt = m.k * m.t
@@ -419,7 +413,8 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
                             exponent_quadratic=complex(exponent_quadratic),
                             exponent_delta=complex(exponent_delta), u=u,
                             branch_note=tuple(notes), convention=convention,
-                            gram=gram, determinant=complex(np.cos(m.k * m.t) ** 2))
+                            gram=gram, determinant=complex(np.cos(m.k * m.t) ** 2),
+                            route="closed")
 
 
 def printed_propagator_value(m: MagneticModel, y) -> complex:
@@ -468,8 +463,7 @@ def propagator(m: MagneticModel, y, n_grid: int = 600) -> PropagatorValue:
     The determinant, the condition number and N^{-1} all come from
     :class:`fredholm.Resolvent`.  The Gram matrix needs one solve: with
     N^{-1} eta_1 = (x1, x2), N^{-1} eta_2 = (-x2, x1).  Composition and
-    refusals are those of :class:`LemmaEvaluator`, which :func:`lemma_T`
-    keeps as the dense oracle.  The as-quoted cos-prefactor formula is
+    refusals are those of :class:`LemmaEvaluator`, the dense oracle.  The as-quoted cos-prefactor formula is
     attached for comparison only.
     """
     _require_regular(m)

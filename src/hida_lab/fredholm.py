@@ -142,20 +142,9 @@ def verify_preimage(m: MagneticModel, g: Grid) -> PreimageResidualReport:
         quad_g=float(np.sqrt(conj_norm_sq(diff_g))))
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Matrix of bilinear pairings (eta_i, N^{-1} eta_j)."""
-
-    entries: np.ndarray
-    etas: tuple
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
-
-
-def gram_matrix(m: MagneticModel, g: Grid, etas) -> GramMatrix:
-    """M_ab = (eta_a, N^{-1} eta_b) from one resolvent: (h E) @ solutions."""
+def gram_matrix(m: MagneticModel, g: Grid, etas) -> np.ndarray:
+    """The matrix of bilinear pairings M_ab = (eta_a, N^{-1} eta_b), from one
+    resolvent: (h E) @ solutions."""
     etas = tuple(etas)
     if not etas:
         raise InvalidParameterError("need at least one generating function")
@@ -164,8 +153,7 @@ def gram_matrix(m: MagneticModel, g: Grid, etas) -> GramMatrix:
     res = resolvent(m, g)
     stacked = np.array([eta.as_vector() for eta in etas])
     solutions = np.array([res.solve(vec) for vec in stacked]).T
-    entries = (g.h * stacked) @ solutions
-    return GramMatrix(entries=entries, etas=etas)
+    return (g.h * stacked) @ solutions
 
 
 def analytic_gram_diagonal(m: MagneticModel) -> complex:

@@ -100,7 +100,7 @@ def check_gram(n_grid: int = 2000) -> CheckResult:
     """Gram matrix of the pinning directions vs (i/k) tan(kt) Id."""
     m = MagneticModel(k=1.0, t=1.0)
     g = make_grid(m.t, n_grid)
-    entries = gram_matrix(m, g, [indicator_pair(g, 1), indicator_pair(g, 2)]).entries
+    entries = gram_matrix(m, g, [indicator_pair(g, 1), indicator_pair(g, 2)])
     re_max = float(np.abs(entries.real).max())
     off = float(abs(entries[0, 1]))
     diag_err = float(abs(entries[0, 0] - 1j * np.tan(1.0)))

@@ -1,5 +1,8 @@
 """Command-line interface: report structure, config handling, exit codes."""
 
+import argparse
+import csv
+import io
 import json
 import time
 from types import SimpleNamespace
@@ -9,6 +12,7 @@ import pytest
 
 import hida_lab.cli as cli
 import hida_lab.verification as verification
+from hida_lab import MagneticModel, propagator
 from hida_lab.errors import InvalidParameterError, NearSingularError
 from hida_lab.verification import CheckResult
 
@@ -90,26 +94,75 @@ def test_malformed_config_line_is_a_config_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("line", [
-    "grid_points = 1.5", "k = abc", "output = xml", "convention = bogus",
-    "quick = maybe", "sweep-param = x", "grid-points = 1.5", "nonsense = 1",
-    "no equals sign here"])
+# Each line goes to a command that declares its key, so that the value is
+# what gets refused; "nonsense" is a key no command declares.
+BAD_CONFIG_LINES = {
+    "grid_points = 1.5": "determinant", "k = abc": "determinant",
+    "output = xml": "verify", "convention = bogus": "residual",
+    "quick = maybe": "residual", "sweep-param = x": "sweep",
+    "grid-points = 1.5": "determinant", "nonsense = 1": "determinant",
+    "no equals sign here": "determinant"}
+
+
+@pytest.mark.parametrize("line", list(BAD_CONFIG_LINES))
 def test_bad_config_value_is_a_config_error(tmp_path, capsys, line):
     """A config-file value is checked exactly as the same flag is."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    code, out, err = run_cli(capsys, "--config", str(cfg), "determinant")
+    code, out, err = run_cli(capsys, "--config", str(cfg), BAD_CONFIG_LINES[line])
     assert code == 2
     assert "config error" in err
+    assert ("unknown config key" in err) == line.startswith("nonsense")
     assert out == ""
+
+
+def test_config_key_of_another_command_is_unknown(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "determinant")
+    assert code == 2 and out == ""
+    assert "unknown config key" in err
+
+
+def test_flags_of_other_commands_are_refused(capsys):
+    code, out, _ = run_cli(capsys, "determinant", "--convention", "printed",
+                           "--seed", "5", "--sweep-param", "k")
+    assert code == 2 and out == ""
+
+
+# Small sizes, so that every command runs in a fraction of a second.
+SMALL = {"grid_points": 60, "count": 2, "n_max": 50, "quick": True,
+         "sweep_param": "t", "sweep_start": 0.5, "sweep_stop": 1.0, "sweep_steps": 2}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_each_command_declares_exactly_the_options_it_reads(capsys, monkeypatch, name):
+    """The options a command's parser declares are the attributes that the
+    command and `emit` read, so a report's config holds what made it."""
+    monkeypatch.setattr(cli, "run_checks", lambda quick, seed: _fake_checks(True))
+    _, commands = cli.build_parser()
+    every = {}
+    for parser in commands.values():
+        every.update(vars(parser.parse_args([])))
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, attr):
+            if not attr.startswith("_"):
+                reads.add(attr)
+            return super().__getattribute__(attr)
+
+    run, _ = cli.COMMANDS[name]
+    assert run(Recording(**{**every, **SMALL})) == 0
+    capsys.readouterr()
+    assert set(vars(commands[name].parse_args([]))) == reads
 
 
 @pytest.mark.parametrize("word, quick", [("yes", True), ("off", False), ("ON", True)])
 def test_config_file_quick_words(tmp_path, capsys, word, quick):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"quick = {word}\n")
-    code, out, _ = run_cli(capsys, "--config", str(cfg), "propagator",
-                           "--grid-points", "50")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "residual", "--k", "0.5")
     assert code == 0
     assert json.loads(out)["config"]["quick"] is quick
 
@@ -117,10 +170,10 @@ def test_config_file_quick_words(tmp_path, capsys, word, quick):
 def test_config_file_and_flags_give_the_same_report(tmp_path, capsys):
     flags = ["--k", "0.7", "--t", "1.3", "--grid-points", "120", "--count", "3",
              "--seed", "777", "--y1", "0.3", "--y2", "-0.4",
-             "--convention", "printed", "--quick"]
+             "--convention", "printed"]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 0.7\nt = 1.3\ngrid-points = 120\ncount = 3\nseed = 777\n"
-                   "y1 = 0.3\ny2 = -0.4\nconvention = printed\nquick = yes\n")
+                   "y1 = 0.3\ny2 = -0.4\nconvention = printed\n")
     code, out, _ = run_cli(capsys, "ttransform", *flags)
     assert code == 0
     by_flags = json.loads(out)
@@ -129,7 +182,7 @@ def test_config_file_and_flags_give_the_same_report(tmp_path, capsys):
     by_file = json.loads(out)
     assert by_file["config"] == by_flags["config"]
     assert by_file["results"] == by_flags["results"]
-    assert by_flags["config"]["quick"] is True and len(by_flags["results"]["rows"]) == 3
+    assert len(by_flags["results"]["rows"]) == 3
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
@@ -151,6 +204,7 @@ def test_ttransform_emits_the_requested_count(capsys):
     payload = json.loads(out)
     assert payload["config"]["count"] == 40
     assert [r["index"] for r in payload["results"]["rows"]] == list(range(40))
+    assert payload["diagnostics"] == {"convention": "composed", "route": "closed"}
 
     code, out, err = run_cli(capsys, "ttransform", "--count", "0", "--grid-points", "60")
     assert code == 2
@@ -189,6 +243,37 @@ def test_sweep_csv_is_sorted(capsys, monkeypatch):
     assert lines[0].startswith("t,")
     ts = [float(line.split(",")[0]) for line in lines[1:]]
     assert ts == sorted(ts)
+
+
+def test_sweep_reports_the_grid_it_used(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "t", "--sweep-start", "0.5",
+                           "--sweep-stop", "1.0", "--sweep-steps", "2", "--grid-points", "600",
+                           "--y1", "0.3", "--y2", "-0.4")
+    assert code == 0
+    payload = json.loads(out)
+    config, first = payload["config"], payload["results"]["rows"][0]
+    value = propagator(MagneticModel(k=config["k"], t=first["t"]),
+                       (config["y1"], config["y2"]), n_grid=config["grid_points"]).value
+    assert first["value"] == {"re": value.real, "im": value.imag}
+
+
+def test_sweep_has_no_quick_flag(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "t", "--sweep-start", "0.5",
+                           "--sweep-stop", "1.0", "--sweep-steps", "2", "--quick")
+    assert code == 2 and out == ""
+
+
+def test_sweep_csv_keeps_the_error_of_a_refused_row(capsys):
+    """The CSV header is every key of every row, so a refused row after a
+    regular one keeps its error text."""
+    code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "t",
+                           "--sweep-start", str(np.pi - 0.2),
+                           "--sweep-stop", str(np.pi + 0.2),
+                           "--sweep-steps", "3", "--grid-points", "80", "--output", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [bool(r["error"]) for r in rows] == [False, True, False]
+    assert rows[1]["value"] == "" and rows[0]["value"] != ""
 
 
 def test_sweep_survives_a_refused_row(capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
                       caustic_check, composed_closed_value,
-                      external_force_green, free_limit_reference, lemma_T,
+                      external_force_green, free_limit_reference,
                       magnetic_T, printed_propagator_value, propagator,
                       residual_convergence, schrodinger_residual)
 from hida_lab.errors import (ConditionViolationError, NearSingularError,
@@ -69,7 +69,7 @@ def test_lemma_reduces_to_pinned_delta():
     eta = indicator_pair(g, 1)
     f = generate(TestFunctionSpec(kind="gaussian_bump", center=0.5, width=0.08), g)
     for x in (0.0, 0.7, -1.1):
-        rep = lemma_T(_zero_op(g), _zero_op(g), None, (eta,), [x], f=f)
+        rep = LemmaEvaluator(_zero_op(g), _zero_op(g), (eta,)).evaluate(f=f, ys=[x], g_fn=None)
         expected = donsker_T(1.0, pair(eta, f), pair(f, f), x)
         assert rep.value == pytest.approx(expected, rel=1e-12)
 
@@ -78,7 +78,7 @@ def test_lemma_reduces_to_normalized_exponential():
     """No pinning directions: det^{-1/2} exp(-(f, N^{-1} f)/2)."""
     g = make_grid(1.0, 200)
     f = sample(lambda s: np.exp(-((s - 0.5) / 0.1) ** 2), 0.0, g)
-    rep = lemma_T(free_K(M11, g), magnetic_L(M11, g), None, (), [], f=f)
+    rep = LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g), ()).evaluate(f=f, ys=[], g_fn=None)
     from hida_lab.fredholm import solve_N
     quad = pair(f, solve_N(M11, g, f))
     det = rep.determinant
@@ -263,6 +263,16 @@ def test_closed_route_refuses_an_overflowing_T_transform():
 
 
 # ----------------------------------------------------- two evaluation paths
+
+def test_each_route_names_itself():
+    g = make_grid(1.0, 100)
+    y = (0.3, -0.4)
+    dense = LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g),
+                           etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
+    assert dense.evaluate(ys=y).route == "dense"
+    assert magnetic_T(M11, y).route == "closed"
+    assert propagator(M11, y, n_grid=100).report.route == "structured"
+
 
 def test_two_paths_agree_on_test_functions():
     g = make_grid(1.0, 400)

@@ -98,12 +98,12 @@ def test_verify_preimage_matches_the_dense_apply(k, t):
 def test_gram_matrix_closed_form():
     g = make_grid(1.0, 1500)
     m = gram_matrix(M11, g, [indicator_pair(g, 1), indicator_pair(g, 2)])
-    assert m.size == 2
-    assert np.abs(m.entries.real).max() < 1e-12
-    assert abs(m.entries[0, 1]) < 1e-12
-    assert abs(m.entries[1, 0]) < 1e-12
-    assert m.entries[0, 0] == pytest.approx(1j * np.tan(1.0), abs=1e-5)
-    assert m.entries[1, 1] == pytest.approx(1j * np.tan(1.0), abs=1e-5)
+    assert m.shape == (2, 2)
+    assert np.abs(m.real).max() < 1e-12
+    assert abs(m[0, 1]) < 1e-12
+    assert abs(m[1, 0]) < 1e-12
+    assert m[0, 0] == pytest.approx(1j * np.tan(1.0), abs=1e-5)
+    assert m[1, 1] == pytest.approx(1j * np.tan(1.0), abs=1e-5)
 
 
 def test_gram_matrix_reads_the_spectrum_once(monkeypatch):
@@ -115,7 +115,7 @@ def test_gram_matrix_reads_the_spectrum_once(monkeypatch):
     monkeypatch.setattr(fredholm, "skew_spectrum", counted)
     g = make_grid(1.0, 64)
     etas = [indicator_pair(g, 1), indicator_pair(g, 2)]
-    entries = gram_matrix(M11, g, etas).entries
+    entries = gram_matrix(M11, g, etas)
     assert calls == [64]
     pairings = [[pair(a, solve_N(M11, g, b)) for b in etas] for a in etas]
     np.testing.assert_allclose(entries, pairings, rtol=0, atol=1e-14 * abs(entries).max())
