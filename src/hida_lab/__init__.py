@@ -6,8 +6,8 @@ from .errors import (CausticError, ConditionViolationError, GridMismatchError,
                      NumericFailureError)
 from .grid import Grid, GridFunctionPair, make_grid, pair, sample
 from .operators import (BlockOperator, MagneticModel, apply_N, build_N, free_K,
-                        magnetic_L, potential_form_direct, quadratic_form,
-                        symmetric_core, volterra, volterra_adjoint)
+                        magnetic_L, potential_form_direct, symmetric_core, volterra,
+                        volterra_adjoint)
 from .spectral import (DeterminantReport, SpectralReport, analytic_eigenfunction,
                        analytic_eigenvalues, determinant_closed,
                        determinant_discrete, determinant_product,
@@ -18,10 +18,9 @@ from .gausskernels import (FiniteRankKernel, donsker_T, finite_rank_T,
                            montecarlo_gauss_expectation, normalized_exp_T)
 from .testfunctions import TestFunctionSpec, generate, indicator_pair, random_suite
 from .verification import CheckResult, run_checks
-from .feynman import (CausticClassification, LemmaEvaluator, PropagatorValue,
-                      TTransformReport, caustic_check, composed_closed_value,
-                      external_force_green, free_limit_reference, magnetic_T,
-                      printed_propagator_value, propagator, residual_convergence,
-                      schrodinger_residual)
+from .feynman import (CausticClassification, LemmaEvaluator, TTransformReport,
+                      caustic_check, composed_closed_value, external_force_green,
+                      free_limit_reference, magnetic_T, printed_propagator_value,
+                      propagator, residual_convergence, schrodinger_residual)
 
 __version__ = "0.1.0"

@@ -35,7 +35,8 @@ from . import __version__
 from .errors import (CausticError, HidaLabError, InvalidParameterError,
                      NearSingularError, NumericFailureError)
 from .feynman import (caustic_check, composed_closed_value, free_limit_reference,
-                      magnetic_T, propagator, residual_convergence)
+                      magnetic_T, printed_propagator_value, propagator,
+                      residual_convergence)
 from .fredholm import (analytic_gram_diagonal, closed_preimage_f, gram_matrix,
                        solve_N, verify_preimage)
 from .grid import make_grid
@@ -200,19 +201,20 @@ def cmd_ttransform(cfg: argparse.Namespace) -> int:
 
 def cmd_propagator(cfg: argparse.Namespace) -> int:
     m = MagneticModel(k=cfg.k, t=cfg.t)
-    pv = propagator(m, (cfg.y1, cfg.y2), n_grid=cfg.grid_points)
+    y = (cfg.y1, cfg.y2)
+    rep = propagator(m, y, n_grid=cfg.grid_points)
+    printed = printed_propagator_value(m, y)
     results = {
-        "composed": pv.value,
-        "composed_closed_form": composed_closed_value(m, (cfg.y1, cfg.y2)),
-        "printed_formula": pv.printed_value,
-        "composed_vs_printed_gap": abs(pv.value - pv.printed_value),
-        "free_reference": free_limit_reference(cfg.t, (cfg.y1, cfg.y2)),
-        "branch_note": list(pv.report.branch_note),
+        "composed": rep.value,
+        "composed_closed_form": composed_closed_value(m, y),
+        "printed_formula": printed,
+        "composed_vs_printed_gap": abs(rep.value - printed),
+        "free_reference": free_limit_reference(cfg.t, y),
+        "branch_note": list(rep.branch_note),
     }
     emit(cfg, results, {"convention_note":
                         "composed value is authoritative; printed formula shown for comparison",
-                        "route": pv.report.route,
-                        "cond_estimate": pv.report.cond_estimate})
+                        "route": rep.route, "cond_estimate": rep.cond_estimate})
     return EXIT_OK
 
 
@@ -254,9 +256,9 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         row = {cfg.sweep_param: float(value),
                "caustic": caustic_check(m).classification}
         try:
-            pv = propagator(m, (cfg.y1, cfg.y2), n_grid=cfg.grid_points)
-            row["value"] = pv.value
-            row["abs_value"] = abs(pv.value)
+            value = propagator(m, (cfg.y1, cfg.y2), n_grid=cfg.grid_points).value
+            row["value"] = value
+            row["abs_value"] = abs(value)
         except HidaLabError as exc:
             row["value"] = None
             row["abs_value"] = None

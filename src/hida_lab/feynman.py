@@ -31,11 +31,12 @@ the magnetic Schrödinger equation (both verified in the test suite).
 "Printed" names two things.  ``convention="printed"`` (:func:`magnetic_T`,
 :func:`composed_closed_value`, :func:`schrodinger_residual`, ``--convention``)
 keeps the sin prefactor and flips the delta exponent to -1/2 u^T M^{-1} u;
-the residual check judges the composed convention against this one.
-:func:`printed_propagator_value` is the often-quoted cos-prefactor formula
-k / (2 pi i cos(kt)) * exp(+(ik/2) cot(kt) |y|^2): evaluated alongside for
-comparison, never substituted, and selected by no convention.  A composed
-value that is not finite is refused with :class:`NumericFailureError`.
+the residual check judges the composed convention against this one; any
+other convention is refused.  :func:`printed_propagator_value` is the
+often-quoted cos-prefactor formula k / (2 pi i cos(kt)) * exp(+(ik/2) cot(kt)
+|y|^2): ``hida-lab propagator`` reports it for comparison, never substituted
+and selected by no convention.  A composed value that is not finite is
+refused with :class:`NumericFailureError`.
 """
 
 from __future__ import annotations
@@ -93,16 +94,6 @@ class TTransformReport:
     determinant: complex = None
     route: str = None                 # closed | structured | dense
     cond_estimate: float = None       # cond of N: exact 2-norm (structured), 1-norm estimate (dense)
-
-
-@dataclass(frozen=True)
-class PropagatorValue:
-    model: MagneticModel
-    y: tuple
-    value: complex
-    convention: str
-    printed_value: complex = None     # as-quoted cos-prefactor formula, for comparison
-    report: TTransformReport = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -178,14 +169,13 @@ class LemmaEvaluator:
         if self.etas:
             self.gram_branch = _gram_branch(self.gram, _GRAM_TOL)
 
-    def evaluate(self, f: GridFunctionPair | None = None, ys=(),
-                 g_fn: GridFunctionPair | None = None) -> TTransformReport:
+    def evaluate(self, f: GridFunctionPair | None = None, ys=()) -> TTransformReport:
         ys = np.asarray(ys, dtype=float)
         j = len(self.etas)
         if ys.shape != (j,):
             raise InvalidParameterError(f"need {j} pinning values, got shape {ys.shape}")
 
-        phi = _combine(self.grid, f, g_fn)
+        phi = _combine(self.grid, f)
         u = 1j * ys
         if phi is None:
             exponent_quadratic = 0.0 + 0.0j
@@ -322,17 +312,21 @@ def _finite_value(prefactor: complex, exponent: complex) -> complex:
     return value
 
 
-def _combine(g: Grid, f, g_fn):
-    vecs = [x.as_vector() for x in (f, g_fn) if x is not None]
-    for x in (f, g_fn):
-        if x is not None and x.grid != g:
-            raise InvalidParameterError("test function lives on a different grid")
-    if not vecs:
+def _combine(g: Grid, f):
+    """f as one 2n-vector, or None when f is absent or identically zero."""
+    if f is None:
         return None
-    total = sum(vecs)
-    if not np.any(total):
-        return None
-    return total
+    if f.grid != g:
+        raise InvalidParameterError("test function lives on a different grid")
+    phi = f.as_vector()
+    return phi if np.any(phi) else None
+
+
+def _convention_sign(convention: str) -> float:
+    """+1 for the composed convention, -1 for the printed one; any other is refused."""
+    if convention not in ("composed", "printed"):
+        raise InvalidParameterError(f"unknown convention {convention!r}")
+    return 1.0 if convention == "composed" else -1.0
 
 
 def caustic_check(m: MagneticModel) -> CausticClassification:
@@ -365,16 +359,15 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
 
     Uses the closed-form preimages, the analytic determinant cos^2(kt) and
     the analytic Gram matrix (i/k) tan(kt) Id.  Only the quadratic term in a
-    nonzero test function requires one numeric resolvent solve.
+    nonzero test function requires one numeric resolvent solve, on f's grid.
+    ``n_grid`` is unread; it stays because the perfbench probes pass it.
     """
-    if convention not in ("composed", "printed"):
-        raise InvalidParameterError(f"unknown convention {convention!r}")
+    sign = 0.5 * _convention_sign(convention)
     _require_regular(m)
     y = np.asarray(y, dtype=float)
     if y.shape != (2,):
         raise InvalidParameterError(f"endpoint must be a real pair, got shape {y.shape}")
 
-    g = f.grid if f is not None else make_grid(m.t, n_grid)
     notes = [f"analytic determinant cos^2(kt) = {np.cos(m.k * m.t) ** 2:.6g}"]
 
     check_away_from_caustic(m)
@@ -395,14 +388,13 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
         exponent_quadratic = 0.0 + 0.0j
         coupling = np.zeros(2, dtype=complex)
     else:
-        n_inv_f = solve_N(m, g, f)
+        n_inv_f = solve_N(m, f.grid, f)
         exponent_quadratic = -0.5 * pair(f, n_inv_f)
-        coupling = np.array([pair(closed_preimage_f(m, g), f),
-                             pair(closed_preimage_g(m, g), f)])
+        coupling = np.array([pair(closed_preimage_f(m, f.grid), f),
+                             pair(closed_preimage_g(m, f.grid), f)])
 
     u = 1j * y + coupling
     minv = 1.0 / gram_diag
-    sign = +0.5 if convention == "composed" else -0.5
     exponent_delta = sign * minv * complex(u @ u)
     notes.append(f"delta exponent sign: {'+' if sign > 0 else '-'}1/2 u^T M^-1 u "
                  f"({convention})")
@@ -437,8 +429,8 @@ def composed_closed_value(m: MagneticModel, y, convention: str = "composed") -> 
     k/(2 pi i sin(kt)) exp(+-(ik/2) cot(kt) |y|^2); the '+' sign is the
     composed convention, '-' the alternative under adjudication.
     """
+    sign = _convention_sign(convention)
     y = np.asarray(y, dtype=float)
-    sign = +1.0 if convention == "composed" else -1.0
     return _closed_form(m.k, m.t, float(y @ y), sign)
 
 
@@ -454,17 +446,16 @@ def _closed_form(k: float, t: float, r2, sign: float = 1.0):
             * np.exp(sign * 0.5j * k / np.tan(kt) * r2))
 
 
-def propagator(m: MagneticModel, y, n_grid: int = 600) -> PropagatorValue:
+def propagator(m: MagneticModel, y, n_grid: int = 600) -> TTransformReport:
     """Generalized expectation by structured numeric composition.
 
-    Numeric determinant, numeric Gram matrix and numeric resolvent, as in
-    :class:`LemmaEvaluator` with the magnetic K, L and the indicator
-    directions, but with no dense matrix: O(n log n) time and O(n) memory.
-    The determinant, the condition number and N^{-1} all come from
-    :class:`fredholm.Resolvent`.  The Gram matrix needs one solve: with
-    N^{-1} eta_1 = (x1, x2), N^{-1} eta_2 = (-x2, x1).  Composition and
-    refusals are those of :class:`LemmaEvaluator`, the dense oracle.  The as-quoted cos-prefactor formula is
-    attached for comparison only.
+    Returns the :class:`TTransformReport` of route "structured": numeric
+    determinant, Gram matrix and resolvent, as :class:`LemmaEvaluator` with
+    the magnetic K, L and the indicator directions, but with no dense
+    matrix: O(n log n) time and O(n) memory.  The determinant, the condition
+    number and N^{-1} all come from :class:`fredholm.Resolvent`.  The Gram
+    matrix needs one solve: with N^{-1} eta_1 = (x1, x2), N^{-1} eta_2 =
+    (-x2, x1).  Composition and refusals are those of the dense oracle.
     """
     _require_regular(m)
     y = np.asarray(y, dtype=float)
@@ -479,12 +470,8 @@ def propagator(m: MagneticModel, y, n_grid: int = 600) -> PropagatorValue:
     m21 = g.h * np.sum(x[g.n:])
     gram = np.array([[m11, -m21], [m21, m11]])
     _gram_branch(gram, _GRAM_TOL)     # LemmaEvaluator's admissibility verdict
-    report = _compose(determinant, gram, 1j * y, 0.0 + 0.0j,
-                      route="structured", cond_estimate=res.cond_estimate)
-    return PropagatorValue(model=m, y=(float(y[0]), float(y[1])),
-                           value=report.value, convention="composed",
-                           printed_value=printed_propagator_value(m, y),
-                           report=report)
+    return _compose(determinant, gram, 1j * y, 0.0 + 0.0j,
+                    route="structured", cond_estimate=res.cond_estimate)
 
 
 def external_force_green(m: MagneticModel, y, force: GridFunctionPair,
@@ -525,6 +512,7 @@ def schrodinger_residual(m: MagneticModel, y_half: float = 1.0, n_y: int = 21,
     Expanded with central differences:
         H G = 1/2 [ -lap G - 2ik y2 dG/dy1 + 2ik y1 dG/dy2 + k^2 |y|^2 G ].
     """
+    sign = _convention_sign(convention)
     t0, t1 = t_span
     if not 0 < t0 < t1:
         raise InvalidParameterError(f"invalid time span {t_span}")
@@ -543,7 +531,6 @@ def schrodinger_residual(m: MagneticModel, y_half: float = 1.0, n_y: int = 21,
     y1 = y_axis[:, None]
     y2 = y_axis[None, :]
     r2 = y1 ** 2 + y2 ** 2
-    sign = +1.0 if convention == "composed" else -1.0
     g_vals = np.stack([_closed_form(m.k, t, r2, sign) for t in t_axis])   # (t, y1, y2)
 
     dt = (g_vals[2:] - g_vals[:-2]) / (2.0 * ht)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, InvalidParameterError
-from .grid import Grid, GridFunctionPair, pair, pair_from_vector
+from .grid import Grid, GridFunctionPair, pair_from_vector
 
 
 @dataclass(frozen=True)
@@ -50,22 +50,6 @@ class BlockOperator:
         if f.grid != self.grid:
             raise GridMismatchError("operator and function live on different grids")
         return pair_from_vector(self.grid, self.entries @ f.as_vector())
-
-    def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        if self.grid != other.grid:
-            raise GridMismatchError("cannot add operators on different grids")
-        return BlockOperator(grid=self.grid, entries=self.entries + other.entries)
-
-
-def blocks(top_left, top_right, bottom_left, bottom_right, g: Grid) -> BlockOperator:
-    """2x2 block operator from n x n blocks; None is a zero block."""
-    n = g.n
-    entries = np.zeros((2 * n, 2 * n), dtype=complex)
-    layout = {(0, 0): top_left, (0, 1): top_right, (1, 0): bottom_left, (1, 1): bottom_right}
-    for (i, j), b in layout.items():
-        if b is not None:
-            entries[i * n:(i + 1) * n, j * n:(j + 1) * n] = b
-    return BlockOperator(grid=g, entries=entries)
 
 
 def volterra(g: Grid) -> np.ndarray:
@@ -116,13 +100,15 @@ def magnetic_L(m: MagneticModel, g: Grid) -> BlockOperator:
     return BlockOperator(grid=g, entries=entries)
 
 
-def identity(g: Grid) -> BlockOperator:
-    return BlockOperator(grid=g, entries=np.eye(2 * g.n, dtype=complex))
-
-
 def build_N(m: MagneticModel, g: Grid) -> BlockOperator:
-    """N = Id + K + L; on the grid this is -i(Id + B) with B real symmetric."""
-    return identity(g) + free_K(m, g) + magnetic_L(m, g)
+    """N = Id + K + L in one buffer: L's entries with -i added on the diagonal.
+
+    This is exact: Id + K = -i Id and L's diagonal blocks are zero.  On the
+    grid N = -i(Id + B) with B real symmetric.
+    """
+    entries = magnetic_L(m, g).entries
+    entries[np.diag_indices(2 * g.n)] -= 1j
+    return BlockOperator(grid=g, entries=entries)
 
 
 def apply_N(m: MagneticModel, g: Grid, f: GridFunctionPair) -> GridFunctionPair:
@@ -187,11 +173,6 @@ def solve_id_plus_core(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _twist(n: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.arange(n) / n)
-
-
-def quadratic_form(b: BlockOperator, f: GridFunctionPair) -> complex:
-    """pair(f, B f)."""
-    return pair(f, b.apply(f))
 
 
 def potential_form_direct(m: MagneticModel, f: GridFunctionPair) -> complex:

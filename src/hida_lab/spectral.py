@@ -73,21 +73,21 @@ def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralRep
 
     Positive and negative discrete eigenvalues are paired separately in
     descending magnitude; pair j of each sign is matched against
-    +-lambda_j.  ``count`` analytic values are matched on each branch.
+    +-lambda_j.  ``count`` analytic values are matched on each branch, and
+    a count below 1 is refused at every k.
     """
+    analytic = analytic_eigenvalues(m, count)
     sigma = skew_spectrum(m, g)
     eigs = np.concatenate([sigma, -sigma])
     order = np.argsort(-np.abs(eigs))
     discrete = eigs[order]
 
     if m.k == 0:
-        analytic = np.zeros(count)
-        zeros = np.zeros(count * 2)
-        return SpectralReport(model=m, analytic=analytic, discrete=discrete,
+        zeros = np.zeros(count * 2)     # analytic too: +0.0, also at k = -0.0
+        return SpectralReport(model=m, analytic=zeros[:count], discrete=discrete,
                               match_errors=zeros, pair_gaps=zeros,
                               matched_analytic=zeros, matched_means=zeros)
 
-    analytic = analytic_eigenvalues(m, count)
     sign = 1.0 if m.k > 0 else -1.0
     pos = np.sort(discrete[discrete * sign > 0] * sign)[::-1] * sign
     neg = np.sort(-discrete[discrete * sign < 0] * sign)[::-1] * (-sign)

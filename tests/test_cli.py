@@ -34,6 +34,14 @@ def test_spectrum_report_structure(capsys):
     assert max(payload["results"]["match_errors"]) < 1e-2
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_spectrum_refuses_a_zero_count_at_every_coupling(capsys, k):
+    code, out, err = run_cli(capsys, "spectrum", "--k", k, "--count", "0",
+                             "--grid-points", "50")
+    assert code == 2
+    assert "count must be >= 1" in err and out == ""
+
+
 def test_complex_numbers_serialize_as_re_im(capsys):
     code, out, _ = run_cli(capsys, "propagator", "--grid-points", "150",
                            "--y1", "0.3", "--y2", "-0.4")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
-                      caustic_check, composed_closed_value,
+                      TTransformReport, caustic_check, composed_closed_value,
                       external_force_green, free_limit_reference,
                       magnetic_T, printed_propagator_value, propagator,
                       residual_convergence, schrodinger_residual)
@@ -69,7 +69,7 @@ def test_lemma_reduces_to_pinned_delta():
     eta = indicator_pair(g, 1)
     f = generate(TestFunctionSpec(kind="gaussian_bump", center=0.5, width=0.08), g)
     for x in (0.0, 0.7, -1.1):
-        rep = LemmaEvaluator(_zero_op(g), _zero_op(g), (eta,)).evaluate(f=f, ys=[x], g_fn=None)
+        rep = LemmaEvaluator(_zero_op(g), _zero_op(g), (eta,)).evaluate(f=f, ys=[x])
         expected = donsker_T(1.0, pair(eta, f), pair(f, f), x)
         assert rep.value == pytest.approx(expected, rel=1e-12)
 
@@ -78,7 +78,7 @@ def test_lemma_reduces_to_normalized_exponential():
     """No pinning directions: det^{-1/2} exp(-(f, N^{-1} f)/2)."""
     g = make_grid(1.0, 200)
     f = sample(lambda s: np.exp(-((s - 0.5) / 0.1) ** 2), 0.0, g)
-    rep = LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g), ()).evaluate(f=f, ys=[], g_fn=None)
+    rep = LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g), ()).evaluate(f=f, ys=[])
     from hida_lab.fredholm import solve_N
     quad = pair(f, solve_N(M11, g, f))
     det = rep.determinant
@@ -271,7 +271,7 @@ def test_each_route_names_itself():
                            etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
     assert dense.evaluate(ys=y).route == "dense"
     assert magnetic_T(M11, y).route == "closed"
-    assert propagator(M11, y, n_grid=100).report.route == "structured"
+    assert propagator(M11, y, n_grid=100).route == "structured"
 
 
 def test_two_paths_agree_on_test_functions():
@@ -307,6 +307,25 @@ def test_printed_convention_flips_delta_exponent():
         magnetic_T(M11, y, convention="other")
 
 
+@pytest.mark.parametrize("evaluate", [
+    lambda c: magnetic_T(M11, (0.5, 0.0), convention=c),
+    lambda c: composed_closed_value(M11, (0.5, 0.0), convention=c),
+    lambda c: schrodinger_residual(M11, convention=c),
+], ids=["magnetic_T", "composed_closed_value", "schrodinger_residual"])
+def test_an_unknown_convention_is_refused(evaluate):
+    with pytest.raises(InvalidParameterError, match="unknown convention 'typo'"):
+        evaluate("typo")
+
+
+def test_propagator_returns_the_structured_report():
+    rep = propagator(M11, (0.3, -0.4), n_grid=200)
+    assert isinstance(rep, TTransformReport)
+    assert rep.route == "structured"
+    assert rep.convention == "composed"
+    assert 1.0 <= rep.cond_estimate < np.inf
+    assert rep.branch_note and "delta exponent" in rep.branch_note[-1]
+
+
 def test_external_force_green_equals_T_at_the_force():
     g = make_grid(1.0, 300)
     force = generate(TestFunctionSpec(kind="gaussian_bump", center=0.5, width=0.07), g)
@@ -334,15 +353,14 @@ def test_propagator_free_limit():
 
 def test_composed_and_printed_values_disagree_and_are_both_reported():
     y = (0.3, -0.4)
-    pv = propagator(M11, y, n_grid=300)
-    assert pv.printed_value == pytest.approx(printed_propagator_value(M11, y))
-    assert abs(pv.value - pv.printed_value) > 0.05   # never silently reconciled
+    value = propagator(M11, y, n_grid=300).value
+    assert abs(value - printed_propagator_value(M11, y)) > 0.05   # never silently reconciled
     assert printed_propagator_value(MagneticModel(k=0.0, t=1.0), y) == \
         pytest.approx(free_limit_reference(1.0, y))
 
 
 def test_branch_notes_record_the_square_root_choices():
-    rep = propagator(M11, (0.0, 0.0), n_grid=200).report
+    rep = propagator(M11, (0.0, 0.0), n_grid=200)
     notes = " ".join(rep.branch_note)
     assert "negative-real determinant" in notes
     assert "+1/2 u^T M^-1 u" in notes

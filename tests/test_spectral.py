@@ -61,6 +61,12 @@ def test_discrete_spectrum_zero_coupling():
     assert np.all(rep.match_errors == 0)
 
 
+@pytest.mark.parametrize("k", [0.0, 1.0])
+def test_discrete_spectrum_rejects_bad_count_at_every_coupling(k):
+    with pytest.raises(InvalidParameterError, match="count must be >= 1"):
+        discrete_spectrum(MagneticModel(k=k, t=1.0), make_grid(1.0, 50), count=0)
+
+
 def test_determinant_closed_value():
     assert determinant_closed(M11) == pytest.approx(np.cos(1.0) ** 2)
     assert determinant_closed(M11) == pytest.approx(0.2919265817264289)

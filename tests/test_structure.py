@@ -293,12 +293,11 @@ def test_structured_propagator_matches_dense_oracle(k, t, n, y1, y2):
     structured, refusal = _outcome(lambda: propagator(m, y, n_grid=n))
     assert refusal is dense_refusal
     if dense_refusal is None:
-        rep = structured.report
         # A relative rounding e of M turns into a phase error e |u^T M^-1 u / 2|.
         tol = 1e-8 + 1e-13 * abs(dense.exponent_delta)
         assert abs(structured.value - dense.value) <= tol * abs(dense.value)
-        assert rep.branch_note == dense.branch_note
-        assert (rep.route, dense.route) == ("structured", "dense")
+        assert structured.branch_note == dense.branch_note
+        assert (structured.route, dense.route) == ("structured", "dense")
 
 
 def _parity_points(n, js):
@@ -327,8 +326,8 @@ def test_structured_propagator_at_a_million_nodes_builds_no_dense_matrix(monkeyp
     monkeypatch.setattr(feynman, "LemmaEvaluator", dense_route)
     m = MagneticModel(k=1.0, t=2.0)
     y = (0.3, -0.4)
-    pv = propagator(m, y, n_grid=1_000_000)
+    rep = propagator(m, y, n_grid=1_000_000)
     closed = composed_closed_value(m, y)
-    assert abs(pv.value - closed) <= 1e-5 * abs(closed)
-    assert pv.report.route == "structured"
-    assert 1.0 <= pv.report.cond_estimate < 100.0
+    assert abs(rep.value - closed) <= 1e-5 * abs(closed)
+    assert rep.route == "structured"
+    assert 1.0 <= rep.cond_estimate < 100.0
