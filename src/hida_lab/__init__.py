@@ -6,8 +6,7 @@ from .errors import (CausticError, ConditionViolationError, GridMismatchError,
                      NumericFailureError)
 from .grid import Grid, GridFunctionPair, make_grid, pair, sample
 from .operators import (BlockOperator, MagneticModel, apply_N, build_N, free_K,
-                        magnetic_L, potential_form_direct, symmetric_core, volterra,
-                        volterra_adjoint)
+                        magnetic_L, potential_form_direct, symmetric_core, volterra)
 from .spectral import (DeterminantReport, SpectralReport, analytic_eigenfunction,
                        analytic_eigenvalues, determinant_closed,
                        determinant_discrete, determinant_product,
@@ -16,7 +15,7 @@ from .fredholm import (analytic_gram_diagonal, closed_preimage_f, closed_preimag
                        gram_matrix, solve_N, verify_preimage)
 from .gausskernels import (FiniteRankKernel, donsker_T, finite_rank_T,
                            montecarlo_gauss_expectation, normalized_exp_T)
-from .testfunctions import TestFunctionSpec, generate, indicator_pair, random_suite
+from .testfunctions import indicator_pair, random_suite
 from .verification import CheckResult, run_checks
 from .feynman import (CausticClassification, LemmaEvaluator, TTransformReport,
                       caustic_check, composed_closed_value, external_force_green,

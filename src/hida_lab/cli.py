@@ -43,7 +43,7 @@ from .grid import make_grid
 from .operators import MagneticModel
 from .spectral import determinant_report, discrete_spectrum
 from .testfunctions import indicator_pair, random_suite
-from .verification import run_checks
+from .verification import convergence_orders, run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -220,11 +220,9 @@ def cmd_propagator(cfg: argparse.Namespace) -> int:
 
 def cmd_residual(cfg: argparse.Namespace) -> int:
     m = MagneticModel(k=cfg.k, t=cfg.t)
-    reports = residual_convergence(m, convention=cfg.convention, levels=2 if cfg.quick else 3)
-    residuals = [r.residual for r in reports]
-    orders = [float(np.log2(residuals[i] / residuals[i + 1]))
-              for i in range(len(residuals) - 1)]
-    emit(cfg, {"residuals": residuals, "orders": orders,
+    residuals = residual_convergence(m, convention=cfg.convention,
+                                     levels=2 if cfg.quick else 3)
+    emit(cfg, {"residuals": residuals, "orders": convergence_orders(residuals),
                "convention": cfg.convention})
     return EXIT_OK
 

@@ -1,5 +1,6 @@
 """Composition of the master T-transform, the magnetic propagator, caustic
-classification and the Schrödinger-residual verification.
+classification and the Schrödinger-residual verification, which runs over
+the model's own time span [t/2, t].
 
 Two independent evaluation paths exist on purpose:
 
@@ -488,22 +489,14 @@ def free_limit_reference(t: float, y) -> complex:
     return _closed_form(0.0, t, float(y @ y))
 
 
-@dataclass(frozen=True)
-class SchrodingerResidualReport:
-    model: MagneticModel
-    convention: str
-    residual: float                   # ||i dG/dt - H G|| / ||G|| on the interior
-    y_step: float
-    t_step: float
+def schrodinger_residual(m: MagneticModel, n: int = 21,
+                         convention: str = "composed") -> float:
+    """Finite-difference residual ||i dG/dt - H G|| / ||G|| of the composed
+    propagator in the symmetric-gauge magnetic Schrödinger equation.
 
-
-def schrodinger_residual(m: MagneticModel, y_half: float = 1.0, n_y: int = 21,
-                         t_span=(0.5, 1.0), n_t: int = 21,
-                         convention: str = "composed") -> SchrodingerResidualReport:
-    """Finite-difference residual of the composed propagator in the
-    symmetric-gauge magnetic Schrödinger equation.
-
-    The Hamiltonian is the Legendre transform of the Lagrangian
+    G is sampled for t in [m.t / 2, m.t] and y in [-1, 1]^2, with n nodes
+    per axis; the norms run over the interior nodes.  The Hamiltonian is
+    the Legendre transform of the Lagrangian
     (1/2)(xdot1^2 + xdot2^2) + k (x1 xdot2 - xdot1 x2): canonical momenta
     p1 = xdot1 - k x2, p2 = xdot2 + k x1 give
 
@@ -511,21 +504,27 @@ def schrodinger_residual(m: MagneticModel, y_half: float = 1.0, n_y: int = 21,
 
     Expanded with central differences:
         H G = 1/2 [ -lap G - 2ik y2 dG/dy1 + 2ik y1 dG/dy2 + k^2 |y|^2 G ].
+
+    A caustic at a time node is refused, and so is an integer caustic
+    kt = j pi (j != 0), where G is singular, anywhere in the span.
     """
     sign = _convention_sign(convention)
-    t0, t1 = t_span
-    if not 0 < t0 < t1:
-        raise InvalidParameterError(f"invalid time span {t_span}")
-    if n_y < 5 or n_t < 5:
+    if n < 5:
         raise InvalidParameterError("need at least 5 nodes per axis")
-    for t_edge in np.linspace(t0, t1, n_t):
+    t_axis = np.linspace(0.5 * m.t, m.t, n)
+    for t_edge in t_axis:
         cls = caustic_check(MagneticModel(k=m.k, t=float(t_edge)))
         if cls.classification != "regular":
             raise CausticError(f"caustic at t = {t_edge:.6g} inside the time span",
                                classification=cls.classification, kt=cls.kt)
+    lo, hi = sorted((0.5 * m.k * m.t, m.k * m.t))
+    j = np.floor(hi / np.pi)
+    if m.k != 0 and j * np.pi >= lo:
+        raise CausticError(f"integer caustic kt = {j:.0f} pi inside the time span "
+                           f"[{0.5 * m.t:.6g}, {m.t:.6g}], between its nodes",
+                           classification="integer_caustic", kt=float(j * np.pi))
 
-    y_axis = np.linspace(-y_half, y_half, n_y)
-    t_axis = np.linspace(t0, t1, n_t)
+    y_axis = np.linspace(-1.0, 1.0, n)
     hy = y_axis[1] - y_axis[0]
     ht = t_axis[1] - t_axis[0]
     y1 = y_axis[:, None]
@@ -549,20 +548,11 @@ def schrodinger_residual(m: MagneticModel, y_half: float = 1.0, n_y: int = 21,
                  + (m.k ** 2) * (yy1 ** 2 + yy2 ** 2)[None, :, :] * core)
 
     res = 1j * dt[:, 1:-1, 1:-1] - h_g
-    rel = float(np.linalg.norm(res) / np.linalg.norm(core))
-    return SchrodingerResidualReport(model=m, convention=convention, residual=rel,
-                                     y_step=float(hy), t_step=float(ht))
+    return float(np.linalg.norm(res) / np.linalg.norm(core))
 
 
 def residual_convergence(m: MagneticModel, convention: str = "composed",
-                         levels: int = 3, y_half: float = 1.0, base_n: int = 11,
-                         t_span=(0.5, 1.0)) -> list:
-    """Residuals under simultaneous step halving; orders in the gaps."""
-    reports = []
-    n = base_n
-    for _ in range(levels):
-        reports.append(schrodinger_residual(m, y_half=y_half, n_y=n,
-                                            t_span=t_span, n_t=n,
-                                            convention=convention))
-        n = 2 * (n - 1) + 1
-    return reports
+                         levels: int = 3) -> list:
+    """Residuals at n = 11, 21, 41, ... nodes per axis: each level halves both steps."""
+    return [schrodinger_residual(m, n=10 * 2 ** level + 1, convention=convention)
+            for level in range(levels)]

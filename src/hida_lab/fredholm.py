@@ -16,8 +16,9 @@ import numpy as np
 
 from .errors import (CausticError, GridMismatchError, InvalidParameterError,
                      NearSingularError)
-from .grid import Grid, GridFunctionPair, conj_norm_sq, pair_from_vector, sample
+from .grid import Grid, GridFunctionPair, conj_norm_sq, pair_from_vector
 from .operators import MagneticModel, apply_N, skew_spectrum, solve_id_plus_core
+from .testfunctions import indicator_pair
 
 # Refuse closed forms and solves this close to a caustic; the closed
 # preimage has cos(2kt) + 1 = 2 cos^2(kt) in a denominator.
@@ -126,8 +127,8 @@ def verify_preimage(m: MagneticModel, g: Grid) -> PreimageResidualReport:
     N is applied in O(n) by :func:`operators.apply_N`, which uses neither
     the structured solve nor the closed form it checks.
     """
-    eta1 = sample(1.0, 0.0, g)
-    eta2 = sample(0.0, 1.0, g)
+    eta1 = indicator_pair(g, 1)
+    eta2 = indicator_pair(g, 2)
 
     res_f = apply_N(m, g, closed_preimage_f(m, g))
     res_g = apply_N(m, g, closed_preimage_g(m, g))

@@ -53,7 +53,11 @@ class BlockOperator:
 
 
 def volterra(g: Grid) -> np.ndarray:
-    """Matrix of A f(tau) = int_0^tau f: h below the diagonal, h/2 on it."""
+    """Matrix of A f(tau) = int_0^tau f: h below the diagonal, h/2 on it.
+
+    Its transpose A^T is the exact pairing-adjoint of A; it approximates
+    A* f(tau) = int_tau^t f(s) ds to the same order as A.
+    """
     a = np.tril(np.full((g.n, g.n), g.h), k=-1)
     np.fill_diagonal(a, g.h / 2.0)
     return a
@@ -63,14 +67,6 @@ def apply_volterra(g: Grid, v: np.ndarray) -> np.ndarray:
     """A v = volterra(g) @ v in O(n): the running sum of h v less half its last term."""
     hv = g.h * v
     return np.cumsum(hv) - 0.5 * hv
-
-
-def volterra_adjoint(g: Grid) -> np.ndarray:
-    """Exact pairing-adjoint of the discrete A, its transpose A^T.
-
-    It approximates A* f(tau) = int_tau^t f(s) ds to the same order as A.
-    """
-    return volterra(g).T
 
 
 def free_K(m: MagneticModel, g: Grid) -> BlockOperator:
@@ -139,8 +135,7 @@ def symmetric_core(m: MagneticModel, g: Grid) -> np.ndarray:
     which is symmetric because A* = A^T is the exact pairing-adjoint of A.
     """
     a = volterra(g)
-    astar = volterra_adjoint(g)
-    s = m.k * (astar - a)
+    s = m.k * (a.T - a)
     zero = np.zeros_like(s)
     return np.block([[zero, s], [s.T, zero]])
 

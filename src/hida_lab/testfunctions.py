@@ -1,8 +1,7 @@
-"""Seeded Schwartz-class test functions and the indicator generators."""
+"""The two kinds of test function the package evaluates: the indicator
+directions eta_1, eta_2 of the pinning and seeded Gaussian-bump pairs."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,53 +14,6 @@ from .grid import Grid, GridFunctionPair, sample
 _AMPLITUDE_RANGE = (0.5, 1.5)
 _CENTER_RANGE = (0.40, 0.60)
 _WIDTH_RANGE = (1.0 / 24.0, 1.0 / 16.0)
-
-
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    """One scalar test function placed in component 1 or 2."""
-
-    kind: str                     # gaussian_bump | hermite | indicator
-    component: int = 1
-    amplitude: float = 1.0
-    center: float | None = None
-    width: float | None = None
-    index: int = 0
-    seed: int | None = None       # lineage bookkeeping for generated specs
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "component": self.component,
-                "amplitude": self.amplitude, "center": self.center,
-                "width": self.width, "index": self.index, "seed": self.seed}
-
-
-def _scalar(spec: TestFunctionSpec, g: Grid) -> np.ndarray:
-    if spec.kind == "indicator":
-        return np.full(g.n, spec.amplitude, dtype=complex)
-    center = g.t / 2.0 if spec.center is None else spec.center
-    width = g.t / 4.0 if spec.width is None else spec.width
-    if not width > 0:
-        raise InvalidParameterError(f"width must be positive, got {width}")
-    s = (g.nodes - center) / width
-    bump = spec.amplitude * np.exp(-s ** 2)
-    if spec.kind == "gaussian_bump":
-        return bump.astype(complex)
-    if spec.kind == "hermite":
-        # Physicists' Hermite polynomial times the Gaussian envelope.
-        return (bump * np.polynomial.hermite.hermval(s, [0] * spec.index + [1])
-                ).astype(complex)
-    raise InvalidParameterError(f"unknown test function kind {spec.kind!r}")
-
-
-def generate(spec: TestFunctionSpec, g: Grid) -> GridFunctionPair:
-    """Deterministic samples of the spec'd function on the grid."""
-    if spec.component not in (1, 2):
-        raise InvalidParameterError(f"component must be 1 or 2, got {spec.component}")
-    vals = _scalar(spec, g)
-    zero = np.zeros(g.n, dtype=complex)
-    if spec.component == 1:
-        return GridFunctionPair(grid=g, comp1=vals, comp2=zero)
-    return GridFunctionPair(grid=g, comp1=zero, comp2=vals)
 
 
 def indicator_pair(g: Grid, component: int) -> GridFunctionPair:

@@ -38,7 +38,8 @@ class CheckResult:
         object.__setattr__(self, "measured", float(self.measured))
 
 
-def _orders(residuals) -> list:
+def convergence_orders(residuals) -> list:
+    """Observed orders log2(r_i / r_(i+1)) between successive step halvings."""
     return [float(np.log2(residuals[i] / residuals[i + 1]))
             for i in range(len(residuals) - 1)]
 
@@ -79,7 +80,7 @@ def check_preimage(sizes=(500, 1000, 2000)) -> CheckResult:
     residuals = []
     for n in sizes:
         residuals.append(verify_preimage(m, make_grid(m.t, n)).sup_f)
-    orders = _orders(residuals)
+    orders = convergence_orders(residuals)
 
     g_fine = make_grid(m.t, sizes[-1])
     solved = solve_N(m, g_fine, indicator_pair(g_fine, 1))
@@ -220,7 +221,7 @@ def check_caustics(n_grid: int = 400, points: int = 7) -> CheckResult:
                 f"{closed_growth:.3f}x, relative gap {gap:.3e} (<= 2h = {tol:.3e})"))
 
 
-def check_schrodinger(levels: int = 3, base_n: int = 11) -> CheckResult:
+def check_schrodinger(levels: int = 3) -> CheckResult:
     """Finite-difference residual convergence adjudicates the conventions.
 
     The free (k = 0) composed value must satisfy the free equation at order
@@ -228,16 +229,14 @@ def check_schrodinger(levels: int = 3, base_n: int = 11) -> CheckResult:
     the report records which, together with the composed and as-quoted
     values and their disagreement.
     """
-    free_res = [r.residual for r in residual_convergence(
-        MagneticModel(k=0.0, t=1.0), levels=levels, base_n=base_n)]
-    free_order = _orders(free_res)[-1]
+    free_order = convergence_orders(residual_convergence(
+        MagneticModel(k=0.0, t=1.0), levels=levels))[-1]
 
     m = MagneticModel(k=0.5, t=1.0)
     verdicts = {}
     for convention in ("composed", "printed"):
-        res = [r.residual for r in residual_convergence(
-            m, convention=convention, levels=levels, base_n=base_n)]
-        verdicts[convention] = _orders(res)[-1]
+        verdicts[convention] = convergence_orders(residual_convergence(
+            m, convention=convention, levels=levels))[-1]
     converging = [c for c, order in verdicts.items() if order >= 1.9]
 
     y = (0.3, -0.4)

@@ -56,4 +56,4 @@ def test_criterion_caustic_behavior():
 
 
 def test_criterion_schrodinger_residual():
-    _report(v.check_schrodinger(levels=3, base_n=11))
+    _report(v.check_schrodinger(levels=3))

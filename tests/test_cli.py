@@ -42,6 +42,14 @@ def test_spectrum_refuses_a_zero_count_at_every_coupling(capsys, k):
     assert "count must be >= 1" in err and out == ""
 
 
+def test_spectrum_refuses_more_pairs_than_the_grid_holds(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--grid-points", "10", "--count", "5")
+    assert code == 0 and len(json.loads(out)["results"]["match_errors"]) == 10
+    code, out, err = run_cli(capsys, "spectrum", "--grid-points", "10", "--count", "10")
+    assert code == 3
+    assert "not enough discrete eigenvalues" in err and out == ""
+
+
 def test_complex_numbers_serialize_as_re_im(capsys):
     code, out, _ = run_cli(capsys, "propagator", "--grid-points", "150",
                            "--y1", "0.3", "--y2", "-0.4")
@@ -320,6 +328,23 @@ def test_residual_subcommand(capsys):
     results = json.loads(out)["results"]
     assert results["convention"] == "composed"
     assert len(results["residuals"]) == 2
+
+
+def test_residual_reads_its_time_span_from_t(capsys):
+    runs = {}
+    for t in ("1", "2"):
+        code, out, _ = run_cli(capsys, "residual", "--k", "0.5", "--t", t, "--quick")
+        assert code == 0
+        runs[t] = json.loads(out)
+    assert runs["2"]["config"]["t"] == 2.0
+    assert runs["2"]["results"]["residuals"] != runs["1"]["results"]["residuals"]
+
+
+@pytest.mark.parametrize("k", ["4", "-4"])
+def test_residual_refuses_an_integer_caustic_inside_its_span(capsys, k):
+    code, out, err = run_cli(capsys, "residual", "--k", k, "--quick")
+    assert code == 4
+    assert "integer caustic" in err and out == ""
 
 
 def test_worker_count_env(monkeypatch):

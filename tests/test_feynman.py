@@ -16,14 +16,18 @@ from hida_lab.feynman import LemmaEvaluator
 from hida_lab.gausskernels import donsker_T
 from hida_lab.grid import GridFunctionPair, make_grid, pair, sample
 from hida_lab.operators import BlockOperator, free_K, magnetic_L
-from hida_lab.testfunctions import (TestFunctionSpec, generate, indicator_pair,
-                                    random_suite)
+from hida_lab.testfunctions import indicator_pair, random_suite
 
 M11 = MagneticModel(k=1.0, t=1.0)
 
 
 def _zero_op(g):
     return BlockOperator(grid=g, entries=np.zeros((2 * g.n, 2 * g.n), dtype=complex))
+
+
+def _bump(g, center, width):
+    """(exp(-((s - center) / width)^2), 0) on the grid."""
+    return sample(lambda s: np.exp(-((s - center) / width) ** 2), 0.0, g)
 
 
 # ---------------------------------------------------------------- caustics
@@ -67,7 +71,7 @@ def test_lemma_reduces_to_pinned_delta():
     pinned-delta transform exactly, test function included."""
     g = make_grid(1.0, 150)
     eta = indicator_pair(g, 1)
-    f = generate(TestFunctionSpec(kind="gaussian_bump", center=0.5, width=0.08), g)
+    f = _bump(g, 0.5, 0.08)
     for x in (0.0, 0.7, -1.1):
         rep = LemmaEvaluator(_zero_op(g), _zero_op(g), (eta,)).evaluate(f=f, ys=[x])
         expected = donsker_T(1.0, pair(eta, f), pair(f, f), x)
@@ -77,7 +81,7 @@ def test_lemma_reduces_to_pinned_delta():
 def test_lemma_reduces_to_normalized_exponential():
     """No pinning directions: det^{-1/2} exp(-(f, N^{-1} f)/2)."""
     g = make_grid(1.0, 200)
-    f = sample(lambda s: np.exp(-((s - 0.5) / 0.1) ** 2), 0.0, g)
+    f = _bump(g, 0.5, 0.1)
     rep = LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g), ()).evaluate(f=f, ys=[])
     from hida_lab.fredholm import solve_N
     quad = pair(f, solve_N(M11, g, f))
@@ -277,7 +281,7 @@ def test_each_route_names_itself():
 def test_two_paths_agree_on_test_functions():
     g = make_grid(1.0, 400)
     y = (0.3, -0.4)
-    f = generate(TestFunctionSpec(kind="gaussian_bump", center=0.45, width=0.06), g)
+    f = _bump(g, 0.45, 0.06)
     for m in (M11, MagneticModel(k=0.0, t=1.0)):
         evaluator = LemmaEvaluator(free_K(m, g), magnetic_L(m, g),
                                    etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
@@ -328,7 +332,7 @@ def test_propagator_returns_the_structured_report():
 
 def test_external_force_green_equals_T_at_the_force():
     g = make_grid(1.0, 300)
-    force = generate(TestFunctionSpec(kind="gaussian_bump", center=0.5, width=0.07), g)
+    force = _bump(g, 0.5, 0.07)
     y = (0.1, 0.2)
     assert external_force_green(M11, y, force) == \
         pytest.approx(magnetic_T(M11, y, f=force).value)
@@ -369,28 +373,51 @@ def test_branch_notes_record_the_square_root_choices():
 # ------------------------------------------------------ equation residuals
 
 def test_free_propagator_solves_free_equation():
-    rep = schrodinger_residual(MagneticModel(k=0.0, t=1.0), n_y=21, n_t=21)
-    assert rep.residual < 0.05
+    assert schrodinger_residual(MagneticModel(k=0.0, t=1.0), n=21) < 0.05
 
 
 def test_residual_convergence_composed_second_order():
-    reports = residual_convergence(MagneticModel(k=0.5, t=1.0), levels=3, base_n=11)
-    res = [r.residual for r in reports]
+    res = residual_convergence(MagneticModel(k=0.5, t=1.0), levels=3)
     orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
     assert orders[-1] > 1.9
 
 
 def test_residual_printed_convention_does_not_converge():
-    reports = residual_convergence(MagneticModel(k=0.5, t=1.0),
-                                   convention="printed", levels=3, base_n=11)
-    res = [r.residual for r in reports]
+    res = residual_convergence(MagneticModel(k=0.5, t=1.0),
+                               convention="printed", levels=3)
     assert np.log2(res[-2] / res[-1]) < 1.0
 
 
 def test_residual_rejects_caustic_inside_time_span():
     with pytest.raises(CausticError):
-        schrodinger_residual(M11, t_span=(np.pi / 2, 2.0))
+        schrodinger_residual(MagneticModel(k=1.0, t=np.pi))
     with pytest.raises(InvalidParameterError):
-        schrodinger_residual(M11, t_span=(1.0, 0.5))
-    with pytest.raises(InvalidParameterError):
-        schrodinger_residual(M11, n_y=3)
+        schrodinger_residual(M11, n=3)
+
+
+def test_residual_runs_over_the_models_own_time_span():
+    """The span is [t/2, t]: t = 2 gives other residuals than t = 1, and
+    the composed value still converges at second order there."""
+    at_2 = residual_convergence(MagneticModel(k=0.5, t=2.0), levels=3)
+    at_1 = residual_convergence(MagneticModel(k=0.5, t=1.0), levels=3)
+    assert all(abs(a - b) > 1e-3 * b for a, b in zip(at_2, at_1))
+    assert np.log2(at_2[-2] / at_2[-1]) >= 1.9
+
+
+@pytest.mark.parametrize("k", [4.0, -4.0])
+def test_residual_refuses_an_integer_caustic_between_time_nodes(k):
+    """kt = +-pi lies inside [2, 4] (up to sign) but at no node of the span."""
+    m = MagneticModel(k=k, t=1.0)
+    nodes = k * np.linspace(0.5, 1.0, 11)
+    assert np.abs(np.abs(nodes) - np.pi).min() > 0.05
+    with pytest.raises(CausticError) as err:
+        schrodinger_residual(m, n=11)
+    assert err.value.classification == "integer_caustic"
+    assert err.value.kt == pytest.approx(np.sign(k) * np.pi)
+
+
+def test_residual_accepts_a_span_between_caustics():
+    """kt in [1, 2] holds the half-integer caustic pi/2, where the closed
+    form is regular, at no node: no refusal."""
+    res = residual_convergence(MagneticModel(k=2.0, t=1.0), levels=2)
+    assert all(np.isfinite(res))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hida_lab import (GridMismatchError, InvalidParameterError, MagneticModel,
                       apply_N, build_N, free_K, magnetic_L, potential_form_direct,
-                      symmetric_core, volterra, volterra_adjoint)
+                      symmetric_core, volterra)
 from hida_lab.grid import GridFunctionPair, make_grid, pair, pair_from_vector, sample
 from hida_lab.operators import BlockOperator, apply_volterra
 
@@ -29,7 +29,7 @@ def test_volterra_matches_cumulative_integral():
 
 def test_volterra_adjoint_matches_tail_integral():
     g = make_grid(1.0, 500)
-    vals = volterra_adjoint(g) @ g.nodes ** 2
+    vals = volterra(g).T @ g.nodes ** 2
     np.testing.assert_allclose(vals, (1.0 - g.nodes ** 3) / 3.0, atol=2e-6)
 
 
@@ -40,7 +40,7 @@ def test_adjoint_is_exact_for_the_bilinear_pairing():
     u = rng.standard_normal(g.n)
     v = rng.standard_normal(g.n)
     lhs = np.sum(g.h * (volterra(g) @ u) * v)
-    rhs = np.sum(g.h * u * (volterra_adjoint(g) @ v))
+    rhs = np.sum(g.h * u * (volterra(g).T @ v))
     assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -137,13 +137,12 @@ def test_free_K_and_magnetic_L_match_their_block_construction(k, n):
 
 @pytest.mark.parametrize("t,n", [(1.0, 300), (2.0, 300), (3.3, 999), (0.1, 7)])
 def test_adjoint_is_the_exact_transpose_and_B_is_exactly_symmetric(t, n):
-    """A* = A^T to the bit, so B = iL is symmetric to the bit.
+    """A* is the plain transpose A^T, so B = iL is symmetric to the bit.
 
     A weighted transpose (h a_lj) / h rounds (h h) / h away from h at some of
     these (t, n); the plain transpose has no such rounding.
     """
     g = make_grid(t, n)
-    np.testing.assert_array_equal(volterra_adjoint(g), volterra(g).T)
     b = (1j * magnetic_L(MagneticModel(k=1.3, t=t), g).entries).real
     np.testing.assert_array_equal(b, b.T)
 

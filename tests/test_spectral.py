@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hida_lab import (InvalidParameterError, MagneticModel,
+from hida_lab import (InvalidParameterError, MagneticModel, NumericFailureError,
                       analytic_eigenfunction, analytic_eigenvalues, build_N,
                       determinant_closed, determinant_discrete,
                       determinant_product, determinant_report, discrete_spectrum)
@@ -65,6 +65,16 @@ def test_discrete_spectrum_zero_coupling():
 def test_discrete_spectrum_rejects_bad_count_at_every_coupling(k):
     with pytest.raises(InvalidParameterError, match="count must be >= 1"):
         discrete_spectrum(MagneticModel(k=k, t=1.0), make_grid(1.0, 50), count=0)
+
+
+@pytest.mark.parametrize("k", [1.0, -1.0])
+def test_discrete_spectrum_matches_at_most_n_over_2_pairs(k):
+    """n = 10 nodes give 2n = 20 eigenvalues, 10 per sign branch: five
+    pairs per branch are matched and a sixth is refused."""
+    m, g = MagneticModel(k=k, t=1.0), make_grid(1.0, 10)
+    assert len(discrete_spectrum(m, g, count=5).match_errors) == 10
+    with pytest.raises(NumericFailureError, match="not enough discrete eigenvalues"):
+        discrete_spectrum(m, g, count=6)
 
 
 def test_determinant_closed_value():

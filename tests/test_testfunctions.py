@@ -1,9 +1,9 @@
-"""Deterministic and seeded test-function generation."""
+"""The indicator directions and the seeded Gaussian-bump suite."""
 
 import numpy as np
 import pytest
 
-from hida_lab import InvalidParameterError, TestFunctionSpec, generate
+from hida_lab import InvalidParameterError
 from hida_lab.grid import make_grid
 from hida_lab.testfunctions import indicator_pair, random_suite
 
@@ -19,41 +19,6 @@ def test_indicator_pairs():
     np.testing.assert_array_equal(e2.comp2, 1.0)
     with pytest.raises(InvalidParameterError):
         indicator_pair(G, 3)
-
-
-def test_gaussian_bump_spec():
-    spec = TestFunctionSpec(kind="gaussian_bump", component=2, amplitude=2.0,
-                            center=0.5, width=0.1)
-    f = generate(spec, G)
-    np.testing.assert_array_equal(f.comp1, 0.0)
-    # The nearest node sits up to half a step from the center.
-    assert abs(f.comp2[np.argmin(np.abs(G.nodes - 0.5))]) == pytest.approx(2.0, abs=5e-3)
-    # Effective compact support: negligible at the interval edges.
-    assert abs(f.comp2[0]) < 1e-10 and abs(f.comp2[-1]) < 1e-10
-
-
-def test_hermite_spec_odd_symmetry():
-    spec = TestFunctionSpec(kind="hermite", index=1, center=0.5, width=0.1)
-    f = generate(spec, G)
-    # H_1(s) e^{-s^2} is odd about the center.
-    mid = G.n // 2
-    np.testing.assert_allclose(f.comp1[:mid], -f.comp1[::-1][:mid], atol=1e-12)
-
-
-def test_generate_rejects_bad_specs():
-    with pytest.raises(InvalidParameterError):
-        generate(TestFunctionSpec(kind="nope"), G)
-    with pytest.raises(InvalidParameterError):
-        generate(TestFunctionSpec(kind="gaussian_bump", component=0), G)
-    with pytest.raises(InvalidParameterError):
-        generate(TestFunctionSpec(kind="gaussian_bump", width=-1.0), G)
-
-
-def test_spec_round_trips_to_dict():
-    spec = TestFunctionSpec(kind="hermite", component=2, amplitude=1.5, index=3)
-    d = spec.to_dict()
-    assert d["kind"] == "hermite" and d["index"] == 3
-    assert TestFunctionSpec(**d) == spec
 
 
 def test_random_suite_is_seeded_and_supported_inside():
