@@ -2,21 +2,26 @@
 classification and the Schrödinger-residual verification, which runs over
 the model's own time span [t/2, t].
 
-Two independent evaluation paths exist on purpose:
+Three evaluation routes exist on purpose:
 
+* :func:`magnetic_T`, the closed route, evaluates the closed-form
+  specialization (analytic determinant, closed-form preimages, analytic
+  Gram matrix); at a test function f it takes N^{-1} f from the continuum
+  Green's function (:func:`fredholm.closed_solve`), an O(n) running sum.
+* :func:`propagator`, the structured route, takes the numeric
+  ingredients for the magnetic K, L from the structured N^{-1}
+  (:class:`fredholm.Resolvent`) in O(n log n), with no dense matrix, at
+  f = 0 or at a test function f.
 * :class:`LemmaEvaluator` composes the T-transform from fully numeric
   dense ingredients for any K, L: one dense LU of N gives the determinant,
   the resolvent solves and the numeric Gram matrix.  It is the dense
   oracle.  When N is i times a real matrix, as the magnetic
   N = -i(Id + B) is, that LU is a real one.
-* :func:`magnetic_T` evaluates the closed-form specialization (analytic
-  determinant, closed-form preimages, analytic Gram matrix).
 
-:func:`propagator` is the structured numeric route: the same numeric
-ingredients for the magnetic K, L, taken from the structured N^{-1}
-(:class:`fredholm.Resolvent`) in O(n log n), with no dense matrix.  It
-shares the composition and the refusals with :class:`LemmaEvaluator`, and
-the tests hold it to that dense oracle.
+The closed and structured routes share no solve, and ``verify``'s
+``two_path_consistency`` compares them at seeded test functions.  The
+structured route shares the composition and the refusals with
+:class:`LemmaEvaluator`, and the tests hold it to that dense oracle.
 
 The sign of the delta exponent and the square-root branches are fixed by
 actually performing the Gaussian integrals that define the pinned product:
@@ -50,8 +55,8 @@ import numpy as np
 from .errors import (CausticError, ConditionViolationError, InvalidParameterError,
                      NearSingularError, NumericFailureError)
 from .fredholm import (Resolvent, analytic_gram_diagonal, check_away_from_caustic,
-                       closed_preimage_f, closed_preimage_g, refuse_ill_conditioned,
-                       solve_N)
+                       closed_preimage_f, closed_preimage_g, closed_solve,
+                       refuse_ill_conditioned)
 from .grid import Grid, GridFunctionPair, make_grid, pair
 from .operators import BlockOperator, MagneticModel
 from .testfunctions import indicator_pair
@@ -359,9 +364,11 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
     """Closed-form specialization of the T-transform for the magnetic model.
 
     Uses the closed-form preimages, the analytic determinant cos^2(kt) and
-    the analytic Gram matrix (i/k) tan(kt) Id.  Only the quadratic term in a
-    nonzero test function requires one numeric resolvent solve, on f's grid.
-    ``n_grid`` is unread; it stays because the perfbench probes pass it.
+    the analytic Gram matrix (i/k) tan(kt) Id.  The quadratic term
+    -1/2 (f, N^{-1} f) in a nonzero test function takes N^{-1} f on f's grid
+    from the continuum Green's function (:func:`fredholm.closed_solve`, an
+    O(n) running sum), so this route shares no solve with the structured
+    one.  ``n_grid`` is unread; it stays because the perfbench probes pass it.
     """
     sign = 0.5 * _convention_sign(convention)
     _require_regular(m)
@@ -389,8 +396,8 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
         exponent_quadratic = 0.0 + 0.0j
         coupling = np.zeros(2, dtype=complex)
     else:
-        n_inv_f = solve_N(m, f.grid, f)
-        exponent_quadratic = -0.5 * pair(f, n_inv_f)
+        phi = f.as_vector()
+        exponent_quadratic = -0.5 * complex((f.grid.h * phi) @ closed_solve(m, f.grid, phi))
         coupling = np.array([pair(closed_preimage_f(m, f.grid), f),
                              pair(closed_preimage_g(m, f.grid), f)])
 
@@ -447,8 +454,9 @@ def _closed_form(k: float, t: float, r2, sign: float = 1.0):
             * np.exp(sign * 0.5j * k / np.tan(kt) * r2))
 
 
-def propagator(m: MagneticModel, y, n_grid: int = 600) -> TTransformReport:
-    """Generalized expectation by structured numeric composition.
+def propagator(m: MagneticModel, y, n_grid: int = 600,
+               f: GridFunctionPair | None = None) -> TTransformReport:
+    """Generalized expectation, or the T-transform at f, by structured numeric composition.
 
     Returns the :class:`TTransformReport` of route "structured": numeric
     determinant, Gram matrix and resolvent, as :class:`LemmaEvaluator` with
@@ -456,11 +464,15 @@ def propagator(m: MagneticModel, y, n_grid: int = 600) -> TTransformReport:
     matrix: O(n log n) time and O(n) memory.  The determinant, the condition
     number and N^{-1} all come from :class:`fredholm.Resolvent`.  The Gram
     matrix needs one solve: with N^{-1} eta_1 = (x1, x2), N^{-1} eta_2 =
-    (-x2, x1).  Composition and refusals are those of the dense oracle.
+    (-x2, x1).  A test function f, which must live on the n_grid grid,
+    takes one more solve N^{-1} f for the quadratic term -1/2 (f, N^{-1} f)
+    and the couplings (eta_a, N^{-1} f), as in ``LemmaEvaluator.evaluate``.
+    Composition and refusals are those of the dense oracle.
     """
     _require_regular(m)
     y = np.asarray(y, dtype=float)
     g = make_grid(m.t, n_grid)
+    phi = _combine(g, f)
     res = Resolvent.of(m, g)
     determinant = res.determinant
     _refuse_singular_determinant(determinant)
@@ -471,7 +483,13 @@ def propagator(m: MagneticModel, y, n_grid: int = 600) -> TTransformReport:
     m21 = g.h * np.sum(x[g.n:])
     gram = np.array([[m11, -m21], [m21, m11]])
     _gram_branch(gram, _GRAM_TOL)     # LemmaEvaluator's admissibility verdict
-    return _compose(determinant, gram, 1j * y, 0.0 + 0.0j,
+    u = 1j * y
+    exponent_quadratic = 0.0 + 0.0j
+    if phi is not None:
+        n_inv_phi = res.solve(phi)
+        exponent_quadratic = -0.5 * complex((g.h * phi) @ n_inv_phi)
+        u = u + g.h * n_inv_phi.reshape(2, g.n).sum(axis=1)
+    return _compose(determinant, gram, u, exponent_quadratic,
                     route="structured", cond_estimate=res.cond_estimate)
 
 
@@ -505,8 +523,9 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
     Expanded with central differences:
         H G = 1/2 [ -lap G - 2ik y2 dG/dy1 + 2ik y1 dG/dy2 + k^2 |y|^2 G ].
 
-    A caustic at a time node is refused, and so is an integer caustic
-    kt = j pi (j != 0), where G is singular, anywhere in the span.
+    An integer caustic kt = j pi (j != 0), where G is singular, is refused
+    anywhere in the span, at a time node or between two.  A half-integer
+    caustic is not: G is regular there (cot(kt) = 0, |sin(kt)| = 1).
     """
     sign = _convention_sign(convention)
     if n < 5:
@@ -514,7 +533,7 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
     t_axis = np.linspace(0.5 * m.t, m.t, n)
     for t_edge in t_axis:
         cls = caustic_check(MagneticModel(k=m.k, t=float(t_edge)))
-        if cls.classification != "regular":
+        if cls.classification == "integer_caustic":
             raise CausticError(f"caustic at t = {t_edge:.6g} inside the time span",
                                classification=cls.classification, kt=cls.kt)
     lo, hi = sorted((0.5 * m.k * m.t, m.k * m.t))

@@ -5,7 +5,8 @@ it reads the spectrum sigma of B's skew-circulant block once (see
 :func:`operators.skew_spectrum`) and gives the Fredholm determinant
 det(Id + B) = prod(1 - sigma^2), the exact 2-norm condition number
 max|1 +- sigma| / min|1 +- sigma|, which doubles as the caustic diagnostic,
-and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs.
+and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs.  :func:`closed_solve` is
+the closed route's own N^{-1}, from the continuum Green's function in O(n).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import numpy as np
 from .errors import (CausticError, GridMismatchError, InvalidParameterError,
                      NearSingularError)
 from .grid import Grid, GridFunctionPair, conj_norm_sq, pair_from_vector
-from .operators import MagneticModel, apply_N, skew_spectrum, solve_id_plus_core
+from .operators import (MagneticModel, apply_N, apply_volterra, skew_spectrum,
+                        solve_id_plus_core)
 from .testfunctions import indicator_pair
 
 # Refuse closed forms and solves this close to a caustic; the closed
@@ -87,6 +89,43 @@ def solve_N(m: MagneticModel, g: Grid, rhs: GridFunctionPair) -> GridFunctionPai
     if rhs.grid != g:
         raise GridMismatchError("rhs lives on a different grid")
     return pair_from_vector(g, resolvent(m, g).solve(rhs.as_vector()))
+
+
+def closed_solve(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
+    """N^{-1} rhs = i (Id + B)^{-1} rhs from the continuum Green's function, in O(n).
+
+    With z = x1 + i x2 and rho = r1 + i r2, (Id + B) x = r reads
+    z - i S z = rho, where S z(tau) = k (W - 2 Z(tau)), Z(tau) = int_0^tau z
+    and W = Z(t).  So Z' + 2ik Z = rho + ik W with Z(0) = 0, whence
+
+        Z = P + W (1 - e^{-2ik tau}) / 2,   W = 2 P(t) / (1 + e^{-2ikt}),
+        z = rho + ik (W - 2 Z),
+
+    with P(tau) = int_0^tau e^{-2ik(tau - s)} rho(s) ds.  P is the midpoint
+    running sum of :func:`operators.apply_volterra` and P(t) the midpoint
+    sum, so x is second order in h and uses neither the FFT nor a matrix.
+    W's denominator vanishes at the half-integer caustics, which are
+    refused.  A complex rhs is solved as its real and imaginary parts, as
+    :meth:`Resolvent.solve` does.
+    """
+    check_away_from_caustic(m)
+    sol = _closed_id_plus_core(m, g, rhs.real)
+    if np.iscomplexobj(rhs) and np.count_nonzero(rhs.imag):
+        sol = sol + 1j * _closed_id_plus_core(m, g, rhs.imag)
+    return 1j * sol
+
+
+def _closed_id_plus_core(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
+    """(Id + B)^{-1} rhs for a real 2n-vector rhs: the z = x1 + i x2 of closed_solve."""
+    rho = rhs[:g.n] + 1j * rhs[g.n:]
+    phase = np.exp(2j * m.k * g.nodes)              # e^{2ik s_j}
+    decay = np.conj(phase)                          # e^{-2ik s_j}
+    weighted = phase * rho
+    p = decay * apply_volterra(g, weighted)
+    end = np.exp(-2j * m.k * m.t)
+    w = 2.0 * end * g.h * np.sum(weighted) / (1.0 + end)
+    z = rho + 1j * m.k * (w - 2.0 * (p + 0.5 * w * (1.0 - decay)))
+    return np.concatenate([z.real, z.imag])
 
 
 def _tan_ratio(m: MagneticModel) -> float:

@@ -347,6 +347,20 @@ def test_residual_refuses_an_integer_caustic_inside_its_span(capsys, k):
     assert "integer caustic" in err and out == ""
 
 
+def test_residual_runs_up_to_a_half_integer_caustic(capsys):
+    code, out, _ = run_cli(capsys, "residual", "--k", "0.5", "--t", "3.141592653589793",
+                           "--quick")
+    assert code == 0
+    assert json.loads(out)["results"]["orders"][0] >= 1.8
+
+
+@pytest.mark.parametrize("argv", [["--k", "1", "--t", "3.141592653589793"], ["--k", "4"]])
+def test_residual_refuses_an_integer_caustic_at_a_node_or_between(capsys, argv):
+    code, out, err = run_cli(capsys, "residual", *argv, "--quick")
+    assert code == 4
+    assert "[integer_caustic]" in err and out == ""
+
+
 def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("HIDA_LAB_THREADS", "3")
     assert cli.worker_count() == 3

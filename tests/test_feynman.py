@@ -12,6 +12,7 @@ from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
                       residual_convergence, schrodinger_residual)
 from hida_lab.errors import (ConditionViolationError, NearSingularError,
                              NumericFailureError)
+from hida_lab import fredholm, operators
 from hida_lab.feynman import LemmaEvaluator
 from hida_lab.gausskernels import donsker_T
 from hida_lab.grid import GridFunctionPair, make_grid, pair, sample
@@ -416,8 +417,71 @@ def test_residual_refuses_an_integer_caustic_between_time_nodes(k):
     assert err.value.kt == pytest.approx(np.sign(k) * np.pi)
 
 
+@pytest.mark.parametrize("k", [0.5, -0.5])
+def test_residual_accepts_a_half_integer_caustic_at_a_time_node(k):
+    """kt = +-pi/2 at the last node, where G is regular (cot(kt) = 0,
+    |sin(kt)| = 1): no refusal, and second-order convergence."""
+    res = residual_convergence(MagneticModel(k=k, t=np.pi), levels=3)
+    orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
+    assert orders[0] >= 1.8 and orders[-1] >= 1.9
+
+
+@pytest.mark.parametrize("k, t", [(1.0, np.pi), (-1.0, np.pi), (2.0, np.pi / 2),
+                                  (1.5, np.pi)])
+def test_residual_refuses_an_integer_caustic_at_a_node_or_between(k, t):
+    """kt = +-pi at the last node, or (k = 1.5) between nodes of a span that
+    ends on the half-integer caustic 3 pi / 2."""
+    with pytest.raises(CausticError) as err:
+        schrodinger_residual(MagneticModel(k=k, t=t), n=11)
+    assert err.value.classification == "integer_caustic"
+    assert err.value.kt == pytest.approx(np.sign(k) * np.pi)
+
+
 def test_residual_accepts_a_span_between_caustics():
     """kt in [1, 2] holds the half-integer caustic pi/2, where the closed
     form is regular, at no node: no refusal."""
     res = residual_convergence(MagneticModel(k=2.0, t=1.0), levels=2)
     assert all(np.isfinite(res))
+
+
+# ------------------------------------------------- the T-transform at f, two routes
+
+def test_closed_route_at_f_takes_no_fft_and_no_structured_solve(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed route called a structured solve")
+    monkeypatch.setattr(fredholm, "solve_N", forbidden)
+    monkeypatch.setattr(fredholm, "solve_id_plus_core", forbidden)
+    monkeypatch.setattr(operators, "solve_id_plus_core", forbidden)
+    monkeypatch.setattr(np.fft, "fft", forbidden)
+    g = make_grid(1.0, 400)
+    rep = magnetic_T(M11, (0.3, -0.4), f=_bump(g, 0.45, 0.06))
+    assert rep.route == "closed" and rep.exponent_quadratic != 0
+    with pytest.raises(AssertionError, match="structured solve"):
+        propagator(M11, (0.3, -0.4), n_grid=400, f=_bump(g, 0.45, 0.06))
+
+
+def test_structured_route_at_f_refuses_a_test_function_on_another_grid():
+    f = _bump(make_grid(1.0, 300), 0.45, 0.06)
+    with pytest.raises(InvalidParameterError, match="different grid"):
+        propagator(M11, (0.3, -0.4), n_grid=400, f=f)
+
+
+def test_structured_route_at_a_zero_test_function_is_the_propagator():
+    g = make_grid(1.0, 400)
+    zero = GridFunctionPair(grid=g, comp1=np.zeros(g.n), comp2=np.zeros(g.n))
+    at_zero = propagator(M11, (0.3, -0.4), n_grid=400, f=zero)
+    bare = propagator(M11, (0.3, -0.4), n_grid=400)
+    assert at_zero.value == bare.value and at_zero.exponent_quadratic == 0
+    np.testing.assert_array_equal(at_zero.u, bare.u)
+
+
+def test_structured_and_closed_routes_at_f_converge_together():
+    """Both are second order in the quadratic term and first order overall
+    (the cos^n(theta) factor of the numeric determinant): the gap halves with h."""
+    y = (0.3, -0.4)
+    gaps = []
+    for n in (400, 800, 1600):
+        f = _bump(make_grid(1.0, n), 0.45, 0.06)
+        closed = magnetic_T(M11, y, f=f).value
+        gaps.append(abs(propagator(M11, y, n_grid=n, f=f).value - closed) / abs(closed))
+    assert np.all(np.log2(np.array(gaps[:-1]) / np.array(gaps[1:])) >= 0.95)

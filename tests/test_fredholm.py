@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from hida_lab import (CausticError, GridMismatchError, MagneticModel,
                       NearSingularError, analytic_gram_diagonal,
                       closed_preimage_f, closed_preimage_g, gram_matrix,
                       solve_N, verify_preimage)
 from hida_lab import fredholm
-from hida_lab.fredholm import check_away_from_caustic, resolvent
+from hida_lab.fredholm import check_away_from_caustic, closed_solve, resolvent
 from hida_lab.grid import GridFunctionPair, conj_norm_sq, make_grid, pair, sample
 from hida_lab.operators import build_N, skew_spectrum
 from hida_lab.testfunctions import indicator_pair
@@ -162,3 +164,83 @@ def test_resolvent_refuses_near_singular_system():
 def test_resolvent_reports_condition_estimate():
     fact = resolvent(M11, make_grid(1.0, 64))
     assert 1.0 <= fact.cond_estimate < 1e3
+
+
+# ------------------------------------------- the closed O(n) solve of (Id + B)x = r
+
+CLOSED = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _smooth_rhs(g, c, complex_rhs):
+    """A nonzero 2n-vector of smooth functions of s / t, real or complex."""
+    s = g.nodes / g.t
+    rhs = np.concatenate([1.0 + c[0] * np.cos(np.pi * s + c[1]),
+                          c[2] * s + c[3] * np.sin(2.0 * s)])
+    if complex_rhs:
+        rhs = rhs + 1j * np.concatenate([c[4] * s ** 2, c[1] - c[0] * np.cos(s)])
+    return rhs
+
+
+def _closed_gap(m, n, c, complex_rhs):
+    """max|closed_solve - Resolvent.solve| / max|Resolvent.solve| on n nodes."""
+    g = make_grid(m.t, n)
+    rhs = _smooth_rhs(g, c, complex_rhs)
+    fft = fredholm.Resolvent.of(m, g).solve(rhs)
+    return np.abs(closed_solve(m, g, rhs) - fft).max() / np.abs(fft).max()
+
+
+@CLOSED
+@given(st.floats(min_value=-3.0, max_value=3.0, allow_subnormal=False),
+       st.floats(min_value=0.0, max_value=10.0, exclude_min=True, allow_subnormal=False),
+       st.integers(min_value=50, max_value=4000),
+       st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=5, max_size=5),
+       st.booleans())
+@example(0.0, 1.0, 50, [0.3, -0.5, 0.2, 0.9, -0.4], True)     # k = 0: z = rho exactly
+@example(0.8, 2.1, 500, [0.3, -0.5, 0.2, 0.9, -0.4], False)
+@example(-2.9, 10.0, 4000, [1.0, 1.0, 1.0, 1.0, 1.0], True)    # kt ~ 9.2 pi
+@example(1.0, np.pi / 2 + 1.1e-3, 200, [0.5, 0.1, -0.3, 0.7, 0.2], False)
+def test_closed_solve_converges_to_the_fft_solve_at_second_order(k, t, n, c, complex_rhs):
+    """Both solve (Id + B)x = r to O(h^2), so their gap halves twice per halving of h.
+
+    Skipped: kt within 1e-3 of a half-integer caustic, and grids with
+    |k| h > 0.2, fewer than about 15 nodes per period of the e^{-2iks} the
+    solution carries, where h^2 is not yet the leading term.
+    """
+    kt = k * t
+    assume(abs(kt - (np.floor(kt / np.pi) + 0.5) * np.pi) > 1e-3)
+    assume(abs(k) * t / n <= 0.2)
+    m = MagneticModel(k=k, t=t)
+    coarse, fine = _closed_gap(m, n, c, complex_rhs), _closed_gap(m, 2 * n, c, complex_rhs)
+    if coarse < 1e-10:          # rounding level: k h ~ 0, as at k = 0
+        assert fine < 1e-10
+    else:
+        assert np.log2(coarse / fine) >= 1.9
+
+
+def test_closed_solve_keeps_a_real_rhs_exactly_imaginary():
+    g = make_grid(2.0, 300)
+    x = closed_solve(MagneticModel(k=0.7, t=2.0), g, _smooth_rhs(g, [0.3, 1, 0, -1, 2], False))
+    assert np.count_nonzero(x.real) == 0 and np.count_nonzero(x.imag) > 0
+
+
+@pytest.mark.parametrize("k, t", [(1.0, 1.0), (-0.7, 2.5), (2.0, 4.0), (0.3, 9.0)])
+def test_closed_solve_at_the_indicators_is_the_closed_preimage(k, t):
+    """At rho = eta_1, eta_2 the continuum solution is closed_preimage_f, _g;
+    the running sum leaves an O(h^2) gap."""
+    m = MagneticModel(k=k, t=t)
+    gaps = []
+    for n in (400, 800, 1600):
+        g = make_grid(t, n)
+        gap = max(np.abs(closed_solve(m, g, indicator_pair(g, a).as_vector())
+                         - closed(m, g).as_vector()).max()
+                  for a, closed in ((1, closed_preimage_f), (2, closed_preimage_g)))
+        assert gap <= (k * g.h) ** 2 * np.abs(closed_preimage_f(m, g).comp1).max()
+        gaps.append(gap)
+    assert np.all(np.log2(np.array(gaps[:-1]) / np.array(gaps[1:])) >= 1.9)
+
+
+def test_closed_solve_refuses_a_half_integer_caustic():
+    m = MagneticModel(k=1.0, t=np.pi / 2)
+    g = make_grid(m.t, 100)
+    with pytest.raises(CausticError):
+        closed_solve(m, g, indicator_pair(g, 1).as_vector())

@@ -36,8 +36,8 @@ def test_cli_and_structured_routes_load_no_scipy():
 
 
 def test_quick_verify_loads_no_scipy_integrate():
+    """No check of a cold quick verify takes the dense oracle, so none loads scipy."""
     loaded = _loaded_after(
         "from hida_lab.verification import run_checks\n"
         "assert all(r.passed for r in run_checks(quick=True))")
-    assert "scipy.integrate" not in loaded
-    assert "scipy.linalg" in loaded     # the dense oracle of two_path_consistency
+    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []

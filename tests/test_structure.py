@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from hida_lab import (MagneticModel, analytic_gram_diagonal, closed_preimage_f,
                       composed_closed_value, discrete_spectrum, feynman, gram_matrix,
-                      operators, propagator, solve_N)
+                      magnetic_T, operators, propagator, solve_N)
 from hida_lab.errors import HidaLabError
 from hida_lab.feynman import LemmaEvaluator
 from hida_lab.fredholm import resolvent
 from hida_lab.grid import GridFunctionPair, make_grid
 from hida_lab.operators import (BlockOperator, build_N, free_K, magnetic_L,
                                 skew_spectrum, solve_id_plus_core, symmetric_core)
-from hida_lab.testfunctions import indicator_pair
+from hida_lab.testfunctions import indicator_pair, random_suite
 
 DENSE = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -252,11 +252,15 @@ def test_structured_route_at_a_size_the_dense_route_cannot_hold():
     assert rep.match_errors.max() < 1e-6
 
 
+def _dense_evaluator(m, g):
+    """The dense oracle LemmaEvaluator with the magnetic K, L and pinning directions."""
+    return LemmaEvaluator(free_K(m, g), magnetic_L(m, g),
+                          etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
+
+
 def _dense_propagator(m, y, n):
     """The propagator's ingredients through the dense oracle LemmaEvaluator."""
-    g = make_grid(m.t, n)
-    return LemmaEvaluator(free_K(m, g), magnetic_L(m, g),
-                          etas=(indicator_pair(g, 1), indicator_pair(g, 2))).evaluate(ys=y)
+    return _dense_evaluator(m, make_grid(m.t, n)).evaluate(ys=y)
 
 
 def _outcome(fn):
@@ -331,3 +335,36 @@ def test_structured_propagator_at_a_million_nodes_builds_no_dense_matrix(monkeyp
     assert abs(rep.value - closed) <= 1e-5 * abs(closed)
     assert rep.route == "structured"
     assert 1.0 <= rep.cond_estimate < 100.0
+
+
+# --------------------------------- the T-transform at f: dense, structured, closed
+
+VERIFY_Y = (0.3, -0.4)
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_dense_oracle_holds_both_routes_of_two_path_consistency(n):
+    """The dense oracle on verify's seeded suite (quick and full sizes): it
+    agrees with the structured route to rounding and with the closed route
+    at two_path_consistency's 1e-3 gate, which it held itself before."""
+    m = MagneticModel(k=1.0, t=1.0)
+    g = make_grid(m.t, n)
+    evaluator = _dense_evaluator(m, g)
+    for f in random_suite(777, 5, g):
+        dense = evaluator.evaluate(f=f, ys=VERIFY_Y).value
+        structured = propagator(m, VERIFY_Y, n_grid=n, f=f).value
+        closed = magnetic_T(m, VERIFY_Y, f=f).value
+        assert abs(closed - dense) <= 1e-3 * abs(dense)
+        assert abs(structured - dense) <= 1e-12 * abs(dense)
+
+
+@pytest.mark.parametrize("k", [-0.7, 0.0, 1.3])
+def test_structured_T_transform_at_f_matches_the_dense_oracle(k):
+    m = MagneticModel(k=k, t=1.0)       # kt < pi
+    g = make_grid(m.t, 400)
+    evaluator = _dense_evaluator(m, g)
+    for f in random_suite(777, 5, g):
+        dense = evaluator.evaluate(f=f, ys=VERIFY_Y).value
+        structured = propagator(m, VERIFY_Y, n_grid=g.n, f=f)
+        assert abs(structured.value - dense) <= 1e-12 * abs(dense)
+        assert structured.route == "structured"
