@@ -24,8 +24,8 @@ import csv
 import io
 import json
 import os
+import resource
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -232,8 +232,11 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     rows = [{"name": c.name, "passed": c.passed, "measured": c.measured,
              "threshold": c.threshold, "detail": c.detail} for c in checks]
     failures = sum(1 for c in checks if not c.passed)
+    # ru_maxrss is in kilobytes on Linux.
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     emit(cfg, {"rows": rows, "failures": failures},
-         {"check_seconds": {c.name: c.seconds for c in checks}})
+         {"check_seconds": {c.name: c.seconds for c in checks},
+          "peak_rss_mb": peak_rss_mb})
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: {c.detail}", file=sys.stderr)
@@ -241,6 +244,10 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
+    # Imported here: concurrent.futures pulls in logging and queue, which no
+    # other command needs.
+    from concurrent.futures import ThreadPoolExecutor
+
     if cfg.sweep_param is None:
         raise InvalidParameterError("sweep requires --sweep-param k or t")
     if cfg.sweep_steps < 2:

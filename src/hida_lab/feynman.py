@@ -523,6 +523,12 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
     Expanded with central differences:
         H G = 1/2 [ -lap G - 2ik y2 dG/dy1 + 2ik y1 dG/dy2 + k^2 |y|^2 G ].
 
+    The stencil runs one time slice at a time: it holds the n x n slices of
+    G at t - ht, t and t + ht, forms the residual on the interior nodes of
+    the middle one, adds |res|^2 and |G|^2 to two float sums and moves the
+    slices on.  Memory is O(n^2), not the O(n^3) of the whole (t, y1, y2)
+    cube, and the sums are plain numpy reductions, not a threaded BLAS dot.
+
     An integer caustic kt = j pi (j != 0), where G is singular, is refused
     anywhere in the span, at a time node or between two.  A half-integer
     caustic is not: G is regular there (cot(kt) = 0, |sin(kt)| = 1).
@@ -546,28 +552,30 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
     y_axis = np.linspace(-1.0, 1.0, n)
     hy = y_axis[1] - y_axis[0]
     ht = t_axis[1] - t_axis[0]
-    y1 = y_axis[:, None]
-    y2 = y_axis[None, :]
-    r2 = y1 ** 2 + y2 ** 2
-    g_vals = np.stack([_closed_form(m.k, t, r2, sign) for t in t_axis])   # (t, y1, y2)
-
-    dt = (g_vals[2:] - g_vals[:-2]) / (2.0 * ht)
-    inner = g_vals[1:-1]
-    d1 = (inner[:, 2:, 1:-1] - inner[:, :-2, 1:-1]) / (2.0 * hy)
-    d2 = (inner[:, 1:-1, 2:] - inner[:, 1:-1, :-2]) / (2.0 * hy)
-    lap = ((inner[:, 2:, 1:-1] - 2 * inner[:, 1:-1, 1:-1] + inner[:, :-2, 1:-1])
-           + (inner[:, 1:-1, 2:] - 2 * inner[:, 1:-1, 1:-1] + inner[:, 1:-1, :-2])) / hy ** 2
-
-    yy1 = y1[1:-1, :]
-    yy2 = y2[:, 1:-1]
-    core = inner[:, 1:-1, 1:-1]
-    h_g = 0.5 * (-lap
-                 - 2j * m.k * yy2[None, :, :] * d1
-                 + 2j * m.k * yy1[None, :, :] * d2
-                 + (m.k ** 2) * (yy1 ** 2 + yy2 ** 2)[None, :, :] * core)
-
-    res = 1j * dt[:, 1:-1, 1:-1] - h_g
-    return float(np.linalg.norm(res) / np.linalg.norm(core))
+    r2 = y_axis[:, None] ** 2 + y_axis[None, :] ** 2
+    yy1 = y_axis[1:-1, None]
+    yy2 = y_axis[None, 1:-1]
+    drift1 = 2j * m.k * yy2
+    drift2 = 2j * m.k * yy1
+    potential = (m.k ** 2) * (yy1 ** 2 + yy2 ** 2)
+    # Three time slices of G at a time, (y1, y2) each: t - ht, t, t + ht.
+    before, g = (_closed_form(m.k, t, r2, sign) for t in t_axis[:2])
+    res_sq = core_sq = 0.0
+    for t_after in t_axis[2:]:
+        after = _closed_form(m.k, t_after, r2, sign)
+        dt = (after[1:-1, 1:-1] - before[1:-1, 1:-1]) / (2.0 * ht)
+        d1 = (g[2:, 1:-1] - g[:-2, 1:-1]) / (2.0 * hy)
+        d2 = (g[1:-1, 2:] - g[1:-1, :-2]) / (2.0 * hy)
+        core = g[1:-1, 1:-1]
+        two_core = 2 * core
+        lap = ((g[2:, 1:-1] - two_core + g[:-2, 1:-1])
+               + (g[1:-1, 2:] - two_core + g[1:-1, :-2])) / hy ** 2
+        h_g = 0.5 * (-lap - drift1 * d1 + drift2 * d2 + potential * core)
+        res = 1j * dt - h_g
+        res_sq += float(np.sum(res.real ** 2 + res.imag ** 2))
+        core_sq += float(np.sum(core.real ** 2 + core.imag ** 2))
+        before, g = g, after
+    return float(np.sqrt(res_sq / core_sq))
 
 
 def residual_convergence(m: MagneticModel, convention: str = "composed",

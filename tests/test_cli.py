@@ -406,3 +406,14 @@ def test_verify_reports_seconds_per_check_outside_results(capsys, monkeypatch):
     assert outputs[0]["results"] == outputs[1]["results"]
     assert all(set(row) == {"name", "passed", "measured", "threshold", "detail"}
                for row in outputs[0]["results"]["rows"])
+
+
+def test_verify_reports_its_peak_rss_outside_results(capsys):
+    outputs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 0
+        outputs.append(json.loads(out))
+    assert all(o["diagnostics"]["peak_rss_mb"] > 0 for o in outputs)
+    assert "peak_rss_mb" not in json.dumps(outputs[0]["results"])
+    assert outputs[0]["results"] == outputs[1]["results"]

@@ -13,7 +13,7 @@ from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
 from hida_lab.errors import (ConditionViolationError, NearSingularError,
                              NumericFailureError)
 from hida_lab import fredholm, operators
-from hida_lab.feynman import LemmaEvaluator
+from hida_lab.feynman import LemmaEvaluator, _closed_form
 from hida_lab.gausskernels import donsker_T
 from hida_lab.grid import GridFunctionPair, make_grid, pair, sample
 from hida_lab.operators import BlockOperator, free_K, magnetic_L
@@ -442,6 +442,64 @@ def test_residual_accepts_a_span_between_caustics():
     form is regular, at no node: no refusal."""
     res = residual_convergence(MagneticModel(k=2.0, t=1.0), levels=2)
     assert all(np.isfinite(res))
+
+
+def _residual_on_the_whole_cube(m, n, convention):
+    """The residual stencil over the whole (t, y1, y2) cube of G at once, as
+    schrodinger_residual computed it before it ran one time slice at a time:
+    the reference the streamed stencil is held to."""
+    sign = 1.0 if convention == "composed" else -1.0
+    t_axis = np.linspace(0.5 * m.t, m.t, n)
+    y_axis = np.linspace(-1.0, 1.0, n)
+    hy = y_axis[1] - y_axis[0]
+    ht = t_axis[1] - t_axis[0]
+    y1 = y_axis[:, None]
+    y2 = y_axis[None, :]
+    r2 = y1 ** 2 + y2 ** 2
+    g_vals = np.stack([_closed_form(m.k, t, r2, sign) for t in t_axis])   # (t, y1, y2)
+
+    dt = (g_vals[2:] - g_vals[:-2]) / (2.0 * ht)
+    inner = g_vals[1:-1]
+    d1 = (inner[:, 2:, 1:-1] - inner[:, :-2, 1:-1]) / (2.0 * hy)
+    d2 = (inner[:, 1:-1, 2:] - inner[:, 1:-1, :-2]) / (2.0 * hy)
+    lap = ((inner[:, 2:, 1:-1] - 2 * inner[:, 1:-1, 1:-1] + inner[:, :-2, 1:-1])
+           + (inner[:, 1:-1, 2:] - 2 * inner[:, 1:-1, 1:-1] + inner[:, 1:-1, :-2])) / hy ** 2
+
+    yy1 = y1[1:-1, :]
+    yy2 = y2[:, 1:-1]
+    core = inner[:, 1:-1, 1:-1]
+    h_g = 0.5 * (-lap
+                 - 2j * m.k * yy2[None, :, :] * d1
+                 + 2j * m.k * yy1[None, :, :] * d2
+                 + (m.k ** 2) * (yy1 ** 2 + yy2 ** 2)[None, :, :] * core)
+
+    res = 1j * dt[:, 1:-1, 1:-1] - h_g
+    return float(np.linalg.norm(res) / np.linalg.norm(core))
+
+
+@pytest.mark.parametrize("convention", ["composed", "printed"])
+@pytest.mark.parametrize("k", [0.0, 0.5, -1.3, 2.0])
+@pytest.mark.parametrize("n", [11, 21, 41])
+def test_streamed_residual_matches_the_whole_cube_stencil(n, k, convention):
+    """kt in [k/2, k] stays clear of the integer caustics for every k here."""
+    m = MagneticModel(k=k, t=1.0)
+    expected = _residual_on_the_whole_cube(m, n, convention)
+    assert schrodinger_residual(m, n=n, convention=convention) == \
+        pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_residual_holds_three_time_slices_not_the_cube():
+    """At n = 81 the (t, y1, y2) cube of G alone is 81^3 complex values,
+    8.5 MB; the stencil keeps three 81 x 81 slices and their temporaries."""
+    m = MagneticModel(k=0.5, t=1.0)
+    schrodinger_residual(m, n=11)
+    tracemalloc.start()
+    try:
+        schrodinger_residual(m, n=81)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ------------------------------------------------- the T-transform at f, two routes

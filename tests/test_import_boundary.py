@@ -1,4 +1,5 @@
-"""What a run loads: scipy is for the dense oracle only.
+"""What a run loads: scipy is for the dense oracle only, and the thread
+pool for `sweep` only.
 
 Each test runs in a fresh interpreter, because the test session itself has
 long since imported scipy.
@@ -41,3 +42,10 @@ def test_quick_verify_loads_no_scipy_integrate():
         "from hida_lab.verification import run_checks\n"
         "assert all(r.passed for r in run_checks(quick=True))")
     assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+
+
+def test_cli_import_loads_no_thread_pool():
+    """Only `sweep` runs a thread pool, so only it imports concurrent.futures."""
+    loaded = _loaded_after("import hida_lab.cli")
+    assert "hida_lab.cli" in loaded
+    assert sorted(m for m in loaded if m.split(".")[0] == "concurrent") == []
