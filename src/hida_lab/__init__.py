@@ -18,8 +18,8 @@ from .gausskernels import (FiniteRankKernel, donsker_T, finite_rank_T,
 from .testfunctions import indicator_pair, random_suite
 from .verification import CheckResult, run_checks
 from .feynman import (CausticClassification, LemmaEvaluator, TTransformReport,
-                      caustic_check, composed_closed_value, external_force_green,
-                      free_limit_reference, magnetic_T, printed_propagator_value,
-                      propagator, residual_convergence, schrodinger_residual)
+                      caustic_check, composed_closed_value, free_limit_reference,
+                      magnetic_T, printed_propagator_value, propagator,
+                      residual_convergence, schrodinger_residual)
 
 __version__ = "0.1.0"

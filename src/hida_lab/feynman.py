@@ -19,15 +19,25 @@ Three evaluation routes exist on purpose:
   N = -i(Id + B) is, that LU is a real one.
 
 The closed and structured routes share no solve, and ``verify``'s
-``two_path_consistency`` compares them at seeded test functions.  The
-structured route shares the composition and the refusals with
-:class:`LemmaEvaluator`, and the tests hold it to that dense oracle.
+``two_path_consistency`` compares them at seeded test functions.  All three
+routes share one composition, ``_compose``: each supplies the determinant,
+the Gram matrix M, the pinning values and the couplings u, the quadratic
+term, the convention and the signs that make the principal square roots of
+det and of (2pi)^J det M the continuous ones.  So one function applies the
+branch rule, the delta exponent, the endpoint check and the refusal of a
+non-finite value.  The structured route also shares the determinant,
+condition and Gram-matrix refusals with :class:`LemmaEvaluator`, and the
+tests hold it to that dense oracle.
 
 The sign of the delta exponent and the square-root branches are fixed by
 actually performing the Gaussian integrals that define the pinned product:
 the exponent is +1/2 u^T M^{-1} u and the branches are chosen so the value
-is continuous in t and matches the free propagator as t -> 0+.  With these
-choices the composed generalized expectation at k > 0 is
+is continuous in t and matches the free propagator as t -> 0+.  The closed
+route passes sign(cos kt) and sign(tan(kt)/k), which give sqrt(cos^2(kt)) =
+cos(kt) and sqrt(det M) = i tan(kt)/k.  The numeric routes pass +1, +1, the
+principal roots, so past kt = pi they lack the sign (-1)^floor(kt/pi) that
+the closed route carries.  With these choices the composed generalized
+expectation at k > 0 is
 
     k / (2 pi i sin(kt)) * exp(+(ik/2) cot(kt) (y1^2 + y2^2)),
 
@@ -89,17 +99,16 @@ def _branch_sqrt(z: complex, notes: list, label: str) -> complex:
 @dataclass(frozen=True)
 class TTransformReport:
     value: complex
-    det_factor: complex
-    gram_factor: complex
     exponent_quadratic: complex
     exponent_delta: complex
     u: np.ndarray
     branch_note: tuple
     convention: str
-    gram: np.ndarray = field(default=None, repr=False)
-    determinant: complex = None
-    route: str = None                 # closed | structured | dense
-    cond_estimate: float = None       # cond of N: exact 2-norm (structured), 1-norm estimate (dense)
+    gram: np.ndarray = field(repr=False)
+    determinant: complex
+    route: str                        # closed | structured | dense
+    # cond of N: exact 2-norm (structured), 1-norm estimate (dense), None (closed)
+    cond_estimate: float
 
 
 @dataclass(frozen=True)
@@ -176,20 +185,14 @@ class LemmaEvaluator:
             self.gram_branch = _gram_branch(self.gram, _GRAM_TOL)
 
     def evaluate(self, f: GridFunctionPair | None = None, ys=()) -> TTransformReport:
-        ys = np.asarray(ys, dtype=float)
-        j = len(self.etas)
-        if ys.shape != (j,):
-            raise InvalidParameterError(f"need {j} pinning values, got shape {ys.shape}")
-
         phi = _combine(self.grid, f)
-        u = 1j * ys
-        if phi is None:
-            exponent_quadratic = 0.0 + 0.0j
-        else:
+        coupling = None
+        exponent_quadratic = 0.0 + 0.0j
+        if phi is not None:
             n_inv_phi = self._solve(phi)
             exponent_quadratic = -0.5 * complex((self.grid.h * phi) @ n_inv_phi)
-            u = u + self._weighted_etas @ n_inv_phi
-        return _compose(self.determinant, self.gram, u, exponent_quadratic,
+            coupling = self._weighted_etas @ n_inv_phi
+        return _compose(self.determinant, self.gram, ys, coupling, exponent_quadratic,
                         route="dense", cond_estimate=self.cond_estimate)
 
 
@@ -278,13 +281,27 @@ def _gram_branch(gram: np.ndarray, tol: float) -> str:
     return "positive_real"
 
 
-def _compose(determinant: complex, gram: np.ndarray, u: np.ndarray,
-             exponent_quadratic: complex, route: str,
-             cond_estimate: float) -> TTransformReport:
-    """det^{-1/2} ((2pi)^J det M)^{-1/2} exp(exponent_quadratic + 1/2 u^T M^{-1} u)."""
+def _compose(determinant: complex, gram: np.ndarray, ys, coupling,
+             exponent_quadratic: complex, route: str, cond_estimate: float,
+             branch=(1.0, 1.0), convention: str = "composed") -> TTransformReport:
+    """det^{-1/2} ((2pi)^J det M)^{-1/2} exp(exponent_quadratic +- 1/2 u^T M^{-1} u).
+
+    u = i ys + coupling, where ys holds the J = len(gram) pinning values and
+    coupling the (eta_a, N^{-1} f), None at f = 0.  ``branch`` is a pair of
+    signs that turn the principal roots of det and of (2pi)^J det M into the
+    continuous ones; ``convention`` gives the sign of the delta exponent.
+    """
+    ys = np.asarray(ys, dtype=float)
+    j = len(gram)
+    if ys.shape != (j,):
+        raise InvalidParameterError(f"need {j} pinning values, got shape {ys.shape}")
+    u = 1j * ys if coupling is None else 1j * ys + coupling
+    sign = _convention_sign(convention)
+    det_sign, gram_sign = branch
     notes: list = []
-    det_factor = 1.0 / _branch_sqrt(determinant, notes, "det(Id+L(Id+K)^-1)")
-    j = len(u)
+    det_factor = 1.0 / (det_sign * _branch_sqrt(determinant, notes, "det(Id+L(Id+K)^-1)"))
+    if det_sign < 0:
+        notes.append("det(Id+L(Id+K)^-1): sign -1, the root continuous in t")
     if j == 0:
         gram_factor = 1.0 + 0.0j
         exponent_delta = 0.0 + 0.0j
@@ -292,18 +309,20 @@ def _compose(determinant: complex, gram: np.ndarray, u: np.ndarray,
         scaled_det_m = (2.0 * np.pi) ** j * complex(np.linalg.det(gram))
         if scaled_det_m == 0:
             raise NumericFailureError("(2pi)^J det(M) underflows to 0")
-        gram_factor = 1.0 / _branch_sqrt(scaled_det_m, notes, "(2pi)^J det(M)")
-        # Sign fixed by performing the Gaussian integrals over the pinning
-        # parameters: completing the square yields +1/2 u^T M^{-1} u.
-        exponent_delta = 0.5 * complex(u @ np.linalg.solve(gram, u))
-        notes.append("delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)")
+        gram_factor = 1.0 / (gram_sign * _branch_sqrt(scaled_det_m, notes, "(2pi)^J det(M)"))
+        if gram_sign < 0:
+            notes.append("(2pi)^J det(M): sign -1, the root continuous in t")
+        # The composed sign is fixed by performing the Gaussian integrals over
+        # the pinning parameters: completing the square yields +1/2 u^T M^{-1} u.
+        exponent_delta = 0.5 * sign * complex(u @ np.linalg.solve(gram, u))
+        notes.append("delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)"
+                     if sign > 0 else "delta exponent: -1/2 u^T M^-1 u (printed convention)")
 
     value = _finite_value(det_factor * gram_factor, exponent_quadratic + exponent_delta)
-    return TTransformReport(value=complex(value), det_factor=complex(det_factor),
-                            gram_factor=complex(gram_factor),
+    return TTransformReport(value=complex(value),
                             exponent_quadratic=complex(exponent_quadratic),
                             exponent_delta=complex(exponent_delta),
-                            u=u, branch_note=tuple(notes), convention="composed",
+                            u=u, branch_note=tuple(notes), convention=convention,
                             gram=gram.copy(), determinant=determinant, route=route,
                             cond_estimate=cond_estimate)
 
@@ -365,56 +384,30 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
 
     Uses the closed-form preimages, the analytic determinant cos^2(kt) and
     the analytic Gram matrix (i/k) tan(kt) Id.  The quadratic term
-    -1/2 (f, N^{-1} f) in a nonzero test function takes N^{-1} f on f's grid
-    from the continuum Green's function (:func:`fredholm.closed_solve`, an
-    O(n) running sum), so this route shares no solve with the structured
-    one.  ``n_grid`` is unread; it stays because the perfbench probes pass it.
+    -1/2 (f, N^{-1} f) in a nonzero test function, which must live on a grid
+    of the model's span [0, t), takes N^{-1} f from the continuum Green's
+    function (:func:`fredholm.closed_solve`, an O(n) running sum), so this
+    route shares no solve with the structured one.  ``n_grid`` is unread; it
+    stays because the perfbench probes pass it.
     """
-    sign = 0.5 * _convention_sign(convention)
     _require_regular(m)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (2,):
-        raise InvalidParameterError(f"endpoint must be a real pair, got shape {y.shape}")
-
-    notes = [f"analytic determinant cos^2(kt) = {np.cos(m.k * m.t) ** 2:.6g}"]
-
     check_away_from_caustic(m)
-    gram_diag = analytic_gram_diagonal(m)
-    # Branch: sqrt(cos^2) = cos, continuous from the t -> 0+ limit on the
-    # first caustic-free interval and consistent with the sin-form prefactor.
-    det_factor = 1.0 / complex(np.cos(m.k * m.t))
-    notes.append("det branch: sqrt(cos^2(kt)) = cos(kt) (continuity in t)")
-
-    gram = gram_diag * np.eye(2, dtype=complex)
-    # sqrt((2pi)^2 det M) = 2 pi i mu for det M = (i mu)^2, mu = tan(kt)/k
-    # (t at k = 0): the branch that reproduces the free propagator normalization.
-    mu = gram_diag.imag
-    gram_factor = 1.0 / (2.0 * np.pi * 1j * mu)
-    notes.append("gram branch: sqrt(det M) = i tan(kt)/k (free-limit continuity)")
-
-    if f is None or not (np.any(f.comp1) or np.any(f.comp2)):
-        exponent_quadratic = 0.0 + 0.0j
-        coupling = np.zeros(2, dtype=complex)
-    else:
-        phi = f.as_vector()
+    phi = None if f is None else _combine(make_grid(m.t, f.grid.n), f)
+    coupling = None
+    exponent_quadratic = 0.0 + 0.0j
+    if phi is not None:
         exponent_quadratic = -0.5 * complex((f.grid.h * phi) @ closed_solve(m, f.grid, phi))
         coupling = np.array([pair(closed_preimage_f(m, f.grid), f),
                              pair(closed_preimage_g(m, f.grid), f)])
-
-    u = 1j * y + coupling
-    minv = 1.0 / gram_diag
-    exponent_delta = sign * minv * complex(u @ u)
-    notes.append(f"delta exponent sign: {'+' if sign > 0 else '-'}1/2 u^T M^-1 u "
-                 f"({convention})")
-
-    value = _finite_value(det_factor * gram_factor, exponent_quadratic + exponent_delta)
-    return TTransformReport(value=complex(value), det_factor=complex(det_factor),
-                            gram_factor=complex(gram_factor),
-                            exponent_quadratic=complex(exponent_quadratic),
-                            exponent_delta=complex(exponent_delta), u=u,
-                            branch_note=tuple(notes), convention=convention,
-                            gram=gram, determinant=complex(np.cos(m.k * m.t) ** 2),
-                            route="closed")
+    kt = m.k * m.t
+    gram_diag = analytic_gram_diagonal(m)
+    # The continuous branches: sqrt(cos^2(kt)) = cos(kt), from the t -> 0+
+    # limit, and sqrt((2pi)^2 det M) = 2 pi i tan(kt)/k (t at k = 0), the
+    # root that gives the free propagator's normalization.
+    branch = (np.sign(np.cos(kt)), np.sign(gram_diag.imag))
+    return _compose(complex(np.cos(kt) ** 2), gram_diag * np.eye(2, dtype=complex), y,
+                    coupling, exponent_quadratic, route="closed", cond_estimate=None,
+                    branch=branch, convention=convention)
 
 
 def printed_propagator_value(m: MagneticModel, y) -> complex:
@@ -470,7 +463,6 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
     Composition and refusals are those of the dense oracle.
     """
     _require_regular(m)
-    y = np.asarray(y, dtype=float)
     g = make_grid(m.t, n_grid)
     phi = _combine(g, f)
     res = Resolvent.of(m, g)
@@ -483,20 +475,14 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
     m21 = g.h * np.sum(x[g.n:])
     gram = np.array([[m11, -m21], [m21, m11]])
     _gram_branch(gram, _GRAM_TOL)     # LemmaEvaluator's admissibility verdict
-    u = 1j * y
+    coupling = None
     exponent_quadratic = 0.0 + 0.0j
     if phi is not None:
         n_inv_phi = res.solve(phi)
         exponent_quadratic = -0.5 * complex((g.h * phi) @ n_inv_phi)
-        u = u + g.h * n_inv_phi.reshape(2, g.n).sum(axis=1)
-    return _compose(determinant, gram, u, exponent_quadratic,
+        coupling = g.h * n_inv_phi.reshape(2, g.n).sum(axis=1)
+    return _compose(determinant, gram, y, coupling, exponent_quadratic,
                     route="structured", cond_estimate=res.cond_estimate)
-
-
-def external_force_green(m: MagneticModel, y, force: GridFunctionPair,
-                         convention: str = "composed") -> complex:
-    """Green's function under an external force: the T-transform at the force."""
-    return magnetic_T(m, y, f=force, convention=convention).value
 
 
 def free_limit_reference(t: float, y) -> complex:

@@ -7,9 +7,8 @@ import pytest
 
 from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
                       TTransformReport, caustic_check, composed_closed_value,
-                      external_force_green, free_limit_reference,
-                      magnetic_T, printed_propagator_value, propagator,
-                      residual_convergence, schrodinger_residual)
+                      free_limit_reference, magnetic_T, printed_propagator_value,
+                      propagator, residual_convergence, schrodinger_residual)
 from hida_lab.errors import (ConditionViolationError, NearSingularError,
                              NumericFailureError)
 from hida_lab import fredholm, operators
@@ -291,6 +290,53 @@ def test_two_paths_agree_on_test_functions():
         assert closed == pytest.approx(numeric, rel=3e-3)
 
 
+def _dense_route(y):
+    g = make_grid(1.0, 50)
+    evaluator = LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g),
+                               etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
+    return evaluator.evaluate(ys=y)
+
+
+@pytest.mark.parametrize("route", [
+    lambda y: magnetic_T(M11, y),
+    lambda y: propagator(M11, y, n_grid=50),
+    _dense_route,
+], ids=["closed", "structured", "dense"])
+@pytest.mark.parametrize("y", [(1.0, 2.0, 3.0), (0.5,), ((0.1, 0.2), (0.3, 0.4))],
+                         ids=["three", "one", "two_by_two"])
+def test_every_route_refuses_an_endpoint_that_is_not_a_pair(route, y):
+    with pytest.raises(InvalidParameterError, match="need 2 pinning values"):
+        route(y)
+
+
+def test_closed_route_refuses_a_test_function_on_another_time_span():
+    f = _bump(make_grid(2.0, 400), 0.45, 0.06)
+    with pytest.raises(InvalidParameterError, match="different grid"):
+        magnetic_T(M11, (0.3, -0.4), f=f)
+
+
+@pytest.mark.parametrize("convention", ["composed", "printed"])
+def test_closed_route_is_the_closed_value_past_the_first_caustic(convention):
+    """kt in (0, 3 pi), 1e-3 away from every j pi / 2: the branch signs of the
+    composition take the closed route through cos(kt) < 0 and tan(kt) < 0."""
+    rng = np.random.default_rng(16)
+    kts = np.linspace(1e-3, 3 * np.pi - 1e-3, 301)
+    kts = kts[np.abs(kts - np.pi / 2 * np.round(kts / (np.pi / 2))) > 1e-3]
+    for k in (1.3, -0.7):
+        for kt in kts:
+            m = MagneticModel(k=k, t=kt / abs(k))
+            y = rng.uniform(-1.0, 1.0, 2)
+            rep = magnetic_T(m, y, convention=convention)
+            closed = composed_closed_value(m, y, convention)
+            assert abs(rep.value - closed) <= 1e-13 * (1 + abs(rep.exponent_delta)) * abs(closed)
+    for t in (1e-3, 0.7, 5.0):
+        m = MagneticModel(k=0.0, t=t)
+        y = rng.uniform(-1.0, 1.0, 2)
+        rep = magnetic_T(m, y, convention=convention)
+        closed = composed_closed_value(m, y, convention)
+        assert abs(rep.value - closed) <= 1e-13 * (1 + abs(rep.exponent_delta)) * abs(closed)
+
+
 def test_propagator_matches_closed_form():
     y = (0.3, -0.4)
     value = propagator(M11, y, n_grid=500).value
@@ -329,14 +375,6 @@ def test_propagator_returns_the_structured_report():
     assert rep.convention == "composed"
     assert 1.0 <= rep.cond_estimate < np.inf
     assert rep.branch_note and "delta exponent" in rep.branch_note[-1]
-
-
-def test_external_force_green_equals_T_at_the_force():
-    g = make_grid(1.0, 300)
-    force = _bump(g, 0.5, 0.07)
-    y = (0.1, 0.2)
-    assert external_force_green(M11, y, force) == \
-        pytest.approx(magnetic_T(M11, y, f=force).value)
 
 
 # ------------------------------------------------------------- closed forms
