@@ -8,8 +8,7 @@ from .grid import Grid, GridFunctionPair, make_grid, pair, sample
 from .operators import (BlockOperator, MagneticModel, apply_N, build_N, free_K,
                         magnetic_L, potential_form_direct, symmetric_core, volterra)
 from .spectral import (DeterminantReport, SpectralReport, analytic_eigenfunction,
-                       analytic_eigenvalues, determinant_closed,
-                       determinant_discrete, determinant_product,
+                       analytic_eigenvalues, determinant_closed, determinant_product,
                        determinant_report, discrete_spectrum)
 from .fredholm import (analytic_gram_diagonal, closed_preimage_f, closed_preimage_g,
                        gram_matrix, solve_N, verify_preimage)

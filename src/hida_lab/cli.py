@@ -220,8 +220,7 @@ def cmd_propagator(cfg: argparse.Namespace) -> int:
 
 def cmd_residual(cfg: argparse.Namespace) -> int:
     m = MagneticModel(k=cfg.k, t=cfg.t)
-    residuals = residual_convergence(m, convention=cfg.convention,
-                                     levels=2 if cfg.quick else 3)
+    residuals = residual_convergence(m, convention=cfg.convention)
     emit(cfg, {"residuals": residuals, "orders": convergence_orders(residuals),
                "convention": cfg.convention})
     return EXIT_OK
@@ -303,7 +302,7 @@ COMMANDS = {
     "ttransform": (cmd_ttransform, ("k", "t", "grid-points", "count", "seed", "y1", "y2",
                                     "convention", "output", "out-file")),
     "propagator": (cmd_propagator, ("k", "t", "grid-points", "y1", "y2", "out-file")),
-    "residual": (cmd_residual, ("k", "t", "quick", "convention", "out-file")),
+    "residual": (cmd_residual, ("k", "t", "convention", "out-file")),
     "verify": (cmd_verify, ("quick", "seed", "output", "out-file")),
     "sweep": (cmd_sweep, ("k", "t", "grid-points", "y1", "y2", "sweep-param", "sweep-start",
                           "sweep-stop", "sweep-steps", "output", "out-file")),

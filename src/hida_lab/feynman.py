@@ -5,9 +5,9 @@ the model's own time span [t/2, t].
 Three evaluation routes exist on purpose:
 
 * :func:`magnetic_T`, the closed route, evaluates the closed-form
-  specialization (analytic determinant, closed-form preimages, analytic
-  Gram matrix); at a test function f it takes N^{-1} f from the continuum
-  Green's function (:func:`fredholm.closed_solve`), an O(n) running sum.
+  specialization (analytic determinant and Gram matrix); at a test
+  function f it takes N^{-1} f from the continuum Green's function
+  (:func:`fredholm.closed_solve`), an O(n) running sum.
 * :func:`propagator`, the structured route, takes the numeric
   ingredients for the magnetic K, L from the structured N^{-1}
   (:class:`fredholm.Resolvent`) in O(n log n), with no dense matrix, at
@@ -21,13 +21,15 @@ Three evaluation routes exist on purpose:
 The closed and structured routes share no solve, and ``verify``'s
 ``two_path_consistency`` compares them at seeded test functions.  All three
 routes share one composition, ``_compose``: each supplies the determinant,
-the Gram matrix M, the pinning values and the couplings u, the quadratic
-term, the convention and the signs that make the principal square roots of
-det and of (2pi)^J det M the continuous ones.  So one function applies the
-branch rule, the delta exponent, the endpoint check and the refusal of a
-non-finite value.  The structured route also shares the determinant,
-condition and Gram-matrix refusals with :class:`LemmaEvaluator`, and the
-tests hold it to that dense oracle.
+the Gram matrix M, the pinning values, its N^{-1} (``closed_solve``,
+``Resolvent.solve`` or the dense LU), the convention and the signs that make
+the principal square roots of det and of (2pi)^J det M the continuous ones.
+So one function reads the test function f, with one solve N^{-1} f for the
+quadratic term -1/2 (f, N^{-1} f) and the couplings (eta_a, N^{-1} f), and
+applies the branch rule, the delta exponent, the endpoint check and the
+refusal of a non-finite value.  The structured route also shares the
+determinant, condition and Gram-matrix refusals with :class:`LemmaEvaluator`,
+and the tests hold it to that dense oracle.
 
 The sign of the delta exponent and the square-root branches are fixed by
 actually performing the Gaussian integrals that define the pinned product:
@@ -64,14 +66,15 @@ import numpy as np
 
 from .errors import (CausticError, ConditionViolationError, InvalidParameterError,
                      NearSingularError, NumericFailureError)
-from .fredholm import (Resolvent, analytic_gram_diagonal, check_away_from_caustic,
-                       closed_preimage_f, closed_preimage_g, closed_solve,
+from .fredholm import (Resolvent, analytic_gram_diagonal, closed_solve,
                        refuse_ill_conditioned)
-from .grid import Grid, GridFunctionPair, make_grid, pair
+from .grid import Grid, GridFunctionPair, make_grid
 from .operators import BlockOperator, MagneticModel
 from .testfunctions import indicator_pair
 
 _NEAR_REAL = 1e-8
+# caustic_check's window: |kt - j pi/2| <= this share of max(1, |kt|).
+_CAUSTIC_WINDOW = 1e-9
 # Refuse a Fredholm determinant below this modulus as a caustic.
 _DET_FLOOR = 1e-12
 # A Gram matrix whose real part is below this share of its scale is imaginary.
@@ -185,15 +188,9 @@ class LemmaEvaluator:
             self.gram_branch = _gram_branch(self.gram, _GRAM_TOL)
 
     def evaluate(self, f: GridFunctionPair | None = None, ys=()) -> TTransformReport:
-        phi = _combine(self.grid, f)
-        coupling = None
-        exponent_quadratic = 0.0 + 0.0j
-        if phi is not None:
-            n_inv_phi = self._solve(phi)
-            exponent_quadratic = -0.5 * complex((self.grid.h * phi) @ n_inv_phi)
-            coupling = self._weighted_etas @ n_inv_phi
-        return _compose(self.determinant, self.gram, ys, coupling, exponent_quadratic,
-                        route="dense", cond_estimate=self.cond_estimate)
+        return _compose(self.determinant, self.gram, ys, self.grid, f, self._solve,
+                        route="dense", cond_estimate=self.cond_estimate,
+                        weighted_etas=self._weighted_etas)
 
 
 def _refuse_singular_determinant(determinant: complex) -> None:
@@ -281,16 +278,28 @@ def _gram_branch(gram: np.ndarray, tol: float) -> str:
     return "positive_real"
 
 
-def _compose(determinant: complex, gram: np.ndarray, ys, coupling,
-             exponent_quadratic: complex, route: str, cond_estimate: float,
-             branch=(1.0, 1.0), convention: str = "composed") -> TTransformReport:
-    """det^{-1/2} ((2pi)^J det M)^{-1/2} exp(exponent_quadratic +- 1/2 u^T M^{-1} u).
+def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solve,
+             route: str, cond_estimate: float, branch=(1.0, 1.0),
+             convention: str = "composed", weighted_etas=None) -> TTransformReport:
+    """det^{-1/2} ((2pi)^J det M)^{-1/2} exp(-1/2 (f, N^{-1} f) +- 1/2 u^T M^{-1} u).
 
-    u = i ys + coupling, where ys holds the J = len(gram) pinning values and
-    coupling the (eta_a, N^{-1} f), None at f = 0.  ``branch`` is a pair of
-    signs that turn the principal roots of det and of (2pi)^J det M into the
-    continuous ones; ``convention`` gives the sign of the delta exponent.
+    The only code that reads the test function f, which must live on g (None
+    when f is): one solve x = N^{-1} f by the route's ``solve`` gives the
+    quadratic term and the couplings (eta_a, x), with ``weighted_etas`` the
+    dense oracle's h E, or the indicator directions when it is None.
+    u = i ys + those couplings, where ys holds the J = len(gram) pinning
+    values.  ``branch`` is a pair of signs that turn the principal roots of
+    det and of (2pi)^J det M into the continuous ones; ``convention`` gives
+    the sign of the delta exponent.
     """
+    phi = _combine(g, f)
+    coupling = None
+    exponent_quadratic = 0.0 + 0.0j
+    if phi is not None:
+        x = solve(phi)
+        exponent_quadratic = -0.5 * complex((g.h * phi) @ x)
+        coupling = (g.h * x.reshape(2, g.n).sum(axis=1) if weighted_etas is None
+                    else weighted_etas @ x)
     ys = np.asarray(ys, dtype=float)
     j = len(gram)
     if ys.shape != (j,):
@@ -364,7 +373,7 @@ def caustic_check(m: MagneticModel) -> CausticClassification:
     # kt = 0 is the t -> 0 limit, not a caustic: the nearest one is +-pi/2.
     nearest_idx = round(kt / half) or (1 if kt >= 0 else -1)
     distance = abs(kt - nearest_idx * half)
-    if distance <= 1e-9 * max(1.0, abs(kt)):
+    if distance <= _CAUSTIC_WINDOW * max(1.0, abs(kt)):
         kind = "integer_caustic" if nearest_idx % 2 == 0 else "half_integer_caustic"
         return CausticClassification(classification=kind, kt=kt, distance=distance)
     return CausticClassification(classification="regular", kt=kt, distance=distance)
@@ -382,31 +391,27 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
                n_grid: int = 1000, convention: str = "composed") -> TTransformReport:
     """Closed-form specialization of the T-transform for the magnetic model.
 
-    Uses the closed-form preimages, the analytic determinant cos^2(kt) and
-    the analytic Gram matrix (i/k) tan(kt) Id.  The quadratic term
-    -1/2 (f, N^{-1} f) in a nonzero test function, which must live on a grid
-    of the model's span [0, t), takes N^{-1} f from the continuum Green's
-    function (:func:`fredholm.closed_solve`, an O(n) running sum), so this
-    route shares no solve with the structured one.  ``n_grid`` is unread; it
-    stays because the perfbench probes pass it.
+    Uses the analytic determinant cos^2(kt) and the analytic Gram matrix
+    (i/k) tan(kt) Id.  A nonzero test function, which must live on a grid of
+    the model's span [0, t), takes N^{-1} f from the continuum Green's
+    function (:func:`fredholm.closed_solve`, an O(n) running sum), which
+    gives both the quadratic term -1/2 (f, N^{-1} f) and the couplings
+    (eta_a, N^{-1} f); so this route shares no solve with the structured
+    one.  Only that solve refuses the band around a half-integer caustic,
+    where its formula divides by cos(2kt) + 1; at f = 0 the value is
+    regular there.  ``n_grid`` is unread; it stays because the perfbench
+    probes pass it.
     """
     _require_regular(m)
-    check_away_from_caustic(m)
-    phi = None if f is None else _combine(make_grid(m.t, f.grid.n), f)
-    coupling = None
-    exponent_quadratic = 0.0 + 0.0j
-    if phi is not None:
-        exponent_quadratic = -0.5 * complex((f.grid.h * phi) @ closed_solve(m, f.grid, phi))
-        coupling = np.array([pair(closed_preimage_f(m, f.grid), f),
-                             pair(closed_preimage_g(m, f.grid), f)])
     kt = m.k * m.t
     gram_diag = analytic_gram_diagonal(m)
     # The continuous branches: sqrt(cos^2(kt)) = cos(kt), from the t -> 0+
     # limit, and sqrt((2pi)^2 det M) = 2 pi i tan(kt)/k (t at k = 0), the
     # root that gives the free propagator's normalization.
     branch = (np.sign(np.cos(kt)), np.sign(gram_diag.imag))
+    g = None if f is None else make_grid(m.t, f.grid.n)
     return _compose(complex(np.cos(kt) ** 2), gram_diag * np.eye(2, dtype=complex), y,
-                    coupling, exponent_quadratic, route="closed", cond_estimate=None,
+                    g, f, partial(closed_solve, m, g), route="closed", cond_estimate=None,
                     branch=branch, convention=convention)
 
 
@@ -458,13 +463,11 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
     number and N^{-1} all come from :class:`fredholm.Resolvent`.  The Gram
     matrix needs one solve: with N^{-1} eta_1 = (x1, x2), N^{-1} eta_2 =
     (-x2, x1).  A test function f, which must live on the n_grid grid,
-    takes one more solve N^{-1} f for the quadratic term -1/2 (f, N^{-1} f)
-    and the couplings (eta_a, N^{-1} f), as in ``LemmaEvaluator.evaluate``.
+    takes one more solve N^{-1} f, made by ``_compose`` as for every route.
     Composition and refusals are those of the dense oracle.
     """
     _require_regular(m)
     g = make_grid(m.t, n_grid)
-    phi = _combine(g, f)
     res = Resolvent.of(m, g)
     determinant = res.determinant
     _refuse_singular_determinant(determinant)
@@ -475,14 +478,8 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
     m21 = g.h * np.sum(x[g.n:])
     gram = np.array([[m11, -m21], [m21, m11]])
     _gram_branch(gram, _GRAM_TOL)     # LemmaEvaluator's admissibility verdict
-    coupling = None
-    exponent_quadratic = 0.0 + 0.0j
-    if phi is not None:
-        n_inv_phi = res.solve(phi)
-        exponent_quadratic = -0.5 * complex((g.h * phi) @ n_inv_phi)
-        coupling = g.h * n_inv_phi.reshape(2, g.n).sum(axis=1)
-    return _compose(determinant, gram, y, coupling, exponent_quadratic,
-                    route="structured", cond_estimate=res.cond_estimate)
+    return _compose(determinant, gram, y, g, f, res.solve, route="structured",
+                    cond_estimate=res.cond_estimate)
 
 
 def free_limit_reference(t: float, y) -> complex:
@@ -516,25 +513,25 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
     cube, and the sums are plain numpy reductions, not a threaded BLAS dot.
 
     An integer caustic kt = j pi (j != 0), where G is singular, is refused
-    anywhere in the span, at a time node or between two.  A half-integer
-    caustic is not: G is regular there (cot(kt) = 0, |sin(kt)| = 1).
+    anywhere in the span, at a time node or between two, and within
+    :func:`caustic_check`'s window of either end.  A half-integer caustic is
+    not: G is regular there (cot(kt) = 0, |sin(kt)| = 1).
     """
     sign = _convention_sign(convention)
     if n < 5:
         raise InvalidParameterError("need at least 5 nodes per axis")
-    t_axis = np.linspace(0.5 * m.t, m.t, n)
-    for t_edge in t_axis:
-        cls = caustic_check(MagneticModel(k=m.k, t=float(t_edge)))
-        if cls.classification == "integer_caustic":
-            raise CausticError(f"caustic at t = {t_edge:.6g} inside the time span",
-                               classification=cls.classification, kt=cls.kt)
+    # The span of kt, each end widened by caustic_check's window there, and
+    # the largest j with j pi in it.
     lo, hi = sorted((0.5 * m.k * m.t, m.k * m.t))
+    lo -= _CAUSTIC_WINDOW * max(1.0, abs(lo))
+    hi += _CAUSTIC_WINDOW * max(1.0, abs(hi))
     j = np.floor(hi / np.pi)
-    if m.k != 0 and j * np.pi >= lo:
+    if j != 0 and j * np.pi >= lo:
         raise CausticError(f"integer caustic kt = {j:.0f} pi inside the time span "
-                           f"[{0.5 * m.t:.6g}, {m.t:.6g}], between its nodes",
+                           f"[{0.5 * m.t:.6g}, {m.t:.6g}]",
                            classification="integer_caustic", kt=float(j * np.pi))
 
+    t_axis = np.linspace(0.5 * m.t, m.t, n)
     y_axis = np.linspace(-1.0, 1.0, n)
     hy = y_axis[1] - y_axis[0]
     ht = t_axis[1] - t_axis[0]

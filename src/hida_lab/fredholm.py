@@ -7,11 +7,14 @@ det(Id + B) = prod(1 - sigma^2), the exact 2-norm condition number
 max|1 +- sigma| / min|1 +- sigma|, which doubles as the caustic diagnostic,
 and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs.  :func:`closed_solve` is
 the closed route's own N^{-1}, from the continuum Green's function in O(n).
+The closed-form preimages of the indicator directions serve the paper's
+preimage check, :func:`verify_preimage`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -68,12 +71,16 @@ class Resolvent:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """N^{-1} rhs = i (Id + B)^{-1} rhs for a real or complex 2n-vector rhs."""
-        # The structured solve is real; solving real and imaginary parts
-        # separately keeps a real rhs producing an exactly imaginary x.
-        sol = solve_id_plus_core(self.sigma, rhs.real)
-        if np.iscomplexobj(rhs) and np.count_nonzero(rhs.imag):
-            sol = sol + 1j * solve_id_plus_core(self.sigma, rhs.imag)
-        return 1j * sol
+        return _lift(partial(solve_id_plus_core, self.sigma), rhs)
+
+
+def _lift(real_solve, rhs: np.ndarray) -> np.ndarray:
+    """i real_solve(rhs) for a real or complex rhs, given a real linear solve;
+    the parts are solved apart, so a real rhs gives an exactly imaginary x."""
+    sol = real_solve(rhs.real)
+    if np.iscomplexobj(rhs) and np.count_nonzero(rhs.imag):
+        sol = sol + 1j * real_solve(rhs.imag)
+    return 1j * sol
 
 
 def resolvent(m: MagneticModel, g: Grid) -> Resolvent:
@@ -109,10 +116,7 @@ def closed_solve(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
     :meth:`Resolvent.solve` does.
     """
     check_away_from_caustic(m)
-    sol = _closed_id_plus_core(m, g, rhs.real)
-    if np.iscomplexobj(rhs) and np.count_nonzero(rhs.imag):
-        sol = sol + 1j * _closed_id_plus_core(m, g, rhs.imag)
-    return 1j * sol
+    return _lift(partial(_closed_id_plus_core, m, g), rhs)
 
 
 def _closed_id_plus_core(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:

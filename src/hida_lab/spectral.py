@@ -6,8 +6,9 @@ determinant of Id + L(Id+K)^{-1} is cos^2(kt), reachable three ways:
 
   closed     cos^2(kt)
   product    prod_n (1 - 4 k^2 t^2 / ((2n-1)^2 pi^2))^2, truncated
-  discrete   prod (1 + lambda) over the eigenvalues +-sigma of the discretized
-             core, read off its skew-circulant structure (operators.skew_spectrum)
+  discrete   prod (1 - sigma^2) over the eigenvalues +-sigma of the discretized
+             core, as fredholm.Resolvent reads it off its skew-circulant
+             structure (operators.skew_spectrum)
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
+from .fredholm import Resolvent
 from .grid import Grid, GridFunctionPair
 from .operators import MagneticModel, skew_spectrum
 
@@ -124,16 +126,10 @@ def determinant_product(m: MagneticModel, n_max: int = 100_000) -> float:
     return float(np.prod(factors) ** 2)
 
 
-def determinant_discrete(report: SpectralReport) -> float:
-    """prod (1 + lambda) over all discrete eigenvalues of B."""
-    return float(np.prod(1.0 + report.discrete))
-
-
 def determinant_report(m: MagneticModel, g: Grid, n_max: int = 100_000) -> DeterminantReport:
     closed = determinant_closed(m)
     product = determinant_product(m, n_max)
-    spectrum = discrete_spectrum(m, g, count=1)
-    discrete = determinant_discrete(spectrum)
+    discrete = Resolvent.of(m, g).determinant.real
 
     def _rel(a, b):
         scale = max(abs(a), abs(b), 1e-300)

@@ -119,7 +119,7 @@ def check_two_path(n_grid: int = 2000, seed: int = 777) -> CheckResult:
     The two routes share no solve: the structured route (:func:`propagator`
     with f) takes N^{-1} f from the skew-circulant FFT solve of the discrete
     N, the closed route (:func:`magnetic_T`) from the continuum Green's
-    function, and its determinant, Gram matrix and preimages in closed form.
+    function, and its determinant and Gram matrix in closed form.
     The dense oracle is held to the structured route in the tests.
     """
     m = MagneticModel(k=1.0, t=1.0)

@@ -115,7 +115,7 @@ def test_malformed_config_line_is_a_config_error(tmp_path, capsys):
 BAD_CONFIG_LINES = {
     "grid_points = 1.5": "determinant", "k = abc": "determinant",
     "output = xml": "verify", "convention = bogus": "residual",
-    "quick = maybe": "residual", "sweep-param = x": "sweep",
+    "quick = maybe": "verify", "sweep-param = x": "sweep",
     "grid-points = 1.5": "determinant", "nonsense = 1": "determinant",
     "no equals sign here": "determinant"}
 
@@ -175,10 +175,11 @@ def test_each_command_declares_exactly_the_options_it_reads(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("word, quick", [("yes", True), ("off", False), ("ON", True)])
-def test_config_file_quick_words(tmp_path, capsys, word, quick):
+def test_config_file_quick_words(tmp_path, capsys, monkeypatch, word, quick):
+    monkeypatch.setattr(cli, "run_checks", lambda quick, seed: _fake_checks(True))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"quick = {word}\n")
-    code, out, _ = run_cli(capsys, "--config", str(cfg), "residual", "--k", "0.5")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "verify")
     assert code == 0
     assert json.loads(out)["config"]["quick"] is quick
 
@@ -323,17 +324,17 @@ def test_sweep_marks_caustic_rows(capsys):
 
 
 def test_residual_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "residual", "--k", "0.5", "--quick")
+    code, out, _ = run_cli(capsys, "residual", "--k", "0.5")
     assert code == 0
     results = json.loads(out)["results"]
     assert results["convention"] == "composed"
-    assert len(results["residuals"]) == 2
+    assert len(results["residuals"]) == 3
 
 
 def test_residual_reads_its_time_span_from_t(capsys):
     runs = {}
     for t in ("1", "2"):
-        code, out, _ = run_cli(capsys, "residual", "--k", "0.5", "--t", t, "--quick")
+        code, out, _ = run_cli(capsys, "residual", "--k", "0.5", "--t", t)
         assert code == 0
         runs[t] = json.loads(out)
     assert runs["2"]["config"]["t"] == 2.0
@@ -342,21 +343,20 @@ def test_residual_reads_its_time_span_from_t(capsys):
 
 @pytest.mark.parametrize("k", ["4", "-4"])
 def test_residual_refuses_an_integer_caustic_inside_its_span(capsys, k):
-    code, out, err = run_cli(capsys, "residual", "--k", k, "--quick")
+    code, out, err = run_cli(capsys, "residual", "--k", k)
     assert code == 4
     assert "integer caustic" in err and out == ""
 
 
 def test_residual_runs_up_to_a_half_integer_caustic(capsys):
-    code, out, _ = run_cli(capsys, "residual", "--k", "0.5", "--t", "3.141592653589793",
-                           "--quick")
+    code, out, _ = run_cli(capsys, "residual", "--k", "0.5", "--t", "3.141592653589793")
     assert code == 0
     assert json.loads(out)["results"]["orders"][0] >= 1.8
 
 
 @pytest.mark.parametrize("argv", [["--k", "1", "--t", "3.141592653589793"], ["--k", "4"]])
 def test_residual_refuses_an_integer_caustic_at_a_node_or_between(capsys, argv):
-    code, out, err = run_cli(capsys, "residual", *argv, "--quick")
+    code, out, err = run_cli(capsys, "residual", *argv)
     assert code == 4
     assert "[integer_caustic]" in err and out == ""
 

@@ -11,7 +11,7 @@ from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
                       propagator, residual_convergence, schrodinger_residual)
 from hida_lab.errors import (ConditionViolationError, NearSingularError,
                              NumericFailureError)
-from hida_lab import fredholm, operators
+from hida_lab import feynman, fredholm, operators
 from hida_lab.feynman import LemmaEvaluator, _closed_form
 from hida_lab.gausskernels import donsker_T
 from hida_lab.grid import GridFunctionPair, make_grid, pair, sample
@@ -337,6 +337,29 @@ def test_closed_route_is_the_closed_value_past_the_first_caustic(convention):
         assert abs(rep.value - closed) <= 1e-13 * (1 + abs(rep.exponent_delta)) * abs(closed)
 
 
+@pytest.mark.parametrize("k", [1.0, -0.7, 2.3])
+def test_closed_route_without_f_is_regular_next_to_a_half_integer_caustic(k):
+    """|kt| = (j + 1/2) pi + d, 1e-8 <= |d| <= 5e-5, where the closed value is
+    regular: with no test function nothing divides by cos(2kt) + 1, so
+    magnetic_T is that value.  Inside caustic_check's window it is refused,
+    and at a test function closed_solve still refuses the band."""
+    y = (0.3, -0.4)
+    for j in (0, 1, 2):
+        for d in (1e-8, 1e-7, -1e-6, 1e-5, 5e-5):
+            m = MagneticModel(k=k, t=((j + 0.5) * np.pi + d) / abs(k))
+            rep = magnetic_T(m, y)
+            closed = composed_closed_value(m, y)
+            assert abs(rep.value - closed) <= 1e-12 * (1 + abs(rep.exponent_delta)) * abs(closed)
+        inside = MagneticModel(k=k, t=((j + 0.5) * np.pi + 1e-10) / abs(k))
+        with pytest.raises(CausticError) as err:
+            magnetic_T(inside, y)
+        assert err.value.classification == "half_integer_caustic"
+        banded = MagneticModel(k=k, t=((j + 0.5) * np.pi + 1e-5) / abs(k))
+        with pytest.raises(CausticError) as err:
+            magnetic_T(banded, y, f=_bump(make_grid(banded.t, 200), 0.4 * banded.t, 0.1))
+        assert err.value.classification == "half_integer_caustic"
+
+
 def test_propagator_matches_closed_form():
     y = (0.3, -0.4)
     value = propagator(M11, y, n_grid=500).value
@@ -475,6 +498,21 @@ def test_residual_refuses_an_integer_caustic_at_a_node_or_between(k, t):
     assert err.value.kt == pytest.approx(np.sign(k) * np.pi)
 
 
+@pytest.mark.parametrize("k", [1.0, -1.0])
+@pytest.mark.parametrize("t", [np.pi * (1 - 5e-10), 2 * np.pi * (1 + 5e-10)],
+                         ids=["last_node", "first_node"])
+def test_residual_refuses_an_integer_caustic_within_the_window_of_either_end(k, t):
+    """|kt| = pi (1 - 5e-10) at the last node, or |kt|/2 = pi (1 + 5e-10) at
+    the first, lies within caustic_check's window 1e-9 max(1, |kt|) of pi.
+    A last node 1e-8 relative below pi is outside it, and accepted."""
+    with pytest.raises(CausticError) as err:
+        schrodinger_residual(MagneticModel(k=k, t=t), n=11)
+    assert err.value.classification == "integer_caustic"
+    j = round(err.value.kt / np.pi)
+    assert j != 0 and err.value.kt == pytest.approx(j * np.pi, rel=1e-15)
+    assert np.isfinite(schrodinger_residual(MagneticModel(k=k, t=np.pi * (1 - 1e-8)), n=11))
+
+
 def test_residual_accepts_a_span_between_caustics():
     """kt in [1, 2] holds the half-integer caustic pi/2, where the closed
     form is regular, at no node: no refusal."""
@@ -554,6 +592,42 @@ def test_closed_route_at_f_takes_no_fft_and_no_structured_solve(monkeypatch):
     assert rep.route == "closed" and rep.exponent_quadratic != 0
     with pytest.raises(AssertionError, match="structured solve"):
         propagator(M11, (0.3, -0.4), n_grid=400, f=_bump(g, 0.45, 0.06))
+
+
+def test_closed_route_at_f_makes_one_closed_solve_and_no_closed_preimage(monkeypatch):
+    """One N^{-1} f gives both the quadratic term and the couplings."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return fredholm.closed_solve(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed route built a closed preimage")
+    monkeypatch.setattr(feynman, "closed_solve", counted)
+    monkeypatch.setattr(fredholm, "closed_preimage_f", forbidden)
+    monkeypatch.setattr(fredholm, "closed_preimage_g", forbidden)
+    g = make_grid(1.0, 400)
+    rep = magnetic_T(M11, (0.3, -0.4), f=_bump(g, 0.45, 0.06))
+    assert len(calls) == 1 and np.all(rep.u != 0.3j * np.array([1, -4 / 3]))
+    magnetic_T(M11, (0.3, -0.4))
+    assert len(calls) == 1
+
+
+def _smooth_force(g):
+    return sample(lambda s: 0.4 * np.cos(2 * s) + 0.2, lambda s: 0.3 * np.sin(3 * s), g)
+
+
+@pytest.mark.parametrize("k, t", [(1.0, 2.0), (1.3, 3.0)], ids=["kt=2", "kt=3.9"])
+def test_closed_route_at_f_is_second_order(k, t):
+    """Against n = 32 000 the relative error falls by 4 per halving of h,
+    past the first caustic too (kt = 3.9 > pi)."""
+    m = MagneticModel(k=k, t=t)
+    y = (0.3, -0.4)
+    ref = magnetic_T(m, y, f=_smooth_force(make_grid(t, 32_000))).value
+    errs = np.array([abs(magnetic_T(m, y, f=_smooth_force(make_grid(t, n))).value - ref)
+                     for n in (250, 500, 1000)]) / abs(ref)
+    assert np.all(np.log2(errs[:-1] / errs[1:]) >= 1.9)
 
 
 def test_structured_route_at_f_refuses_a_test_function_on_another_grid():

@@ -5,8 +5,7 @@ import pytest
 
 from hida_lab import (InvalidParameterError, MagneticModel, NumericFailureError,
                       analytic_eigenfunction, analytic_eigenvalues, build_N,
-                      determinant_closed, determinant_discrete,
-                      determinant_product, determinant_report, discrete_spectrum)
+                      determinant_closed, determinant_product, determinant_report, discrete_spectrum)
 from hida_lab.grid import make_grid
 from hida_lab.operators import symmetric_core
 
@@ -97,10 +96,9 @@ def test_determinant_product_converges_to_closed():
 
 
 def test_determinant_discrete_equals_det_of_N_up_to_phase():
-    """prod(1 + lambda_j) = det(Id + B) = det(iN) on the grid."""
+    """The report's discrete prod(1 - sigma_j^2) = det(Id + B) = det(iN) on the grid."""
     g = make_grid(1.0, 80)
-    rep = discrete_spectrum(M11, g, count=1)
-    disc = determinant_discrete(rep)
+    disc = determinant_report(M11, g, n_max=1).discrete
     det_in = np.linalg.det(1j * build_N(M11, g).entries)
     assert disc == pytest.approx(det_in.real, rel=1e-10)
     assert abs(det_in.imag) < 1e-10 * abs(det_in.real)
