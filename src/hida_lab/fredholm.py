@@ -1,14 +1,14 @@
 """Resolvent solves N x = eta, closed-form preimages, and the Gram matrix.
 
-On the grid N = -i (Id + B).  :class:`Resolvent` is the structured N^{-1}:
-it reads the spectrum sigma of B's skew-circulant block once (see
-:func:`operators.skew_spectrum`) and gives the Fredholm determinant
+On the grid N = -i (Id + B).  :class:`Resolvent` is the structured N^{-1}
+and the only code that takes the FFT: it reads the spectrum sigma of B's
+skew-circulant block once and gives the Fredholm determinant
 det(Id + B) = prod(1 - sigma^2), the exact 2-norm condition number
 max|1 +- sigma| / min|1 +- sigma|, which doubles as the caustic diagnostic,
-and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs.  :func:`closed_solve` is
-the closed route's own N^{-1}, from the continuum Green's function in O(n).
-The closed-form preimages of the indicator directions serve the paper's
-preimage check, :func:`verify_preimage`.
+and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs by a twisted FFT.
+:func:`closed_solve` is the closed route's own N^{-1}, from the continuum
+Green's function in O(n).  The closed-form preimages of the indicator
+directions serve the paper's preimage check, :func:`verify_preimage`.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import numpy as np
 from .errors import (CausticError, GridMismatchError, InvalidParameterError,
                      NearSingularError)
 from .grid import Grid, GridFunctionPair, conj_norm_sq, pair_from_vector
-from .operators import (MagneticModel, apply_N, apply_volterra, skew_spectrum,
-                        solve_id_plus_core)
+from .operators import MagneticModel, apply_N, apply_volterra
 from .testfunctions import indicator_pair
 
-# Refuse closed forms and solves this close to a caustic; the closed
-# preimage has cos(2kt) + 1 = 2 cos^2(kt) in a denominator.
+# Refuse closed forms and solves this close to a half-integer caustic,
+# where the closed forms divide by cos(2kt) + 1 = 2 cos^2(kt).
 CAUSTIC_GUARD = 1e-8
 COND_LIMIT = 1e12
 
@@ -43,22 +42,28 @@ def check_away_from_caustic(m: MagneticModel) -> None:
     """Refuse |cos(2kt) + 1| < CAUSTIC_GUARD, i.e. |kt - (j + 1/2) pi| < 7.07e-5."""
     kt = m.k * m.t
     if abs(np.cos(2 * kt) + 1.0) < CAUSTIC_GUARD:
-        raise CausticError(f"kt = {kt:.6g} sits on a half-integer caustic: "
-                           f"closed preimage denominator vanishes",
+        raise CausticError(f"kt = {kt:.6g} lies in the band |kt - (j + 1/2) pi| < 7.07e-5 "
+                           f"around a half-integer caustic",
                            classification="half_integer_caustic", kt=kt)
 
 
 @dataclass(frozen=True)
 class Resolvent:
-    """N^{-1} = i (Id + B)^{-1} through the spectrum sigma of B's skew-circulant block."""
+    """N^{-1} = i (Id + B)^{-1} through the spectrum sigma of B's skew-circulant block.
+
+    S = k(A* - A) = k h sign(l - j) is skew-circulant: the FFT of its first
+    column twisted by exp(i pi j / n) gives its eigenvalues i sigma, and B's
+    are +-sigma (Davis, *Circulant Matrices*, 1979)."""
 
     sigma: np.ndarray = field(repr=False)
     cond_estimate: float
 
     @classmethod
     def of(cls, m: MagneticModel, g: Grid) -> "Resolvent":
-        """sigma = skew_spectrum and the exact max|1+-sigma|/min|1+-sigma|; no refusals."""
-        sigma = skew_spectrum(m, g)
+        """sigma and the exact max|1+-sigma|/min|1+-sigma|; no refusals."""
+        column = np.full(g.n, -m.k * g.h)
+        column[0] = 0.0
+        sigma = np.fft.fft(column * _twist(g.n)).imag
         moduli = np.abs(np.concatenate([1.0 + sigma, 1.0 - sigma]))
         smallest = moduli.min()
         cond = np.inf if smallest == 0 else float(moduli.max() / smallest)
@@ -71,7 +76,24 @@ class Resolvent:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """N^{-1} rhs = i (Id + B)^{-1} rhs for a real or complex 2n-vector rhs."""
-        return _lift(partial(solve_id_plus_core, self.sigma), rhs)
+        return _lift(self._id_plus_core, rhs)
+
+    def _id_plus_core(self, rhs: np.ndarray) -> np.ndarray:
+        """(Id + B)^{-1} rhs for a real 2n-vector rhs.
+
+        (Id + B)(x1, x2) = (x1 + S x2, x2 - S x1), so z = x1 + i x2 solves
+        (I - iS) z = rhs1 + i rhs2, whose eigenvalues in the twisted Fourier
+        basis are 1 + sigma.
+        """
+        n = len(self.sigma)
+        twist = _twist(n)
+        z = np.fft.fft(twist * (rhs[:n] + 1j * rhs[n:])) / (1.0 + self.sigma)
+        z = np.conj(twist) * np.fft.ifft(z)
+        return np.concatenate([z.real, z.imag])
+
+
+def _twist(n: int) -> np.ndarray:
+    return np.exp(1j * np.pi * np.arange(n) / n)
 
 
 def _lift(real_solve, rhs: np.ndarray) -> np.ndarray:

@@ -6,8 +6,8 @@ Its adjoint w.r.t. the *bilinear* pairing h sum_j u_j v_j is the plain
 transpose A^T.  This makes the product L (Id + K)^{-1} exactly real
 symmetric at every resolution, which is what keeps its discrete spectrum
 clean.  The off-diagonal block S = k(A^T - A) = k h sign(l - j) of B is
-skew-circulant; :func:`skew_spectrum` and :func:`solve_id_plus_core`
-diagonalize and invert Id + B through it.
+skew-circulant; :class:`fredholm.Resolvent` diagonalizes and inverts
+Id + B through it, and the dense builders here are its test oracles.
 :func:`apply_N` applies N in O(n) through running sums, with no matrix.
 """
 
@@ -138,36 +138,6 @@ def symmetric_core(m: MagneticModel, g: Grid) -> np.ndarray:
     s = m.k * (a.T - a)
     zero = np.zeros_like(s)
     return np.block([[zero, s], [s.T, zero]])
-
-
-def skew_spectrum(m: MagneticModel, g: Grid) -> np.ndarray:
-    """Real sigma with eig(S) = i sigma for S = k(A* - A); B has eigenvalues +-sigma.
-
-    On the uniform midpoint grid S_jl = k h sign(l - j) is skew-circulant, so
-    the FFT of its first column twisted by exp(i pi j / n) gives its
-    eigenvalues (Davis, *Circulant Matrices*, 1979).
-    """
-    column = np.full(g.n, -m.k * g.h)
-    column[0] = 0.0
-    return np.fft.fft(column * _twist(g.n)).imag
-
-
-def solve_id_plus_core(sigma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(Id + B)^{-1} rhs for a real 2n-vector rhs, given sigma = skew_spectrum.
-
-    (Id + B)(x1, x2) = (x1 + S x2, x2 - S x1), so z = x1 + i x2 solves
-    (I - iS) z = rhs1 + i rhs2, whose eigenvalues in the twisted Fourier
-    basis are 1 + sigma.
-    """
-    n = len(sigma)
-    twist = _twist(n)
-    z = np.fft.fft(twist * (rhs[:n] + 1j * rhs[n:])) / (1.0 + sigma)
-    z = np.conj(twist) * np.fft.ifft(z)
-    return np.concatenate([z.real, z.imag])
-
-
-def _twist(n: int) -> np.ndarray:
-    return np.exp(1j * np.pi * np.arange(n) / n)
 
 
 def potential_form_direct(m: MagneticModel, f: GridFunctionPair) -> complex:

@@ -8,7 +8,7 @@ determinant of Id + L(Id+K)^{-1} is cos^2(kt), reachable three ways:
   product    prod_n (1 - 4 k^2 t^2 / ((2n-1)^2 pi^2))^2, truncated
   discrete   prod (1 - sigma^2) over the eigenvalues +-sigma of the discretized
              core, as fredholm.Resolvent reads it off its skew-circulant
-             structure (operators.skew_spectrum)
+             structure
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidParameterError, NumericFailureError
 from .fredholm import Resolvent
 from .grid import Grid, GridFunctionPair
-from .operators import MagneticModel, skew_spectrum
+from .operators import MagneticModel
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,17 @@ def analytic_eigenfunction(m: MagneticModel, n: int, c1: complex, c2: complex,
 def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralReport:
     """Eigenvalues +-sigma of B with greedy multiplicity-2 matching.
 
-    Positive and negative discrete eigenvalues are paired separately in
-    descending magnitude; pair j of each sign is matched against
-    +-lambda_j.  ``count`` analytic values are matched on each branch, and
-    a count below 1 is refused at every k.
+    The discrete eigenvalues of k's sign are paired in descending
+    magnitude, and pair j is matched against lambda_j.  B's spectrum is
+    exactly +-sigma, so the opposite branch is the exact negation of this
+    one: its pair j matches -lambda_j with the negated mean and the same
+    errors, and the report interleaves the two.  ``count`` analytic values
+    are matched on each branch, and a count below 1 is refused at every k.
     """
     analytic = analytic_eigenvalues(m, count)
-    sigma = skew_spectrum(m, g)
+    sigma = Resolvent.of(m, g).sigma
     eigs = np.concatenate([sigma, -sigma])
-    order = np.argsort(-np.abs(eigs))
-    discrete = eigs[order]
+    discrete = eigs[np.argsort(-np.abs(eigs))]
 
     if m.k == 0:
         zeros = np.zeros(count * 2)     # analytic too: +0.0, also at k = -0.0
@@ -90,27 +91,18 @@ def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralRep
                               match_errors=zeros, pair_gaps=zeros,
                               matched_analytic=zeros, matched_means=zeros)
 
-    sign = 1.0 if m.k > 0 else -1.0
-    pos = np.sort(discrete[discrete * sign > 0] * sign)[::-1] * sign
-    neg = np.sort(-discrete[discrete * sign < 0] * sign)[::-1] * (-sign)
-
-    matched_analytic, matched_means, errors, gaps = [], [], [], []
-    for j, lam in enumerate(analytic):
-        for branch, target in ((pos, lam), (neg, -lam)):
-            if 2 * j + 2 > len(branch):
-                raise NumericFailureError(
-                    f"not enough discrete eigenvalues to match {count} analytic pairs")
-            pair_vals = branch[2 * j: 2 * j + 2]
-            mean = pair_vals.mean()
-            matched_analytic.append(target)
-            matched_means.append(mean)
-            errors.append(abs(mean - target) / abs(target))
-            gaps.append(abs(pair_vals[0] - pair_vals[1]) / abs(target))
-
+    magnitudes = np.sort(np.abs(sigma[np.abs(sigma) > 0]))[::-1]
+    if 2 * count > len(magnitudes):
+        raise NumericFailureError(
+            f"not enough discrete eigenvalues to match {count} analytic pairs")
+    pairs = magnitudes[:2 * count].reshape(count, 2) * np.sign(m.k)
+    means = pairs.mean(axis=1)
+    errors = np.abs(means - analytic) / np.abs(analytic)
+    gaps = np.abs(pairs[:, 0] - pairs[:, 1]) / np.abs(analytic)
     return SpectralReport(model=m, analytic=analytic, discrete=discrete,
-                          match_errors=np.array(errors), pair_gaps=np.array(gaps),
-                          matched_analytic=np.array(matched_analytic),
-                          matched_means=np.array(matched_means))
+                          match_errors=np.repeat(errors, 2), pair_gaps=np.repeat(gaps, 2),
+                          matched_analytic=np.column_stack([analytic, -analytic]).ravel(),
+                          matched_means=np.column_stack([means, -means]).ravel())
 
 
 def determinant_closed(m: MagneticModel) -> float:
@@ -121,8 +113,10 @@ def determinant_product(m: MagneticModel, n_max: int = 100_000) -> float:
     """Partial product of (1 - 4k^2t^2/((2n-1)^2 pi^2))^2 up to n_max."""
     if n_max < 1:
         raise InvalidParameterError(f"n_max must be >= 1, got {n_max}")
-    n = np.arange(1, n_max + 1, dtype=float)
-    factors = 1.0 - (2.0 * m.k * m.t / ((2 * n - 1) * np.pi)) ** 2
+    factors = np.arange(1.0, 2.0 * n_max, 2.0)        # 2n - 1, in one buffer
+    np.multiply(factors, np.pi, out=factors)
+    np.divide(2.0 * m.k * m.t, factors, out=factors)
+    np.subtract(1.0, np.square(factors, out=factors), out=factors)
     return float(np.prod(factors) ** 2)
 
 

@@ -3,6 +3,8 @@ directions eta_1, eta_2 of the pinning and seeded Gaussian-bump pairs."""
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -29,7 +31,7 @@ def random_suite(seed: int, count: int, g: Grid) -> list[GridFunctionPair]:
     """Reproducible Gaussian-bump pairs with both components populated."""
     if count < 1:
         raise InvalidParameterError(f"count must be >= 1, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     suite = []
     for _ in range(count):
         comps = []

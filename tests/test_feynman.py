@@ -11,7 +11,7 @@ from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
                       propagator, residual_convergence, schrodinger_residual)
 from hida_lab.errors import (ConditionViolationError, NearSingularError,
                              NumericFailureError)
-from hida_lab import feynman, fredholm, operators
+from hida_lab import feynman, fredholm
 from hida_lab.feynman import LemmaEvaluator, _closed_form
 from hida_lab.gausskernels import donsker_T
 from hida_lab.grid import GridFunctionPair, make_grid, pair, sample
@@ -584,8 +584,7 @@ def test_closed_route_at_f_takes_no_fft_and_no_structured_solve(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the closed route called a structured solve")
     monkeypatch.setattr(fredholm, "solve_N", forbidden)
-    monkeypatch.setattr(fredholm, "solve_id_plus_core", forbidden)
-    monkeypatch.setattr(operators, "solve_id_plus_core", forbidden)
+    monkeypatch.setattr(fredholm.Resolvent, "solve", forbidden)
     monkeypatch.setattr(np.fft, "fft", forbidden)
     g = make_grid(1.0, 400)
     rep = magnetic_T(M11, (0.3, -0.4), f=_bump(g, 0.45, 0.06))

@@ -1,5 +1,7 @@
 """Resolvent solves, closed-form preimages, and the Gram matrix."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -7,12 +9,13 @@ from hypothesis import strategies as st
 
 from hida_lab import (CausticError, GridMismatchError, MagneticModel,
                       NearSingularError, analytic_gram_diagonal,
-                      closed_preimage_f, closed_preimage_g, gram_matrix,
+                      closed_preimage_f, closed_preimage_g, determinant_report,
+                      discrete_spectrum, gram_matrix, magnetic_T, propagator,
                       solve_N, verify_preimage)
 from hida_lab import fredholm
-from hida_lab.fredholm import check_away_from_caustic, closed_solve, resolvent
+from hida_lab.fredholm import Resolvent, check_away_from_caustic, closed_solve, resolvent
 from hida_lab.grid import GridFunctionPair, conj_norm_sq, make_grid, pair, sample
-from hida_lab.operators import build_N, skew_spectrum
+from hida_lab.operators import build_N
 from hida_lab.testfunctions import indicator_pair
 
 M11 = MagneticModel(k=1.0, t=1.0)
@@ -110,11 +113,12 @@ def test_gram_matrix_closed_form():
 
 def test_gram_matrix_reads_the_spectrum_once(monkeypatch):
     calls = []
+    of = Resolvent.of
 
-    def counted(m, g):
+    def counted(cls, m, g):
         calls.append(g.n)
-        return skew_spectrum(m, g)
-    monkeypatch.setattr(fredholm, "skew_spectrum", counted)
+        return of(m, g)
+    monkeypatch.setattr(Resolvent, "of", classmethod(counted))
     g = make_grid(1.0, 64)
     etas = [indicator_pair(g, 1), indicator_pair(g, 2)]
     entries = gram_matrix(M11, g, etas)
@@ -124,6 +128,26 @@ def test_gram_matrix_reads_the_spectrum_once(monkeypatch):
     foreign = make_grid(1.0, 32)
     with pytest.raises(GridMismatchError):
         gram_matrix(M11, g, [indicator_pair(g, 1), indicator_pair(foreign, 2)])
+
+
+def test_only_fredholm_takes_the_fft(monkeypatch):
+    """The sigma-route lives in Resolvent alone: every FFT of the spectrum,
+    the determinant, the solves, the Gram matrix and the propagator is
+    taken in hida_lab.fredholm."""
+    callers = set()
+    for name in ("fft", "ifft"):
+        def traced(*args, _original=getattr(np.fft, name), **kwargs):
+            callers.add(sys._getframe(1).f_globals["__name__"])
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, traced)
+    m, g = MagneticModel(k=0.7, t=1.3), make_grid(1.3, 64)
+    etas = [indicator_pair(g, 1), indicator_pair(g, 2)]
+    discrete_spectrum(m, g, count=3)
+    determinant_report(m, g, n_max=10)
+    solve_N(m, g, etas[0])
+    gram_matrix(m, g, etas)
+    propagator(m, (0.3, -0.4), n_grid=64)
+    assert callers == {"hida_lab.fredholm"}
 
 
 def test_analytic_gram_diagonal_values():
@@ -152,6 +176,20 @@ def test_caustic_guard_band_is_where_cos_2kt_plus_one_vanishes():
     with pytest.raises(CausticError):
         resolvent(inside, make_grid(inside.t, 64))
     check_away_from_caustic(MagneticModel(k=1.0, t=np.pi / 2.0 + 1e-4))
+
+
+def test_half_integer_refusal_names_the_band_and_no_preimage():
+    """solve_N and the closed route at f meet the band with no preimage in sight."""
+    m = MagneticModel(k=1.0, t=np.pi / 2.0 + 1e-5)
+    g = make_grid(m.t, 64)
+    f = sample(lambda s: np.exp(-((s - 0.8) / 0.1) ** 2), 0.0, g)
+    for refuse in (lambda: solve_N(m, g, f), lambda: magnetic_T(m, (0.3, -0.4), f=f)):
+        with pytest.raises(CausticError) as exc:
+            refuse()
+        assert exc.value.classification == "half_integer_caustic"
+        text = str(exc.value)
+        assert "|kt - (j + 1/2) pi| < 7.07e-5" in text and "kt = 1.57081" in text
+        assert "preimage" not in text
 
 
 def test_resolvent_refuses_near_singular_system():

@@ -1,5 +1,6 @@
-"""What a run loads: scipy is for the dense oracle only, and the thread
-pool for `sweep` only.
+"""What a run loads: scipy is for the dense oracle only, the thread pool
+for `sweep` only, and numpy.random for nothing (seeded draws come from the
+standard library's random.Random).
 
 Each test runs in a fresh interpreter, because the test session itself has
 long since imported scipy.
@@ -42,6 +43,17 @@ def test_quick_verify_loads_no_scipy_integrate():
         "from hida_lab.verification import run_checks\n"
         "assert all(r.passed for r in run_checks(quick=True))")
     assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+
+
+def test_quick_verify_and_ttransform_load_no_numpy_random():
+    """Seeded test functions and Monte Carlo normals take numpy.random's
+    import and state nowhere, in a cold check run or a cold CLI run."""
+    for code in ("from hida_lab.verification import run_checks\n"
+                 "assert all(r.passed for r in run_checks(quick=True))",
+                 "from hida_lab.cli import main\n"
+                 f"assert main(['ttransform', '--out-file', {os.devnull!r}]) == 0"):
+        loaded = _loaded_after(code)
+        assert sorted(m for m in loaded if m.startswith("numpy.random")) == []
 
 
 def test_cli_import_loads_no_thread_pool():

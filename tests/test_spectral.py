@@ -6,6 +6,7 @@ import pytest
 from hida_lab import (InvalidParameterError, MagneticModel, NumericFailureError,
                       analytic_eigenfunction, analytic_eigenvalues, build_N,
                       determinant_closed, determinant_product, determinant_report, discrete_spectrum)
+from hida_lab.fredholm import Resolvent
 from hida_lab.grid import make_grid
 from hida_lab.operators import symmetric_core
 
@@ -74,6 +75,52 @@ def test_discrete_spectrum_matches_at_most_n_over_2_pairs(k):
     assert len(discrete_spectrum(m, g, count=5).match_errors) == 10
     with pytest.raises(NumericFailureError, match="not enough discrete eigenvalues"):
         discrete_spectrum(m, g, count=6)
+
+
+def _two_branch_matcher(m, sigma, analytic):
+    """The matcher discrete_spectrum had before it read one branch: both
+    sign branches of +-sigma sorted and matched apart, pair by pair."""
+    eigs = np.concatenate([sigma, -sigma])
+    discrete = eigs[np.argsort(-np.abs(eigs))]
+    sign = 1.0 if m.k > 0 else -1.0
+    pos = np.sort(discrete[discrete * sign > 0] * sign)[::-1] * sign
+    neg = np.sort(-discrete[discrete * sign < 0] * sign)[::-1] * (-sign)
+    matched_analytic, matched_means, errors, gaps = [], [], [], []
+    for j, lam in enumerate(analytic):
+        for branch, target in ((pos, lam), (neg, -lam)):
+            if 2 * j + 2 > len(branch):
+                raise NumericFailureError(
+                    f"not enough discrete eigenvalues to match {len(analytic)} analytic pairs")
+            pair_vals = branch[2 * j: 2 * j + 2]
+            mean = pair_vals.mean()
+            matched_analytic.append(target)
+            matched_means.append(mean)
+            errors.append(abs(mean - target) / abs(target))
+            gaps.append(abs(pair_vals[0] - pair_vals[1]) / abs(target))
+    return discrete, [np.array(v) for v in (errors, gaps, matched_analytic, matched_means)]
+
+
+@pytest.mark.parametrize("k,t", [(1.0, 1.0), (-0.7, 2.5), (2.3, 0.3), (-3.0, 1.0), (0.01, 2.5)])
+@pytest.mark.parametrize("n", [7, 8, 40, 41])
+def test_one_branch_matcher_is_the_two_branch_matcher_bit_for_bit(k, t, n):
+    """B's eigenvalues are exactly +-sigma, so mirroring the branch of k's
+    sign gives every array of the two-branch matcher, and the same refusal
+    one pair past n/2."""
+    m, g = MagneticModel(k=k, t=t), make_grid(t, n)
+    sigma = Resolvent.of(m, g).sigma
+    for count in range(1, n // 2 + 1):
+        rep = discrete_spectrum(m, g, count=count)
+        discrete, arrays = _two_branch_matcher(m, sigma, analytic_eigenvalues(m, count))
+        np.testing.assert_array_equal(rep.discrete, discrete, strict=True)
+        for got, want in zip((rep.match_errors, rep.pair_gaps, rep.matched_analytic,
+                              rep.matched_means), arrays):
+            np.testing.assert_array_equal(got, want, strict=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+    count = n // 2 + 1
+    with pytest.raises(NumericFailureError, match="not enough discrete eigenvalues"):
+        _two_branch_matcher(m, sigma, analytic_eigenvalues(m, count))
+    with pytest.raises(NumericFailureError, match="not enough discrete eigenvalues"):
+        discrete_spectrum(m, g, count=count)
 
 
 def test_determinant_closed_value():

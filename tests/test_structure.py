@@ -10,10 +10,10 @@ from hida_lab import (MagneticModel, analytic_gram_diagonal, closed_preimage_f,
                       magnetic_T, operators, propagator, solve_N)
 from hida_lab.errors import HidaLabError
 from hida_lab.feynman import LemmaEvaluator
-from hida_lab.fredholm import resolvent
+from hida_lab.fredholm import Resolvent, resolvent
 from hida_lab.grid import GridFunctionPair, make_grid
 from hida_lab.operators import (BlockOperator, build_N, free_K, magnetic_L,
-                                skew_spectrum, solve_id_plus_core, symmetric_core)
+                                symmetric_core)
 from hida_lab.testfunctions import indicator_pair, random_suite
 
 DENSE = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -45,7 +45,7 @@ def _dense_cond(m, g):
 def test_structured_spectrum_matches_dense_and_closed_form(k, t, n):
     m, g = _model(k, t, n)
     dense = np.linalg.eigvalsh(symmetric_core(m, g))
-    sigma = skew_spectrum(m, g)
+    sigma = Resolvent.of(m, g).sigma
     scale = max(1.0, np.abs(dense).max())
     np.testing.assert_allclose(np.sort(np.concatenate([sigma, -sigma])), dense,
                                rtol=0, atol=1e-13 * scale)
@@ -65,7 +65,7 @@ def test_structured_solve_matches_dense_solve(k, t, n, seed):
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(2 * n)
     dense = np.linalg.solve(np.eye(2 * n) + symmetric_core(m, g), rhs)
-    structured = solve_id_plus_core(skew_spectrum(m, g), rhs)
+    structured = -1j * Resolvent.of(m, g).solve(rhs)     # (Id + B)^{-1} = -i N^{-1}
     assert np.linalg.norm(structured - dense) <= 1e-13 * cond * np.linalg.norm(dense)
     # N = -i (Id + B) has the same condition number as Id + B.
     rhs = rhs + 1j * rng.standard_normal(2 * n)
