@@ -441,15 +441,17 @@ def composed_closed_value(m: MagneticModel, y, convention: str = "composed") -> 
 
 
 def _closed_form(k: float, t: float, r2, sign: float = 1.0):
-    """k/(2 pi i sin(kt)) exp(sign (ik/2) cot(kt) r2) at |y|^2 = r2, scalar or array.
+    """k/(2 pi i sin(kt)) exp(sign (ik/2) cot(kt) r2) at |y|^2 = r2, scalar or array."""
+    a, c = _closed_form_coefficients(k, t, sign)
+    return a * np.exp(c * r2)
 
-    At k = 0 this is the free propagator 1/(2 pi i t) exp(sign i r2 / (2t)).
-    """
+
+def _closed_form_coefficients(k: float, t, sign: float = 1.0):
+    """(a, c) = (k/(2 pi i sin(kt)), sign (ik/2) cot(kt)) at a time or an array of
+    times; at k = 0 the free propagator's (1/(2 pi i t), sign i/(2t))."""
     if k == 0:
-        return 1.0 / (2.0 * np.pi * 1j * t) * np.exp(sign * 0.5j * r2 / t)
-    kt = k * t
-    return (k / (2.0 * np.pi * 1j * np.sin(kt))
-            * np.exp(sign * 0.5j * k / np.tan(kt) * r2))
+        return 1.0 / (2.0 * np.pi * 1j * t), sign * 0.5j / t
+    return k / (2.0 * np.pi * 1j * np.sin(k * t)), sign * 0.5j * k / np.tan(k * t)
 
 
 def propagator(m: MagneticModel, y, n_grid: int = 600,
@@ -506,11 +508,21 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
     Expanded with central differences:
         H G = 1/2 [ -lap G - 2ik y2 dG/dy1 + 2ik y1 dG/dy2 + k^2 |y|^2 G ].
 
-    The stencil runs one time slice at a time: it holds the n x n slices of
-    G at t - ht, t and t + ht, forms the residual on the interior nodes of
-    the middle one, adds |res|^2 and |G|^2 to two float sums and moves the
-    slices on.  Memory is O(n^2), not the O(n^3) of the whole (t, y1, y2)
-    cube, and the sums are plain numpy reductions, not a threaded BLAS dot.
+    G is a Gaussian in y and separates: G = a(t) u(t, y1) u(t, y2) with
+    u = exp(c(t) y^2), (a, c) the closed form's prefactor and exponent
+    coefficient.  With du, d2u the central first and second differences of
+    u along y and w = 1/2 (d2u - k^2 y^2 u), the residual i dG/dt - H G on
+    an interior time slice is a sum of six rank-one terms p(y1) q(y2):
+
+        a (w (x) u + u (x) w) + ik a (du (x) yu - yu (x) du)
+            + (i/2ht) (a u (x) u)(t + ht) - (i/2ht) (a u (x) u)(t - ht),
+
+    the first pair from 1/2 lap G - 1/2 k^2 |y|^2 G, the second from the
+    drift ik (y2 dG/dy1 - y1 dG/dy2), the last from the time difference.
+    So u is sampled once on the (t, y) lattice, one stencil along y serves
+    both axes, and each slice's residual is one (n-2) x 6 by 6 x (n-2)
+    product; its |G|^2 is |a|^2 (sum |u|^2)^2.  Memory is O(n^2), the
+    lattice of u and one slice's product, never the (t, y1, y2) cube.
 
     An integer caustic kt = j pi (j != 0), where G is singular, is refused
     anywhere in the span, at a time node or between two, and within
@@ -531,33 +543,23 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
                            f"[{0.5 * m.t:.6g}, {m.t:.6g}]",
                            classification="integer_caustic", kt=float(j * np.pi))
 
-    t_axis = np.linspace(0.5 * m.t, m.t, n)
-    y_axis = np.linspace(-1.0, 1.0, n)
-    hy = y_axis[1] - y_axis[0]
-    ht = t_axis[1] - t_axis[0]
-    r2 = y_axis[:, None] ** 2 + y_axis[None, :] ** 2
-    yy1 = y_axis[1:-1, None]
-    yy2 = y_axis[None, 1:-1]
-    drift1 = 2j * m.k * yy2
-    drift2 = 2j * m.k * yy1
-    potential = (m.k ** 2) * (yy1 ** 2 + yy2 ** 2)
-    # Three time slices of G at a time, (y1, y2) each: t - ht, t, t + ht.
-    before, g = (_closed_form(m.k, t, r2, sign) for t in t_axis[:2])
-    res_sq = core_sq = 0.0
-    for t_after in t_axis[2:]:
-        after = _closed_form(m.k, t_after, r2, sign)
-        dt = (after[1:-1, 1:-1] - before[1:-1, 1:-1]) / (2.0 * ht)
-        d1 = (g[2:, 1:-1] - g[:-2, 1:-1]) / (2.0 * hy)
-        d2 = (g[1:-1, 2:] - g[1:-1, :-2]) / (2.0 * hy)
-        core = g[1:-1, 1:-1]
-        two_core = 2 * core
-        lap = ((g[2:, 1:-1] - two_core + g[:-2, 1:-1])
-               + (g[1:-1, 2:] - two_core + g[1:-1, :-2])) / hy ** 2
-        h_g = 0.5 * (-lap - drift1 * d1 + drift2 * d2 + potential * core)
-        res = 1j * dt - h_g
+    t_axis, y_axis = np.linspace(0.5 * m.t, m.t, n), np.linspace(-1.0, 1.0, n)
+    hy, ht = y_axis[1] - y_axis[0], t_axis[1] - t_axis[0]
+    a, c = _closed_form_coefficients(m.k, t_axis, sign)
+    u = np.exp(c[:, None] * y_axis ** 2)                      # (t, y)
+    yi, ui = y_axis[1:-1], u[:, 1:-1]
+    ik_du = (1j * m.k / (2.0 * hy)) * (u[:, 2:] - u[:, :-2])
+    w = ((u[:, 2:] - 2.0 * ui + u[:, :-2]) / (2.0 * hy ** 2)
+         - (0.5 * m.k ** 2) * yi ** 2 * ui)
+    i_dt = 0.5j / ht * a
+    core_sq = float(np.abs(a[1:-1]) ** 2 @ np.sum(np.abs(ui[1:-1]) ** 2, axis=1) ** 2)
+    res_sq = 0.0
+    for i in range(1, n - 1):
+        # The six terms coef[r] p[r] (x) q[r]; q swaps w with u and ik du with yu.
+        p = np.stack([w[i], ui[i], ik_du[i], yi * ui[i], ui[i + 1], ui[i - 1]])
+        coef = np.array([a[i], a[i], a[i], -a[i], i_dt[i + 1], -i_dt[i - 1]])
+        res = (coef[:, None] * p).T @ p[[1, 0, 3, 2, 4, 5]]
         res_sq += float(np.sum(res.real ** 2 + res.imag ** 2))
-        core_sq += float(np.sum(core.real ** 2 + core.imag ** 2))
-        before, g = g, after
     return float(np.sqrt(res_sq / core_sq))
 
 

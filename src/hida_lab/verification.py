@@ -156,17 +156,18 @@ def check_free_limit(n_grid: int = 600) -> CheckResult:
 
 
 def check_gauss_identity(samples: int = 100_000, seed: int = 2024) -> CheckResult:
-    """Monte Carlo E[exp(-<w,Kw>)] = det(Id+2K)^{-1/2} for rank-1 K = -1/4."""
-    kernel = FiniteRankKernel(eigenvalues=np.array([-0.25]))
+    """Monte Carlo E[exp(-<w,Kw>)] = det(Id+2K)^{-1/2} for rank-1 K = -1/8, where the
+    integrand has finite variance: E[exp(-2K z^2)] = (1 + 4K)^{-1/2} needs 1 + 4K > 0."""
+    kernel = FiniteRankKernel(eigenvalues=np.array([-0.125]))
     est1 = montecarlo_gauss_expectation(kernel, samples, seed)
     est2 = montecarlo_gauss_expectation(kernel, samples, seed)
     sigmas = abs(est1.mean - est1.exact) / est1.std_error
     reproducible = est1.mean == est2.mean and est1.std_error == est2.std_error
-    passed = sigmas <= 3.0 and reproducible and abs(est1.exact - np.sqrt(2.0)) < 1e-12
+    passed = sigmas <= 3.0 and reproducible and abs(est1.exact - 2.0 / np.sqrt(3.0)) < 1e-12
     return CheckResult(
         name="gauss_determinant_identity", passed=passed, measured=sigmas,
         threshold=3.0,
-        detail=(f"{samples} samples, seed {seed}: mean {est1.mean:.6f} vs sqrt(2), "
+        detail=(f"{samples} samples, seed {seed}: mean {est1.mean:.6f} vs 2/sqrt(3), "
                 f"{sigmas:.2f} standard errors (<= 3), "
                 f"bit-reproducible: {reproducible}"))
 

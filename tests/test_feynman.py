@@ -566,7 +566,8 @@ def test_streamed_residual_matches_the_whole_cube_stencil(n, k, convention):
 
 def test_residual_holds_three_time_slices_not_the_cube():
     """At n = 81 the (t, y1, y2) cube of G alone is 81^3 complex values,
-    8.5 MB; the stencil keeps three 81 x 81 slices and their temporaries."""
+    8.5 MB; the stencil keeps no more than about three 81 x 81 slices: the
+    (t, y) lattice of u, its differences and one slice's residual."""
     m = MagneticModel(k=0.5, t=1.0)
     schrodinger_residual(m, n=11)
     tracemalloc.start()
@@ -576,6 +577,69 @@ def test_residual_holds_three_time_slices_not_the_cube():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+@pytest.mark.parametrize("convention", ["composed", "printed"])
+@pytest.mark.parametrize("k", [0.01, -0.01])
+@pytest.mark.parametrize("t", [0.3, 2.2])
+def test_separable_residual_matches_the_whole_cube_stencil_at_81(t, k, convention):
+    """The fine grid, where rounding counts most.  A rounding of a few ulps in
+    G (eps ~ 2.2e-16) is amplified by 4/h_y^2 = 6400 in the second difference
+    (h_y = 1/40), about 1.4e-12 |G| per node, against a residual of ~1.2e-4 |G|
+    (composed, t = 2.2): up to 1.2e-8 of it at one node.  Independent
+    roundings average over the 79^3 interior nodes in the norm, by
+    sqrt(79^3) ~ 700, to about 2e-11, so the two stencils must agree to 1e-10.
+    A wrong term moves the residual by O(1) of itself."""
+    m = MagneticModel(k=k, t=t)
+    expected = _residual_on_the_whole_cube(m, 81, convention)
+    assert schrodinger_residual(m, n=81, convention=convention) == \
+        pytest.approx(expected, rel=1e-10, abs=0)
+
+
+def test_residual_peak_memory_at_81_stays_below_one_megabyte():
+    """The separable stencil keeps the (t, y) lattice of u and its differences
+    (81 x 81 complex values each, 0.1 MB) and one slice's 79 x 79 product."""
+    m = MagneticModel(k=0.5, t=1.0)
+    schrodinger_residual(m, n=11)
+    tracemalloc.start()
+    try:
+        schrodinger_residual(m, n=81)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6
+
+
+def test_residual_takes_the_closed_form_coefficients_once_and_no_slice_of_G(monkeypatch):
+    """One call for (a, c) on the whole time axis; the closed form itself,
+    an n x n slice of G, is never evaluated."""
+    calls = []
+    coefficients = feynman._closed_form_coefficients
+
+    def counted(k, t, sign=1.0):
+        calls.append(np.shape(t))
+        return coefficients(k, t, sign)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("schrodinger_residual evaluated a slice of G")
+
+    monkeypatch.setattr(feynman, "_closed_form_coefficients", counted)
+    monkeypatch.setattr(feynman, "_closed_form", forbidden)
+    assert np.isfinite(schrodinger_residual(MagneticModel(k=0.5, t=1.0), n=21))
+    assert calls == [(21,)]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_closed_form_coefficients_at_k_0_are_the_limit_k_to_0(sign):
+    """The k = 0 branch is the free propagator, the k -> 0 limit of
+    k/(2 pi i sin(kt)) and sign (ik/2) cot(kt), at a time and on an array."""
+    t = np.array([0.3, 1.0, 2.2])
+    a0, c0 = feynman._closed_form_coefficients(0.0, t, sign)
+    a, c = feynman._closed_form_coefficients(1e-7, t, sign)
+    np.testing.assert_allclose(a, a0, rtol=1e-12)
+    np.testing.assert_allclose(c, c0, rtol=1e-12)
+    a1, c1 = feynman._closed_form_coefficients(0.0, 2.2, sign)
+    assert (a1, c1) == (a0[-1], c0[-1])
 
 
 # ------------------------------------------------- the T-transform at f, two routes
