@@ -10,15 +10,15 @@ from .operators import (BlockOperator, MagneticModel, apply_N, build_N, free_K,
 from .spectral import (DeterminantReport, SpectralReport, analytic_eigenfunction,
                        analytic_eigenvalues, determinant_closed, determinant_product,
                        determinant_report, discrete_spectrum)
-from .fredholm import (analytic_gram_diagonal, closed_preimage_f, closed_preimage_g,
-                       gram_matrix, solve_N, verify_preimage)
+from .fredholm import (CausticClassification, analytic_gram_diagonal, caustic_check,
+                       closed_preimage_f, closed_preimage_g, gram_matrix, solve_N,
+                       verify_preimage)
 from .gausskernels import (FiniteRankKernel, donsker_T, finite_rank_T,
                            montecarlo_gauss_expectation, normalized_exp_T)
 from .testfunctions import indicator_pair, random_suite
 from .verification import CheckResult, run_checks
-from .feynman import (CausticClassification, LemmaEvaluator, TTransformReport,
-                      caustic_check, composed_closed_value, free_limit_reference,
-                      magnetic_T, printed_propagator_value, propagator,
-                      residual_convergence, schrodinger_residual)
+from .feynman import (LemmaEvaluator, TTransformReport, composed_closed_value,
+                      free_limit_reference, magnetic_T, printed_propagator_value,
+                      propagator, residual_convergence, schrodinger_residual)
 
 __version__ = "0.1.0"

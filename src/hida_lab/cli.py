@@ -34,10 +34,9 @@ import numpy as np
 from . import __version__
 from .errors import (CausticError, HidaLabError, InvalidParameterError,
                      NearSingularError, NumericFailureError)
-from .feynman import (caustic_check, composed_closed_value, free_limit_reference,
-                      magnetic_T, printed_propagator_value, propagator,
-                      residual_convergence)
-from .fredholm import (analytic_gram_diagonal, closed_preimage_f, gram_matrix,
+from .feynman import (composed_closed_value, free_limit_reference, magnetic_T,
+                      printed_propagator_value, propagator, residual_convergence)
+from .fredholm import (analytic_gram_diagonal, caustic_check, closed_preimage_f, gram_matrix,
                        solve_N, verify_preimage)
 from .grid import make_grid
 from .operators import MagneticModel
@@ -226,16 +225,29 @@ def cmd_residual(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def peak_rss_mb() -> float:
+    """This process's own peak resident size in MB: VmHWM, which starts afresh
+    at exec.  ru_maxrss, the fallback where /proc/self/status is absent, also
+    counts the resident size that the spawning process had at exec."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024          # kB
+    except OSError:
+        pass
+    # ru_maxrss is in kilobytes on Linux.
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def cmd_verify(cfg: argparse.Namespace) -> int:
     checks = run_checks(quick=cfg.quick, seed=cfg.seed)
     rows = [{"name": c.name, "passed": c.passed, "measured": c.measured,
              "threshold": c.threshold, "detail": c.detail} for c in checks]
     failures = sum(1 for c in checks if not c.passed)
-    # ru_maxrss is in kilobytes on Linux.
-    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     emit(cfg, {"rows": rows, "failures": failures},
          {"check_seconds": {c.name: c.seconds for c in checks},
-          "peak_rss_mb": peak_rss_mb})
+          "peak_rss_mb": peak_rss_mb()})
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: {c.detail}", file=sys.stderr)

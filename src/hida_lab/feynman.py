@@ -1,6 +1,6 @@
-"""Composition of the master T-transform, the magnetic propagator, caustic
-classification and the Schrödinger-residual verification, which runs over
-the model's own time span [t/2, t].
+"""Composition of the master T-transform, the magnetic propagator and the
+Schrödinger-residual verification, which runs over the model's own time
+span [t/2, t].
 
 Three evaluation routes exist on purpose:
 
@@ -27,9 +27,8 @@ the principal square roots of det and of (2pi)^J det M the continuous ones.
 So one function reads the test function f, with one solve N^{-1} f for the
 quadratic term -1/2 (f, N^{-1} f) and the couplings (eta_a, N^{-1} f), and
 applies the branch rule, the delta exponent, the endpoint check and the
-refusal of a non-finite value.  The structured route also shares the
-determinant, condition and Gram-matrix refusals with :class:`LemmaEvaluator`,
-and the tests hold it to that dense oracle.
+refusal of a non-finite value.  The caustic refusals are tabulated in
+:mod:`fredholm`.
 
 The sign of the delta exponent and the square-root branches are fixed by
 actually performing the Gaussian integrals that define the pinned product:
@@ -64,19 +63,16 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (CausticError, ConditionViolationError, InvalidParameterError,
-                     NearSingularError, NumericFailureError)
-from .fredholm import (Resolvent, analytic_gram_diagonal, closed_solve,
-                       refuse_ill_conditioned)
+from .errors import (ConditionViolationError, InvalidParameterError, NearSingularError,
+                     NumericFailureError)
+from .fredholm import (Resolvent, analytic_gram_diagonal, closed_solve, refuse_caustic,
+                       refuse_caustic_in_span, refuse_ill_conditioned,
+                       refuse_singular_determinant)
 from .grid import Grid, GridFunctionPair, make_grid
 from .operators import BlockOperator, MagneticModel
 from .testfunctions import indicator_pair
 
 _NEAR_REAL = 1e-8
-# caustic_check's window: |kt - j pi/2| <= this share of max(1, |kt|).
-_CAUSTIC_WINDOW = 1e-9
-# Refuse a Fredholm determinant below this modulus as a caustic.
-_DET_FLOOR = 1e-12
 # A Gram matrix whose real part is below this share of its scale is imaginary.
 _GRAM_TOL = 1e-8
 # Rows per block in the block-wise passes over a dense 2n x 2n matrix.
@@ -112,13 +108,6 @@ class TTransformReport:
     route: str                        # closed | structured | dense
     # cond of N: exact 2-norm (structured), 1-norm estimate (dense), None (closed)
     cond_estimate: float
-
-
-@dataclass(frozen=True)
-class CausticClassification:
-    classification: str               # regular | integer_caustic | half_integer_caustic
-    kt: float
-    distance: float                   # |kt - nearest caustic value of kt|
 
 
 class LemmaEvaluator:
@@ -173,7 +162,7 @@ class LemmaEvaluator:
         swaps = np.count_nonzero(piv != np.arange(n2)) + (self.grid.n if real else 0)
         phase_n = (-1) ** swaps * sign_u
         self.determinant = complex(phase_n / sign_k * np.exp(log_abs_n - logdet_k))
-        _refuse_singular_determinant(self.determinant)
+        refuse_singular_determinant(self.determinant)
 
         gecon = sla.get_lapack_funcs("gecon", (lu,))
         rcond, _ = gecon(lu, anorm, norm="I")
@@ -191,13 +180,6 @@ class LemmaEvaluator:
         return _compose(self.determinant, self.gram, ys, self.grid, f, self._solve,
                         route="dense", cond_estimate=self.cond_estimate,
                         weighted_etas=self._weighted_etas)
-
-
-def _refuse_singular_determinant(determinant: complex) -> None:
-    if abs(determinant) < _DET_FLOOR:
-        raise CausticError(
-            f"det(Id + L(Id+K)^{{-1}}) = {determinant:.3g} is singular",
-            classification="half_integer_caustic")
 
 
 def _assemble_N(k: np.ndarray, l: np.ndarray) -> np.ndarray:
@@ -363,30 +345,6 @@ def _convention_sign(convention: str) -> float:
     return 1.0 if convention == "composed" else -1.0
 
 
-def caustic_check(m: MagneticModel) -> CausticClassification:
-    """Classify kt against the exclusion set {n pi} u {(n + 1/2) pi}."""
-    kt = m.k * m.t
-    if m.k == 0:
-        return CausticClassification(classification="regular", kt=0.0,
-                                     distance=float("inf"))
-    half = np.pi / 2.0
-    # kt = 0 is the t -> 0 limit, not a caustic: the nearest one is +-pi/2.
-    nearest_idx = round(kt / half) or (1 if kt >= 0 else -1)
-    distance = abs(kt - nearest_idx * half)
-    if distance <= _CAUSTIC_WINDOW * max(1.0, abs(kt)):
-        kind = "integer_caustic" if nearest_idx % 2 == 0 else "half_integer_caustic"
-        return CausticClassification(classification=kind, kt=kt, distance=distance)
-    return CausticClassification(classification="regular", kt=kt, distance=distance)
-
-
-def _require_regular(m: MagneticModel) -> None:
-    cls = caustic_check(m)
-    if cls.classification != "regular":
-        raise CausticError(
-            f"kt = {cls.kt:.6g} is at a caustic of class {cls.classification}",
-            classification=cls.classification, kt=cls.kt)
-
-
 def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
                n_grid: int = 1000, convention: str = "composed") -> TTransformReport:
     """Closed-form specialization of the T-transform for the magnetic model.
@@ -397,12 +355,9 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
     function (:func:`fredholm.closed_solve`, an O(n) running sum), which
     gives both the quadratic term -1/2 (f, N^{-1} f) and the couplings
     (eta_a, N^{-1} f); so this route shares no solve with the structured
-    one.  Only that solve refuses the band around a half-integer caustic,
-    where its formula divides by cos(2kt) + 1; at f = 0 the value is
-    regular there.  ``n_grid`` is unread; it stays because the perfbench
-    probes pass it.
+    one.  ``n_grid`` is unread; it stays because the perfbench probes pass it.
     """
-    _require_regular(m)
+    refuse_caustic(m)
     kt = m.k * m.t
     gram_diag = analytic_gram_diagonal(m)
     # The continuous branches: sqrt(cos^2(kt)) = cos(kt), from the t -> 0+
@@ -468,11 +423,11 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
     takes one more solve N^{-1} f, made by ``_compose`` as for every route.
     Composition and refusals are those of the dense oracle.
     """
-    _require_regular(m)
+    refuse_caustic(m)
     g = make_grid(m.t, n_grid)
     res = Resolvent.of(m, g)
     determinant = res.determinant
-    _refuse_singular_determinant(determinant)
+    refuse_singular_determinant(determinant)
     refuse_ill_conditioned(res.cond_estimate)
     x = res.solve(indicator_pair(g, 1).as_vector().real)
     # M_ab = (eta_a, N^{-1} eta_b): the eta_1 and eta_2 components of x.
@@ -524,25 +479,12 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
     product; its |G|^2 is |a|^2 (sum |u|^2)^2.  Memory is O(n^2), the
     lattice of u and one slice's product, never the (t, y1, y2) cube.
 
-    An integer caustic kt = j pi (j != 0), where G is singular, is refused
-    anywhere in the span, at a time node or between two, and within
-    :func:`caustic_check`'s window of either end.  A half-integer caustic is
-    not: G is regular there (cot(kt) = 0, |sin(kt)| = 1).
+    An integer caustic in the span (G singular) is refused, a half-integer one not.
     """
     sign = _convention_sign(convention)
     if n < 5:
         raise InvalidParameterError("need at least 5 nodes per axis")
-    # The span of kt, each end widened by caustic_check's window there, and
-    # the largest j with j pi in it.
-    lo, hi = sorted((0.5 * m.k * m.t, m.k * m.t))
-    lo -= _CAUSTIC_WINDOW * max(1.0, abs(lo))
-    hi += _CAUSTIC_WINDOW * max(1.0, abs(hi))
-    j = np.floor(hi / np.pi)
-    if j != 0 and j * np.pi >= lo:
-        raise CausticError(f"integer caustic kt = {j:.0f} pi inside the time span "
-                           f"[{0.5 * m.t:.6g}, {m.t:.6g}]",
-                           classification="integer_caustic", kt=float(j * np.pi))
-
+    refuse_caustic_in_span(m, 0.5 * m.t)
     t_axis, y_axis = np.linspace(0.5 * m.t, m.t, n), np.linspace(-1.0, 1.0, n)
     hy, ht = y_axis[1] - y_axis[0], t_axis[1] - t_axis[0]
     a, c = _closed_form_coefficients(m.k, t_axis, sign)

@@ -1,4 +1,4 @@
-"""Resolvent solves N x = eta, closed-form preimages, and the Gram matrix.
+"""Resolvent solves N x = eta, closed-form preimages, the Gram matrix, and every refusal.
 
 On the grid N = -i (Id + B).  :class:`Resolvent` is the structured N^{-1}
 and the only code that takes the FFT: it reads the spectrum sigma of B's
@@ -9,6 +9,24 @@ and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs by a twisted FFT.
 :func:`closed_solve` is the closed route's own N^{-1}, from the continuum
 Green's function in O(n).  The closed-form preimages of the indicator
 directions serve the paper's preimage check, :func:`verify_preimage`.
+
+The integrand is a Hida distribution off the exclusion set
+kt in {j pi} u {(j + 1/2) pi}.  Four guards enforce it, defined here alone:
+
+  guard     tolerance, refuser           routes that apply it          error, classification exit
+  window    |kt - j pi/2|                structured; closed at f = 0   CausticError,         4
+            <= 1e-9 max(1, |kt|),        and at f; residual (an        integer_caustic or
+            refuse_caustic               integer j pi in its span)     half_integer_caustic
+  band      |kt - (j+1/2) pi| < 7.07e-5, closed at f; solve_N and      CausticError,         4
+            check_away_from_caustic      gram_matrix; preimage         half_integer_caustic
+  floor     |det(Id + B)| < 1e-12,       structured; dense             CausticError,         4
+            refuse_singular_determinant                                half_integer_caustic
+  condition cond(N) > 1e12,              structured; dense; solve_N    NearSingularError     3
+            refuse_ill_conditioned       and gram_matrix
+
+:func:`caustic_check` classifies without refusing, and the residual's window
+is :func:`refuse_caustic_in_span`.  Each CausticError carries kt (the
+residual's: the caustic j pi), except the floor's.  The exit code is the CLI's.
 """
 
 from __future__ import annotations
@@ -24,18 +42,49 @@ from .grid import Grid, GridFunctionPair, conj_norm_sq, pair_from_vector
 from .operators import MagneticModel, apply_N, apply_volterra
 from .testfunctions import indicator_pair
 
-# Refuse closed forms and solves this close to a half-integer caustic,
-# where the closed forms divide by cos(2kt) + 1 = 2 cos^2(kt).
-CAUSTIC_GUARD = 1e-8
-COND_LIMIT = 1e12
+_CAUSTIC_WINDOW = 1e-9          # window: |kt - j pi/2| <= this share of max(1, |kt|)
+CAUSTIC_GUARD = 1e-8            # band: |cos(2kt) + 1| = 2 cos^2(kt) < this
+_DET_FLOOR = 1e-12              # floor on |det(Id + B)|
+COND_LIMIT = 1e12               # limit on cond(N)
 
 
-def refuse_ill_conditioned(cond_estimate: float) -> None:
-    """Refuse a condition number of N above COND_LIMIT."""
-    if cond_estimate > COND_LIMIT:
-        raise NearSingularError(
-            f"N = Id+K+L is numerically singular (cond = {cond_estimate:.3g})",
-            cond_estimate=cond_estimate)
+@dataclass(frozen=True)
+class CausticClassification:
+    classification: str               # regular | integer_caustic | half_integer_caustic
+    kt: float
+    distance: float                   # |kt - nearest caustic value of kt|
+
+
+def caustic_check(m: MagneticModel) -> CausticClassification:
+    """Classify kt against the exclusion set; kt = 0 is the t -> 0 limit, not a caustic."""
+    if m.k == 0:
+        return CausticClassification("regular", 0.0, float("inf"))
+    kt, half = m.k * m.t, np.pi / 2.0
+    nearest_idx = round(kt / half) or (1 if kt >= 0 else -1)
+    distance = abs(kt - nearest_idx * half)
+    kind = ("regular" if distance > _CAUSTIC_WINDOW * max(1.0, abs(kt))
+            else "integer_caustic" if nearest_idx % 2 == 0 else "half_integer_caustic")
+    return CausticClassification(kind, kt, distance)
+
+
+def refuse_caustic(m: MagneticModel) -> None:
+    """Refuse kt in the window of a caustic, with caustic_check's classification."""
+    cls = caustic_check(m)
+    if cls.classification != "regular":
+        raise CausticError(f"kt = {cls.kt:.6g} is at a caustic of class {cls.classification}",
+                           classification=cls.classification, kt=cls.kt)
+
+
+def refuse_caustic_in_span(m: MagneticModel, start: float) -> None:
+    """Refuse j pi (j != 0) in k [start, t], each end widened by the window."""
+    lo, hi = sorted((m.k * start, m.k * m.t))
+    lo -= _CAUSTIC_WINDOW * max(1.0, abs(lo))
+    hi += _CAUSTIC_WINDOW * max(1.0, abs(hi))
+    j = np.floor(hi / np.pi)
+    if j != 0 and j * np.pi >= lo:
+        raise CausticError(f"integer caustic kt = {j:.0f} pi inside the time span "
+                           f"[{start:.6g}, {m.t:.6g}]",
+                           classification="integer_caustic", kt=float(j * np.pi))
 
 
 def check_away_from_caustic(m: MagneticModel) -> None:
@@ -45,6 +94,20 @@ def check_away_from_caustic(m: MagneticModel) -> None:
         raise CausticError(f"kt = {kt:.6g} lies in the band |kt - (j + 1/2) pi| < 7.07e-5 "
                            f"around a half-integer caustic",
                            classification="half_integer_caustic", kt=kt)
+
+
+def refuse_singular_determinant(determinant: complex) -> None:
+    """Refuse |det(Id + B)| below the floor: a half-integer caustic of the grid."""
+    if abs(determinant) < _DET_FLOOR:
+        raise CausticError(f"det(Id + L(Id+K)^{{-1}}) = {determinant:.3g} is singular",
+                           classification="half_integer_caustic")
+
+
+def refuse_ill_conditioned(cond_estimate: float) -> None:
+    """Refuse a condition number of N above COND_LIMIT."""
+    if cond_estimate > COND_LIMIT:
+        raise NearSingularError(f"N = Id+K+L is numerically singular "
+                                f"(cond = {cond_estimate:.3g})", cond_estimate=cond_estimate)
 
 
 @dataclass(frozen=True)
@@ -106,7 +169,7 @@ def _lift(real_solve, rhs: np.ndarray) -> np.ndarray:
 
 
 def resolvent(m: MagneticModel, g: Grid) -> Resolvent:
-    """Structured N^{-1}; refuses the caustic band and a condition above COND_LIMIT."""
+    """Structured N^{-1}; refuses the band and the condition limit."""
     check_away_from_caustic(m)
     res = Resolvent.of(m, g)
     refuse_ill_conditioned(res.cond_estimate)
@@ -133,8 +196,8 @@ def closed_solve(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
     with P(tau) = int_0^tau e^{-2ik(tau - s)} rho(s) ds.  P is the midpoint
     running sum of :func:`operators.apply_volterra` and P(t) the midpoint
     sum, so x is second order in h and uses neither the FFT nor a matrix.
-    W's denominator vanishes at the half-integer caustics, which are
-    refused.  A complex rhs is solved as its real and imaginary parts, as
+    W's denominator vanishes at the half-integer caustics (the band).  A
+    complex rhs is solved as its real and imaginary parts, as
     :meth:`Resolvent.solve` does.
     """
     check_away_from_caustic(m)

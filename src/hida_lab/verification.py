@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .feynman import (caustic_check, composed_closed_value,
-                      free_limit_reference, magnetic_T, printed_propagator_value,
-                      propagator, residual_convergence)
-from .fredholm import (closed_preimage_f, gram_matrix, solve_N, verify_preimage)
+from .feynman import (composed_closed_value, free_limit_reference, magnetic_T,
+                      printed_propagator_value, propagator, residual_convergence)
+from .fredholm import (caustic_check, closed_preimage_f, gram_matrix, solve_N,
+                       verify_preimage)
 from .gausskernels import FiniteRankKernel, donsker_T, montecarlo_gauss_expectation
 from .grid import make_grid
 from .operators import MagneticModel

@@ -4,7 +4,11 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -417,3 +421,20 @@ def test_verify_reports_its_peak_rss_outside_results(capsys):
     assert all(o["diagnostics"]["peak_rss_mb"] > 0 for o in outputs)
     assert "peak_rss_mb" not in json.dumps(outputs[0]["results"])
     assert outputs[0]["results"] == outputs[1]["results"]
+
+
+def test_verify_peak_rss_is_its_own_not_its_parents():
+    """A cold verify --quick spawned by a process holding 200 MB reports its
+    own peak (about 33 MB), not the parent's resident size at exec, which
+    ru_maxrss carries into the child (243 MB, measured on Linux)."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    ballast = np.ones(200 * 2 ** 20 // 8)           # 200 MB, written so it is resident
+    try:
+        done = subprocess.run([sys.executable, "-m", "hida_lab.cli", "verify", "--quick"],
+                              capture_output=True, text=True, env=env, timeout=120)
+    finally:
+        del ballast
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["diagnostics"]["peak_rss_mb"] < 100

@@ -10,7 +10,7 @@ from hida_lab import (MagneticModel, analytic_gram_diagonal, closed_preimage_f,
                       magnetic_T, operators, propagator, solve_N)
 from hida_lab.errors import HidaLabError
 from hida_lab.feynman import LemmaEvaluator
-from hida_lab.fredholm import Resolvent, resolvent
+from hida_lab.fredholm import Resolvent, caustic_check, resolvent
 from hida_lab.grid import GridFunctionPair, make_grid
 from hida_lab.operators import (BlockOperator, build_N, free_K, magnetic_L,
                                 symmetric_core)
@@ -287,7 +287,7 @@ endpoints = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
 def test_structured_propagator_matches_dense_oracle(k, t, n, y1, y2):
     m = MagneticModel(k=k, t=t)
     # Both routes first refuse continuum caustics.
-    assume(feynman.caustic_check(m).classification == "regular")
+    assume(caustic_check(m).classification == "regular")
     kt, step = abs(k * t), abs(k) * t / n
     j = round(kt / np.pi)
     assume(j == 0 or abs(kt - j * np.pi) > 10 * step)

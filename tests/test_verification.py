@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hida_lab import verification as v
-from hida_lab.feynman import CausticClassification
+from hida_lab.fredholm import CausticClassification
 from hida_lab.gausskernels import donsker_T
 
 
