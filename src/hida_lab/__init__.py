@@ -11,8 +11,7 @@ from .spectral import (DeterminantReport, SpectralReport, analytic_eigenfunction
                        analytic_eigenvalues, determinant_closed, determinant_product,
                        determinant_report, discrete_spectrum)
 from .fredholm import (CausticClassification, analytic_gram_diagonal, caustic_check,
-                       closed_preimage_f, closed_preimage_g, gram_matrix, solve_N,
-                       verify_preimage)
+                       gram_matrix, solve_N, verify_preimage)
 from .gausskernels import (FiniteRankKernel, donsker_T, finite_rank_T,
                            montecarlo_gauss_expectation, normalized_exp_T)
 from .testfunctions import indicator_pair, random_suite

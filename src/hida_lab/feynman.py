@@ -286,6 +286,8 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
     j = len(gram)
     if ys.shape != (j,):
         raise InvalidParameterError(f"need {j} pinning values, got shape {ys.shape}")
+    if not np.isfinite(ys).all():
+        raise InvalidParameterError(f"pinning values must be finite, got {ys}")
     u = 1j * ys if coupling is None else 1j * ys + coupling
     sign = _convention_sign(convention)
     det_sign, gram_sign = branch

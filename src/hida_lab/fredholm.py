@@ -6,9 +6,10 @@ skew-circulant block once and gives the Fredholm determinant
 det(Id + B) = prod(1 - sigma^2), the exact 2-norm condition number
 max|1 +- sigma| / min|1 +- sigma|, which doubles as the caustic diagnostic,
 and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs by a twisted FFT.
-:func:`closed_solve` is the closed route's own N^{-1}, from the continuum
-Green's function in O(n).  The closed-form preimages of the indicator
-directions serve the paper's preimage check, :func:`verify_preimage`.
+:func:`closed_solve` is the closed route's own N^{-1}, the continuum
+Green's function integrated exactly over each cell, in O(n).  At the
+indicator directions it is the paper's closed-form preimages, which serve
+the paper's preimage check, :func:`verify_preimage`.
 
 The integrand is a Hida distribution off the exclusion set
 kt in {j pi} u {(j + 1/2) pi}.  Four guards enforce it, defined here alone:
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import (CausticError, GridMismatchError, InvalidParameterError,
                      NearSingularError)
 from .grid import Grid, GridFunctionPair, conj_norm_sq, pair_from_vector
-from .operators import MagneticModel, apply_N, apply_volterra
+from .operators import MagneticModel, apply_N
 from .testfunctions import indicator_pair
 
 _CAUSTIC_WINDOW = 1e-9          # window: |kt - j pi/2| <= this share of max(1, |kt|)
@@ -193,9 +194,12 @@ def closed_solve(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
         Z = P + W (1 - e^{-2ik tau}) / 2,   W = 2 P(t) / (1 + e^{-2ikt}),
         z = rho + ik (W - 2 Z),
 
-    with P(tau) = int_0^tau e^{-2ik(tau - s)} rho(s) ds.  P is the midpoint
-    running sum of :func:`operators.apply_volterra` and P(t) the midpoint
-    sum, so x is second order in h and uses neither the FFT nor a matrix.
+    with P(tau) = int_0^tau e^{-2ik(tau - s)} rho(s) ds.  With rho constant on
+    each cell, e^{2iks} is integrated exactly: a cell [s_l - h/2, s_l + h/2)
+    weighs e^{2ik s_l} by h sinc(kh/pi), the half cell [s_j - h/2, s_j] by
+    (h/2) e^{-ikh/2} sinc(kh/2pi).  So x is that rho's continuum N^{-1} at the
+    nodes to rounding, with no FFT and no matrix; at rho = eta_1 it is the
+    paper's i (cos 2ks + tan(kt) sin 2ks, tan(kt) cos 2ks - sin 2ks).
     W's denominator vanishes at the half-integer caustics (the band).  A
     complex rhs is solved as its real and imaginary parts, as
     :meth:`Resolvent.solve` does.
@@ -207,36 +211,17 @@ def closed_solve(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
 def _closed_id_plus_core(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
     """(Id + B)^{-1} rhs for a real 2n-vector rhs: the z = x1 + i x2 of closed_solve."""
     rho = rhs[:g.n] + 1j * rhs[g.n:]
+    kh = m.k * g.h
+    cell = g.h * np.sinc(kh / np.pi)                # int of e^{2iku} over |u| < h/2
+    half = 0.5 * g.h * np.exp(-0.5j * kh) * np.sinc(kh / (2 * np.pi))     # over -h/2 < u < 0
     phase = np.exp(2j * m.k * g.nodes)              # e^{2ik s_j}
     decay = np.conj(phase)                          # e^{-2ik s_j}
     weighted = phase * rho
-    p = decay * apply_volterra(g, weighted)
+    p = decay * (cell * (np.cumsum(weighted) - weighted) + half * weighted)
     end = np.exp(-2j * m.k * m.t)
-    w = 2.0 * end * g.h * np.sum(weighted) / (1.0 + end)
+    w = 2.0 * end * cell * np.sum(weighted) / (1.0 + end)
     z = rho + 1j * m.k * (w - 2.0 * (p + 0.5 * w * (1.0 - decay)))
     return np.concatenate([z.real, z.imag])
-
-
-def _tan_ratio(m: MagneticModel) -> float:
-    """sin(2kt) / (cos(2kt) + 1) = tan(kt), written with the guard applied."""
-    kt2 = 2.0 * m.k * m.t
-    return np.sin(kt2) / (np.cos(kt2) + 1.0)
-
-
-def closed_preimage_f(m: MagneticModel, g: Grid) -> GridFunctionPair:
-    """Closed form of N^{-1} (1_[0,t), 0)."""
-    check_away_from_caustic(m)
-    r = _tan_ratio(m)
-    s = g.nodes
-    comp1 = 1j * np.cos(2 * m.k * s) + 1j * r * np.sin(2 * m.k * s)
-    comp2 = 1j * r * np.cos(2 * m.k * s) - 1j * np.sin(2 * m.k * s)
-    return GridFunctionPair(grid=g, comp1=comp1, comp2=comp2)
-
-
-def closed_preimage_g(m: MagneticModel, g: Grid) -> GridFunctionPair:
-    """Closed form of N^{-1} (0, 1_[0,t)): (g1, g2) = (-f2, f1)."""
-    f = closed_preimage_f(m, g)
-    return GridFunctionPair(grid=g, comp1=-f.comp2, comp2=f.comp1)
 
 
 @dataclass(frozen=True)
@@ -252,14 +237,17 @@ class PreimageResidualReport:
 def verify_preimage(m: MagneticModel, g: Grid) -> PreimageResidualReport:
     """Residuals of N applied to the closed-form preimages against the indicators.
 
-    N is applied in O(n) by :func:`operators.apply_N`, which uses neither
-    the structured solve nor the closed form it checks.
+    N^{-1} eta_1 is :func:`closed_solve`'s, N^{-1} eta_2 its rotation (-x2, x1),
+    with which N commutes.  N is applied in O(n) by :func:`operators.apply_N`,
+    which uses neither the structured solve nor the closed form it checks.
     """
     eta1 = indicator_pair(g, 1)
     eta2 = indicator_pair(g, 2)
 
-    res_f = apply_N(m, g, closed_preimage_f(m, g))
-    res_g = apply_N(m, g, closed_preimage_g(m, g))
+    pre_f = pair_from_vector(g, closed_solve(m, g, eta1.as_vector()))
+    pre_g = GridFunctionPair(grid=g, comp1=-pre_f.comp2, comp2=pre_f.comp1)
+    res_f = apply_N(m, g, pre_f)
+    res_g = apply_N(m, g, pre_g)
     diff_f = GridFunctionPair(grid=g, comp1=res_f.comp1 - eta1.comp1,
                               comp2=res_f.comp2 - eta1.comp2)
     diff_g = GridFunctionPair(grid=g, comp1=res_g.comp1 - eta2.comp1,

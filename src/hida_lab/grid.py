@@ -9,6 +9,7 @@ one step h, so a grid is fixed by (t, n) alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,8 @@ class Grid:
     def __post_init__(self):
         if not self.t > 0:
             raise InvalidParameterError(f"duration t must be positive, got {self.t}")
+        if not math.isfinite(self.t):
+            raise InvalidParameterError(f"duration t must be finite, got {self.t}")
         if self.n < 2:
             raise InvalidParameterError(f"need at least 2 nodes, got {self.n}")
 

@@ -13,6 +13,7 @@ Id + B through it, and the dense builders here are its test oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,8 @@ class MagneticModel:
     def __post_init__(self):
         if not self.t > 0:
             raise InvalidParameterError(f"terminal time must be positive, got {self.t}")
+        if not (math.isfinite(self.k) and math.isfinite(self.t)):
+            raise InvalidParameterError(f"k and t must be finite, got k={self.k}, t={self.t}")
 
 
 @dataclass(frozen=True)

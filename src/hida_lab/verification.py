@@ -15,8 +15,7 @@ import numpy as np
 
 from .feynman import (composed_closed_value, free_limit_reference, magnetic_T,
                       printed_propagator_value, propagator, residual_convergence)
-from .fredholm import (caustic_check, closed_preimage_f, gram_matrix, solve_N,
-                       verify_preimage)
+from .fredholm import caustic_check, closed_solve, gram_matrix, solve_N, verify_preimage
 from .gausskernels import FiniteRankKernel, donsker_T, montecarlo_gauss_expectation
 from .grid import make_grid
 from .operators import MagneticModel
@@ -83,10 +82,9 @@ def check_preimage(sizes=(500, 1000, 2000)) -> CheckResult:
     orders = convergence_orders(residuals)
 
     g_fine = make_grid(m.t, sizes[-1])
-    solved = solve_N(m, g_fine, indicator_pair(g_fine, 1))
-    closed = closed_preimage_f(m, g_fine)
-    gap = float(max(np.abs(solved.comp1 - closed.comp1).max(),
-                    np.abs(solved.comp2 - closed.comp2).max()))
+    eta1 = indicator_pair(g_fine, 1)
+    gap = float(np.abs(solve_N(m, g_fine, eta1).as_vector()
+                       - closed_solve(m, g_fine, eta1.as_vector())).max())
 
     passed = residuals[-1] <= 1e-3 and gap <= 1e-3 and min(orders) >= 1.9
     return CheckResult(

@@ -244,6 +244,20 @@ def test_bad_flag_value_exit_code(capsys):
     assert cli.main(["sweep"]) == 2        # missing sweep parameters
 
 
+@pytest.mark.parametrize("argv", [
+    ["propagator", "--k", "nan", "--t", "1"],
+    ["propagator", "--k", "1", "--t", "inf"],
+    ["residual", "--k", "inf", "--t", "1"],
+    ["propagator", "--y1", "nan"],
+], ids=["k_nan", "t_inf", "residual_k_inf", "y1_nan"])
+def test_a_non_finite_parameter_is_a_config_error(capsys, argv):
+    """Refused with exit 2 before any number is made: no traceback (exit 1),
+    no NaN in the JSON (exit 0) and no numeric failure (exit 3)."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "config error" in err and "finite" in err and out == ""
+
+
 def test_there_is_no_samples_flag(tmp_path, capsys):
     """verify takes its sample count from --quick; --samples is not an option."""
     assert cli.main(["verify", "--samples", "5"]) == 2

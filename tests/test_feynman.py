@@ -309,6 +309,17 @@ def test_every_route_refuses_an_endpoint_that_is_not_a_pair(route, y):
         route(y)
 
 
+@pytest.mark.parametrize("route", [
+    lambda y: magnetic_T(M11, y),
+    lambda y: propagator(M11, y, n_grid=50),
+    _dense_route,
+], ids=["closed", "structured", "dense"])
+@pytest.mark.parametrize("y", [(np.nan, 0.0), (0.3, np.inf), (-np.inf, np.nan)])
+def test_every_route_refuses_a_non_finite_endpoint(route, y):
+    with pytest.raises(InvalidParameterError, match="pinning values must be finite"):
+        route(y)
+
+
 def test_closed_route_refuses_a_test_function_on_another_time_span():
     f = _bump(make_grid(2.0, 400), 0.45, 0.06)
     with pytest.raises(InvalidParameterError, match="different grid"):
@@ -664,12 +675,7 @@ def test_closed_route_at_f_makes_one_closed_solve_and_no_closed_preimage(monkeyp
     def counted(*args):
         calls.append(args)
         return fredholm.closed_solve(*args)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the closed route built a closed preimage")
     monkeypatch.setattr(feynman, "closed_solve", counted)
-    monkeypatch.setattr(fredholm, "closed_preimage_f", forbidden)
-    monkeypatch.setattr(fredholm, "closed_preimage_g", forbidden)
     g = make_grid(1.0, 400)
     rep = magnetic_T(M11, (0.3, -0.4), f=_bump(g, 0.45, 0.06))
     assert len(calls) == 1 and np.all(rep.u != 0.3j * np.array([1, -4 / 3]))
@@ -691,6 +697,20 @@ def test_closed_route_at_f_is_second_order(k, t):
     errs = np.array([abs(magnetic_T(m, y, f=_smooth_force(make_grid(t, n))).value - ref)
                      for n in (250, 500, 1000)]) / abs(ref)
     assert np.all(np.log2(errs[:-1] / errs[1:]) >= 1.9)
+
+
+@pytest.mark.parametrize("k, t, measured", [(1.0, 2.0, 2.35e-6), (-0.7, 5.57, 3.46e-5),
+                                            (1.3, 3.0, 3.38e-5), (1.0, 3.9, 5.28e-5)])
+def test_closed_route_at_f_is_accurate_at_250_nodes(k, t, measured):
+    """Relative error at n = 250 against n = 32 000, held to 1.5 times the
+    value measured with closed_solve integrating each cell exactly.  The
+    midpoint running sum it replaced read 6.8e-6, 1.9e-5, 1.3e-4 and 2.5e-4
+    here: (-0.7, 5.57) is the input that got worse (1.9e-5 -> 3.5e-5)."""
+    m = MagneticModel(k=k, t=t)
+    y = (0.3, -0.4)
+    ref = magnetic_T(m, y, f=_smooth_force(make_grid(t, 32_000))).value
+    err = abs(magnetic_T(m, y, f=_smooth_force(make_grid(t, 250))).value - ref) / abs(ref)
+    assert err <= 1.5 * measured
 
 
 def test_structured_route_at_f_refuses_a_test_function_on_another_grid():

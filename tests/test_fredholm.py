@@ -2,23 +2,37 @@
 
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hida_lab import (CausticError, GridMismatchError, MagneticModel,
-                      NearSingularError, analytic_gram_diagonal,
-                      closed_preimage_f, closed_preimage_g, determinant_report,
+                      NearSingularError, analytic_gram_diagonal, determinant_report,
                       discrete_spectrum, gram_matrix, magnetic_T, propagator,
                       solve_N, verify_preimage)
 from hida_lab import fredholm
 from hida_lab.fredholm import Resolvent, check_away_from_caustic, closed_solve, resolvent
-from hida_lab.grid import GridFunctionPair, conj_norm_sq, make_grid, pair, sample
+from hida_lab.grid import (GridFunctionPair, conj_norm_sq, make_grid, pair,
+                           pair_from_vector, sample)
 from hida_lab.operators import build_N
 from hida_lab.testfunctions import indicator_pair
 
 M11 = MagneticModel(k=1.0, t=1.0)
+
+
+def _preimage(m, g, a):
+    """closed_solve's N^{-1} eta_a as a pair."""
+    return pair_from_vector(g, closed_solve(m, g, indicator_pair(g, a).as_vector()))
+
+
+def _paper_preimage(m, g):
+    """The paper's closed form of N^{-1} eta_1 at the nodes, the oracle of
+    closed_solve: i (cos 2ks + tan(kt) sin 2ks, tan(kt) cos 2ks - sin 2ks)."""
+    r = np.tan(m.k * m.t)
+    c, s = np.cos(2 * m.k * g.nodes), np.sin(2 * m.k * g.nodes)
+    return 1j * np.concatenate([c + r * s, r * c - s])
 
 
 def test_solve_round_trips_through_N():
@@ -46,27 +60,29 @@ def test_solve_rejects_foreign_grid():
 def test_closed_preimage_values_at_zero_coupling_limit():
     """As k -> 0 the preimage of (1,0) tends to (i, 0)."""
     g = make_grid(1.0, 50)
-    f = closed_preimage_f(MagneticModel(k=1e-9, t=1.0), g)
+    f = _preimage(MagneticModel(k=1e-9, t=1.0), g, 1)
     np.testing.assert_allclose(f.comp1, 1j, atol=1e-8)
     np.testing.assert_allclose(f.comp2, 0.0, atol=1e-8)
 
 
 def test_closed_preimage_matches_solver():
     g = make_grid(1.0, 1000)
-    closed = closed_preimage_f(M11, g)
+    closed = _preimage(M11, g, 1)
     solved = solve_N(M11, g, indicator_pair(g, 1))
     assert np.abs(closed.as_vector() - solved.as_vector()).max() < 1e-5
-    closed_g = closed_preimage_g(M11, g)
+    closed_g = _preimage(M11, g, 2)
     solved_g = solve_N(M11, g, indicator_pair(g, 2))
     assert np.abs(closed_g.as_vector() - solved_g.as_vector()).max() < 1e-5
 
 
 def test_preimage_g_is_rotation_of_f():
+    """N^{-1} eta_2 = R N^{-1} eta_1, R(x1, x2) = (-x2, x1), to rounding."""
     g = make_grid(1.0, 64)
-    f = closed_preimage_f(M11, g)
-    gg = closed_preimage_g(M11, g)
-    np.testing.assert_array_equal(gg.comp1, -f.comp2)
-    np.testing.assert_array_equal(gg.comp2, f.comp1)
+    f = _preimage(M11, g, 1)
+    gg = _preimage(M11, g, 2)
+    tol = 4 * g.n * np.finfo(float).eps * f.sup_norm()
+    np.testing.assert_allclose(gg.comp1, -f.comp2, rtol=0, atol=tol)
+    np.testing.assert_allclose(gg.comp2, f.comp1, rtol=0, atol=tol)
 
 
 def test_residual_report_second_order():
@@ -88,8 +104,9 @@ def test_verify_preimage_matches_the_dense_apply(k, t):
     g = make_grid(t, 200)
     n_op = build_N(m, g)
     dense, scale = [], 0.0
-    for x, eta in ((closed_preimage_f(m, g), indicator_pair(g, 1)),
-                   (closed_preimage_g(m, g), indicator_pair(g, 2))):
+    x_f = _preimage(m, g, 1)
+    x_g = GridFunctionPair(grid=g, comp1=-x_f.comp2, comp2=x_f.comp1)
+    for x, eta in ((x_f, indicator_pair(g, 1)), (x_g, indicator_pair(g, 2))):
         res = n_op.apply(x)
         diff = GridFunctionPair(grid=g, comp1=res.comp1 - eta.comp1,
                                 comp2=res.comp2 - eta.comp2)
@@ -188,7 +205,7 @@ def test_caustic_guard_refuses_half_integer_times():
         check_away_from_caustic(near)
     assert exc.value.classification == "half_integer_caustic"
     with pytest.raises(CausticError):
-        closed_preimage_f(near, make_grid(near.t, 32))
+        _preimage(near, make_grid(near.t, 32), 1)
 
 
 def test_caustic_guard_band_is_where_cos_2kt_plus_one_vanishes():
@@ -285,20 +302,74 @@ def test_closed_solve_keeps_a_real_rhs_exactly_imaginary():
     assert np.count_nonzero(x.real) == 0 and np.count_nonzero(x.imag) > 0
 
 
-@pytest.mark.parametrize("k, t", [(1.0, 1.0), (-0.7, 2.5), (2.0, 4.0), (0.3, 9.0)])
+@pytest.mark.parametrize("k, t", [(1.0, 1.0), (-0.7, 2.5), (2.0, 4.0), (0.3, 9.0), (0.0, 1.5),
+                                  (-3.0, 2.5), (2.87, 2.0), (1e-9, 1.0)])
 def test_closed_solve_at_the_indicators_is_the_closed_preimage(k, t):
-    """At rho = eta_1, eta_2 the continuum solution is closed_preimage_f, _g;
-    the running sum leaves an O(h^2) gap."""
+    """eta_1 and eta_2 are constant on every cell, so closed_solve is the
+    continuum N^{-1} there: the paper's closed preimage and its rotation,
+    to rounding (16 n eps relative), on any grid, n = 2 and kt past 2 pi
+    included."""
     m = MagneticModel(k=k, t=t)
-    gaps = []
-    for n in (400, 800, 1600):
+    for n in (2, 7, 400, 1000):
         g = make_grid(t, n)
-        gap = max(np.abs(closed_solve(m, g, indicator_pair(g, a).as_vector())
-                         - closed(m, g).as_vector()).max()
-                  for a, closed in ((1, closed_preimage_f), (2, closed_preimage_g)))
-        assert gap <= (k * g.h) ** 2 * np.abs(closed_preimage_f(m, g).comp1).max()
-        gaps.append(gap)
-    assert np.all(np.log2(np.array(gaps[:-1]) / np.array(gaps[1:])) >= 1.9)
+        paper_f = _paper_preimage(m, g)
+        paper_g = np.concatenate([-paper_f[n:], paper_f[:n]])
+        tol = 16 * n * np.finfo(float).eps * np.abs(paper_f).max()
+        for a, paper in ((1, paper_f), (2, paper_g)):
+            solved = closed_solve(m, g, indicator_pair(g, a).as_vector())
+            np.testing.assert_allclose(solved, paper, rtol=0, atol=tol)
+
+
+def _green_solve(k, t, rho):
+    """i z, z = (Id + B)^{-1} rho at the midpoints tau_j, for rho constant on n cells:
+    z(tau) = rho(tau) + int_0^t G(tau, s) rho(s) ds with the continuum Green's
+    function G = 2ik e^{-2ik(tau - s)} (1 / (1 + e^{2ikt}) - [s < tau]), its
+    e^{2iks} integrated by mpmath.quad over each cell and each half cell at
+    30 digits."""
+    with mpmath.workdps(30):
+        k, t = mpmath.mpf(k), mpmath.mpf(t)
+        n = len(rho)
+        h = t / n
+
+        def integral(lo, hi):
+            return mpmath.quad(lambda s: mpmath.exp(2j * k * s), [lo, hi])
+
+        first = 1 / (1 + mpmath.exp(2j * k * t))
+        cells = [rho[l] * integral(l * h, (l + 1) * h) for l in range(n)]
+        whole, before, z = sum(cells), mpmath.mpc(0), []
+        for j in range(n):
+            tau = (j + mpmath.mpf(1) / 2) * h
+            below = before + rho[j] * integral(j * h, tau)        # the s < tau part
+            z.append(complex(rho[j] + 2j * k * mpmath.exp(-2j * k * tau)
+                             * (first * whole - below)))
+            before += cells[j]
+    z = np.array(z)
+    return 1j * np.concatenate([z.real, z.imag])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(min_value=-3.0, max_value=3.0, allow_subnormal=False),
+       st.floats(min_value=0.05, max_value=8.0),
+       st.integers(min_value=2, max_value=12).flatmap(
+           lambda n: st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                              min_size=2 * n, max_size=2 * n)))
+@example(0.0, 1.0, [0.5, -0.2, 0.1, 0.9])
+@example(-2.9, 8.0, [1.0] * 12 + [-1.0] * 12)
+def test_closed_solve_is_the_continuum_green_function_on_cellwise_constant_data(k, t, r):
+    """rho = r1 + i r2 constant on each cell: closed_solve against an mpmath
+    evaluation of the continuum Green's function, to 256 eps of rounding
+    amplified by 1 / |1 + e^{2ikt}| (measured: at most 26 eps of it on 400
+    seeded draws).  Skipped: kt within 1e-3 of the half-integer band."""
+    kt = k * t
+    assume(abs(kt - (np.floor(kt / np.pi) + 0.5) * np.pi) > 1e-3)
+    assume(max(map(abs, r)) > 1e-3)
+    n = len(r) // 2
+    rhs = np.array(r)
+    oracle = _green_solve(k, t, rhs[:n] + 1j * rhs[n:])
+    solved = closed_solve(MagneticModel(k=k, t=t), make_grid(t, n), rhs)
+    scale = max(np.abs(oracle).max(), np.abs(rhs).max())
+    amplification = max(1.0, 1.0 / abs(1.0 + np.exp(2j * kt)))
+    assert np.abs(solved - oracle).max() <= 256 * np.finfo(float).eps * amplification * scale
 
 
 def test_closed_solve_refuses_a_half_integer_caustic():

@@ -41,6 +41,12 @@ def test_make_grid_rejects_bad_parameters(t, n):
             build(t, n)
 
 
+def test_grid_refuses_an_infinite_duration():
+    for build in (make_grid, Grid):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            build(np.inf, 4)
+
+
 def test_sample_accepts_constants_and_callables():
     g = make_grid(1.0, 10)
     f = sample(2.0, lambda s: s, g)

@@ -20,6 +20,12 @@ def test_model_requires_positive_time():
     MagneticModel(k=0.0, t=1.0)  # zero coupling is allowed
 
 
+@pytest.mark.parametrize("k, t", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (1.0, np.inf)])
+def test_model_refuses_a_non_finite_coupling_or_time(k, t):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        MagneticModel(k=k, t=t)
+
+
 def test_volterra_matches_cumulative_integral():
     # A applied to s -> s^2 should give s^3/3 with O(n^-2) error.
     g = make_grid(1.0, 500)

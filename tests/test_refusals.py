@@ -122,53 +122,53 @@ VERDICTS = {
     "window_half_out+": (-0.1581762473j, -0.1591549431j, "half", -0.1581762473j, "half",
         "half", "half", 0.001622295643),
     "window_int_in-": ("int", "int", "int", -601.0338716j, 0.1324672083j, -0.0002583489694j,
-        0.1325127318j, "int@1pi"),
+        0.1324899145j, "int@1pi"),
     "window_int_in+": ("int", "int", "int", -601.0411786j, 0.1324672085j, -0.0002583458286j,
-        0.132512732j, "int@1pi"),
-    "window_int_out-": (-601.0229115j, -25330294.53j, -3940192.842-25021964.38j, -601.0229115j,
-        0.132467208j, -0.0002583536807j, 0.1325127315j, 62123994.23),
-    "window_int_out+": (-601.0521395j, 25330297.31j, -11453083.2+22593159.29j, -601.0521395j,
-        0.1324672088j, -0.0002583411174j, 0.1325127323j, "int@1pi"),
+        0.1324899147j, "int@1pi"),
+    "window_int_out-": (-601.0229115j, -25330294.53j, 16259622.55-19422885.86j, -601.0229115j,
+        0.132467208j, -0.0002583536807j, 0.1324899141j, 62123994.23),
+    "window_int_out+": (-601.0521395j, 25330297.31j, 9487374.201+23486457.64j, -601.0521395j,
+        0.1324672088j, -0.0002583411174j, 0.132489915j, "int@1pi"),
     "window_int_kneg_in": ("int", "int", "int", -781.3440331j, 0.1875551414j,
-        -0.0001987299765j, 0.1876222281j, "int@-1pi"),
-    "window_int_kneg_out": (-781.3677813j, 32929386.5j, -26502235.72+19544206.23j,
-        -781.3677813j, 0.1875551426j, -0.0001987239365j, 0.1876222293j, "int@-1pi"),
+        -0.0001987299765j, 0.1876011525j, "int@-1pi"),
+    "window_int_kneg_out": (-781.3677813j, 32929386.5j, 31649273.94+9092191.95j,
+        -781.3677813j, 0.1875551426j, -0.0001987239365j, 0.1876011537j, "int@-1pi"),
     "band_in-": (-0.158176335j, -0.1591549435j, "half", -0.158176335j, "half", "half", "half",
         0.001622462935),
     "band_in+": (-0.1581761604j, -0.1591549435j, "half", -0.1581761604j, "half", "half",
         "half", 0.001622128402),
-    "band_out-": (-0.1581763375j, -0.1591549435j, -0.006480583177-0.1590229483j,
-        -0.1581763375j, 164.9825751j, 9588.410842j, 238.9531068j, 0.001622467715),
-    "band_out+": (-0.1581761579j, -0.1591549435j, -0.007262290823-0.1589891668j,
-        -0.1581761579j, -433.1822097j, -25189.8374j, -238.817652j, 0.001622123624),
+    "band_out-": (-0.1581763375j, -0.1591549435j, -0.006675646002-0.1590148792j,
+        -0.1581763375j, 164.9825751j, 9588.410842j, 238.9506482j, 0.001622467715),
+    "band_out+": (-0.1581761579j, -0.1591549435j, -0.00706683265-0.1589979746j,
+        -0.1581761579j, -433.1822097j, -25189.8374j, -238.8151987j, 0.001622123624),
     "band_kneg_in": (-0.105393485j, 0.1114084604j, "half", -0.105393485j, "half", "half",
         "half", "int@-1pi"),
-    "band_kneg_out": (-0.1053934798j, 0.1114084605j, 0.07653046198+0.0809625435j,
-        -0.1053934798j, 502.5299027j, 1786.157949j, -5579.602901j, "int@-1pi"),
+    "band_kneg_out": (-0.1053934798j, 0.1114084605j, 0.05330591791+0.09782803369j,
+        -0.1053934798j, 502.5299027j, 1786.157949j, -5579.086716j, "int@-1pi"),
     "floor_in-": ("half@det", -0.1591549432j, "half", "half@det", "half", "half", "half",
         0.001622220838),
     "floor_out-": (-0.1581762083j, -0.1591549432j, "half", -0.1581762083j, "half", "half",
         "half", 0.001622220862),
-    "cond_in-": ("cond", -52.88864045j, 35.25150402+39.42765214j, "cond", "cond", "cond",
-        -0.04861977597j, "int@20pi"),
-    "cond_out-": (-1.396812696e-07j, -52.88864054j, 35.25150635+39.42765017j, "cond",
-        42920873.2j, 142545109.5j, -0.04861977615j, "int@20pi"),
-    "cond_dense_in-": (-1.396847307e-07j, -52.88864075j, 35.25151215+39.42764527j, "cond",
-        29567185.68j, 98195991.95j, -0.04861977658j, "int@20pi"),
-    "cond_dense_out-": (-1.396848369e-07j, -52.88864092j, 35.25151663+39.42764149j,
-        -1.39683319e-07j, 23843996.7j, 79188629.36j, -0.04861977692j, "int@20pi"),
+    "cond_in-": ("cond", -52.88864045j, 28.08388108-44.81633533j, "cond", "cond", "cond",
+        0.03927513372j, "int@20pi"),
+    "cond_out-": (-1.396812696e-07j, -52.88864054j, 28.08388116-44.81633538j, "cond",
+        42920873.2j, 142545109.5j, 0.03927513371j, "int@20pi"),
+    "cond_dense_in-": (-1.396847307e-07j, -52.88864075j, 28.08388138-44.8163355j, "cond",
+        29567185.68j, 98195991.95j, 0.03927513371j, "int@20pi"),
+    "cond_dense_out-": (-1.396848369e-07j, -52.88864092j, 28.08388154-44.81633559j,
+        -1.39683319e-07j, 23843996.7j, 79188629.36j, 0.03927513371j, "int@20pi"),
     "floor_in+": ("half@det", -0.1591549432j, "half", "half@det", "half", "half", "half",
         0.001622216113),
     "floor_out+": (-0.1581762059j, -0.1591549432j, "half", -0.1581762059j, "half", "half",
         "half", 0.001622216089),
-    "cond_in+": ("cond", -52.88863966j, 35.251483+39.42766987j, "cond", "cond", "cond",
-        -0.04861977441j, "int@20pi"),
-    "cond_out+": (-1.39685368e-07j, -52.88863958j, 35.25148067+39.42767184j, "cond",
-        -42917934.79j, -142535350.7j, -0.04861977423j, "int@20pi"),
-    "cond_dense_in+": (-1.396828482e-07j, -52.88863936j, 35.25147487+39.42767674j, "cond",
-        -29567185.68j, -98195991.96j, -0.0486197738j, "int@20pi"),
-    "cond_dense_out+": (-1.396844572e-07j, -52.88863919j, 35.25147039+39.42768051j,
-        -1.396833187e-07j, -23844385.38j, -79189920.23j, -0.04861977347j, "int@20pi"),
+    "cond_in+": ("cond", -52.88863966j, 28.0838803-44.81633489j, "cond", "cond", "cond",
+        0.03927513372j, "int@20pi"),
+    "cond_out+": (-1.39685368e-07j, -52.88863958j, 28.08388021-44.81633484j, "cond",
+        -42917934.79j, -142535350.7j, 0.03927513372j, "int@20pi"),
+    "cond_dense_in+": (-1.396828482e-07j, -52.88863936j, 28.08388-44.81633472j, "cond",
+        -29567185.68j, -98195991.96j, 0.03927513372j, "int@20pi"),
+    "cond_dense_out+": (-1.396844572e-07j, -52.88863919j, 28.08387983-44.81633462j,
+        -1.396833187e-07j, -23844385.38j, -79189920.23j, 0.03927513372j, "int@20pi"),
 }
 
 
