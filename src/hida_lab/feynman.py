@@ -67,7 +67,7 @@ from .errors import (ConditionViolationError, InvalidParameterError, NearSingula
                      NumericFailureError)
 from .fredholm import (Resolvent, analytic_gram_diagonal, closed_solve, refuse_caustic,
                        refuse_caustic_in_span, refuse_ill_conditioned,
-                       refuse_singular_determinant)
+                       refuse_singular_determinant, rotation_gram)
 from .grid import Grid, GridFunctionPair, make_grid
 from .operators import BlockOperator, MagneticModel
 from .testfunctions import indicator_pair
@@ -421,8 +421,9 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
     matrix: O(n log n) time and O(n) memory.  The determinant, the condition
     number and N^{-1} all come from :class:`fredholm.Resolvent`.  The Gram
     matrix needs one solve: with N^{-1} eta_1 = (x1, x2), N^{-1} eta_2 =
-    (-x2, x1).  A test function f, which must live on the n_grid grid,
-    takes one more solve N^{-1} f, made by ``_compose`` as for every route.
+    (-x2, x1) (:func:`fredholm.rotation_gram`).  A test function f, which
+    must live on the n_grid grid, takes one more solve N^{-1} f, made by
+    ``_compose`` as for every route.
     Composition and refusals are those of the dense oracle.
     """
     refuse_caustic(m)
@@ -431,11 +432,7 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
     determinant = res.determinant
     refuse_singular_determinant(determinant)
     refuse_ill_conditioned(res.cond_estimate)
-    x = res.solve(indicator_pair(g, 1).as_vector().real)
-    # M_ab = (eta_a, N^{-1} eta_b): the eta_1 and eta_2 components of x.
-    m11 = g.h * np.sum(x[:g.n])
-    m21 = g.h * np.sum(x[g.n:])
-    gram = np.array([[m11, -m21], [m21, m11]])
+    gram = rotation_gram(g, res.solve(indicator_pair(g, 1).as_vector().real))
     _gram_branch(gram, _GRAM_TOL)     # LemmaEvaluator's admissibility verdict
     return _compose(determinant, gram, y, g, f, res.solve, route="structured",
                     cond_estimate=res.cond_estimate)

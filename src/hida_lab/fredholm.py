@@ -9,7 +9,11 @@ and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs by a twisted FFT.
 :func:`closed_solve` is the closed route's own N^{-1}, the continuum
 Green's function integrated exactly over each cell, in O(n).  At the
 indicator directions it is the paper's closed-form preimages, which serve
-the paper's preimage check, :func:`verify_preimage`.
+the paper's preimage check, :func:`verify_preimage`.  Its report holds
+their residuals under N, their sup gap to one structured solve of eta_1,
+and the indicators' Gram matrix from that one solve by the rotation
+N^{-1} eta_2 = (-x2, x1) (:func:`rotation_gram`, which the structured
+propagator uses too).
 
 The integrand is a Hida distribution off the exclusion set
 kt in {j pi} u {(j + 1/2) pi}.  Four guards enforce it, defined here alone:
@@ -23,7 +27,7 @@ kt in {j pi} u {(j + 1/2) pi}.  Four guards enforce it, defined here alone:
   floor     |det(Id + B)| < 1e-12,       structured; dense             CausticError,         4
             refuse_singular_determinant                                half_integer_caustic
   condition cond(N) > 1e12,              structured; dense; solve_N    NearSingularError     3
-            refuse_ill_conditioned       and gram_matrix
+            refuse_ill_conditioned       and gram_matrix; preimage
 
 :func:`caustic_check` classifies without refusing, and the residual's window
 is :func:`refuse_caustic_in_span`.  Each CausticError carries kt (the
@@ -224,6 +228,15 @@ def _closed_id_plus_core(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarr
     return np.concatenate([z.real, z.imag])
 
 
+def rotation_gram(g: Grid, x: np.ndarray) -> np.ndarray:
+    """The Gram matrix M_ab = (eta_a, N^{-1} eta_b) of the indicators from
+    x = N^{-1} eta_1 alone: N commutes with the rotation R(x1, x2) = (-x2, x1),
+    so N^{-1} eta_2 = R x and M = [[m11, -m21], [m21, m11]]."""
+    m11 = g.h * np.sum(x[:g.n])
+    m21 = g.h * np.sum(x[g.n:])
+    return np.array([[m11, -m21], [m21, m11]])
+
+
 @dataclass(frozen=True)
 class PreimageResidualReport:
     model: MagneticModel
@@ -232,19 +245,28 @@ class PreimageResidualReport:
     sup_g: float
     quad_f: float
     quad_g: float
+    solve_vs_closed_sup: float        # max |structured - closed| over both components
+    gram: np.ndarray = field(repr=False)    # rotation_gram of the structured N^{-1} eta_1
 
 
 def verify_preimage(m: MagneticModel, g: Grid) -> PreimageResidualReport:
-    """Residuals of N applied to the closed-form preimages against the indicators.
+    """The paper's preimage check at the indicators, each preimage solved once.
 
-    N^{-1} eta_1 is :func:`closed_solve`'s, N^{-1} eta_2 its rotation (-x2, x1),
-    with which N commutes.  N is applied in O(n) by :func:`operators.apply_N`,
-    which uses neither the structured solve nor the closed form it checks.
+    The residuals are those of N applied to the closed preimages against the
+    indicators: N^{-1} eta_1 is :func:`closed_solve`'s, N^{-1} eta_2 its
+    rotation (-x2, x1), with which N commutes.  N is applied in O(n) by
+    :func:`operators.apply_N`, which uses neither the structured solve nor
+    the closed form it checks.  One structured solve of eta_1 by
+    :func:`resolvent` gives the solve-vs-closed gap and the Gram matrix
+    (:func:`rotation_gram`).  Refuses the band and the condition limit.
     """
     eta1 = indicator_pair(g, 1)
     eta2 = indicator_pair(g, 2)
 
-    pre_f = pair_from_vector(g, closed_solve(m, g, eta1.as_vector()))
+    rhs = eta1.as_vector()
+    closed = closed_solve(m, g, rhs)
+    solved = resolvent(m, g).solve(rhs)
+    pre_f = pair_from_vector(g, closed)
     pre_g = GridFunctionPair(grid=g, comp1=-pre_f.comp2, comp2=pre_f.comp1)
     res_f = apply_N(m, g, pre_f)
     res_g = apply_N(m, g, pre_g)
@@ -256,7 +278,9 @@ def verify_preimage(m: MagneticModel, g: Grid) -> PreimageResidualReport:
         model=m, grid=g,
         sup_f=diff_f.sup_norm(), sup_g=diff_g.sup_norm(),
         quad_f=float(np.sqrt(conj_norm_sq(diff_f))),
-        quad_g=float(np.sqrt(conj_norm_sq(diff_g))))
+        quad_g=float(np.sqrt(conj_norm_sq(diff_g))),
+        solve_vs_closed_sup=float(np.abs(solved - closed).max()),
+        gram=rotation_gram(g, solved))
 
 
 def gram_matrix(m: MagneticModel, g: Grid, etas) -> np.ndarray:

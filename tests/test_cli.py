@@ -16,9 +16,14 @@ import pytest
 
 import hida_lab.cli as cli
 import hida_lab.verification as verification
-from hida_lab import MagneticModel, propagator
+from hida_lab import (MagneticModel, analytic_gram_diagonal, fredholm, gram_matrix, propagator,
+                      verify_preimage)
 from hida_lab.errors import InvalidParameterError, NearSingularError
+from hida_lab.fredholm import Resolvent
+from hida_lab.grid import make_grid
+from hida_lab.testfunctions import indicator_pair
 from hida_lab.verification import CheckResult
+from test_refusals import POINTS
 
 
 def run_cli(capsys, *argv):
@@ -244,18 +249,99 @@ def test_bad_flag_value_exit_code(capsys):
     assert cli.main(["sweep"]) == 2        # missing sweep parameters
 
 
-@pytest.mark.parametrize("argv", [
-    ["propagator", "--k", "nan", "--t", "1"],
-    ["propagator", "--k", "1", "--t", "inf"],
-    ["residual", "--k", "inf", "--t", "1"],
-    ["propagator", "--y1", "nan"],
-], ids=["k_nan", "t_inf", "residual_k_inf", "y1_nan"])
-def test_a_non_finite_parameter_is_a_config_error(capsys, argv):
-    """Refused with exit 2 before any number is made: no traceback (exit 1),
-    no NaN in the JSON (exit 0) and no numeric failure (exit 3)."""
+SWEEP = ["sweep", "--sweep-param", "t", "--sweep-start", "0.5", "--sweep-stop", "1.0",
+         "--sweep-steps", "2", "--grid-points", "60"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["propagator", "--k", "nan", "--t", "1"], "--k"),
+    (["propagator", "--k", "1", "--t", "inf"], "--t"),
+    (["residual", "--k", "inf", "--t", "1"], "--k"),
+    (["propagator", "--y1", "nan"], "--y1"),
+    (SWEEP + ["--y1", "nan"], "--y1"),
+    (SWEEP + ["--y2", "inf"], "--y2"),
+    (SWEEP + ["--k", "nan"], "--k"),
+    (SWEEP + ["--t", "inf"], "--t"),
+    (["sweep", "--sweep-param", "k", "--sweep-stop", "inf", "--sweep-steps", "2"],
+     "--sweep-stop"),
+    (["sweep", "--sweep-param", "t", "--sweep-start=-inf", "--sweep-steps", "2"],
+     "--sweep-start"),
+], ids=["k_nan", "t_inf", "residual_k_inf", "y1_nan", "sweep_y1_nan", "sweep_y2_inf",
+        "sweep_k_nan", "sweep_t_inf", "sweep_stop_inf", "sweep_start_minus_inf"])
+def test_a_non_finite_parameter_is_a_config_error(capsys, argv, option):
+    """Refused with exit 2 by the option's type, before any number is made:
+    no traceback (exit 1), no NaN in the JSON (exit 0) and no numeric
+    failure (exit 3).  So a sweep neither refuses every row and echoes NaN
+    in its config nor takes np.linspace to inf (a warning, an error under
+    this suite's filter)."""
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert "config error" in err and "finite" in err and out == ""
+    assert code == 2 and out == ""
+    assert "config error" in err and f"argument {option}: " in err and "finite" in err
+
+
+def test_a_non_finite_config_value_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("y1 = nan\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), *SWEEP)
+    assert code == 2 and out == ""
+    assert "config error" in err and "argument --y1: " in err and "finite" in err
+
+
+def _complex(value):
+    """A complex number, or a nested list of them, from the report's {re, im}."""
+    if isinstance(value, list):
+        return np.array([_complex(v) for v in value])
+    return complex(value["re"], value["im"])
+
+
+@pytest.mark.parametrize("k, t, n", [(1.0, 1.0, 2000), (0.7, 1.3, 1000), (-1.3, 4.0, 777),
+                                     (2.0, 5.0, 2000)])
+def test_preimage_reports_verify_preimage(capsys, monkeypatch, k, t, n):
+    """preimage prints verify_preimage's report, made from one Resolvent.of
+    and one closed_solve; its Gram matrix, from one solve, is gram_matrix's
+    two-solve one to the O(n eps) rounding of their sums."""
+    calls = []
+    of, closed_solve = Resolvent.of, fredholm.closed_solve
+
+    def counted_of(cls, m, g):
+        calls.append("Resolvent.of")
+        return of(m, g)
+
+    def counted_closed_solve(m, g, rhs):
+        calls.append("closed_solve")
+        return closed_solve(m, g, rhs)
+    monkeypatch.setattr(Resolvent, "of", classmethod(counted_of))
+    monkeypatch.setattr(fredholm, "closed_solve", counted_closed_solve)
+    code, out, _ = run_cli(capsys, "preimage", f"--k={k!r}", f"--t={t!r}",
+                           "--grid-points", str(n))
+    assert code == 0
+    assert sorted(calls) == ["Resolvent.of", "closed_solve"]
+    monkeypatch.undo()
+
+    results = json.loads(out)["results"]
+    m, g = MagneticModel(k=k, t=t), make_grid(t, n)
+    rep = verify_preimage(m, g)
+    scalars = {"residual_sup_f": rep.sup_f, "residual_sup_g": rep.sup_g,
+               "residual_quad_f": rep.quad_f, "residual_quad_g": rep.quad_g,
+               "solve_vs_closed_sup": rep.solve_vs_closed_sup}
+    assert {name: results[name] for name in scalars} == scalars
+    gram = _complex(results["gram"])
+    np.testing.assert_array_equal(gram, rep.gram)
+    two = gram_matrix(m, g, (indicator_pair(g, 1), indicator_pair(g, 2)))
+    assert np.abs(gram - two).max() <= 4 * n * np.finfo(float).eps * np.abs(two).max()
+    assert _complex(results["gram_analytic_diagonal"]) == analytic_gram_diagonal(m)
+
+
+@pytest.mark.parametrize("point, code", [("band_in-", 4), ("band_in+", 4), ("band_kneg_in", 4),
+                                         ("cond_in-", 3), ("cond_in+", 3)])
+def test_preimage_exit_codes_at_the_guards(capsys, point, code):
+    """The band is a caustic (exit 4), the condition limit a numeric failure
+    (exit 3), at the inputs of the verdict table."""
+    k, t, n = POINTS[point]
+    got, out, err = run_cli(capsys, "preimage", f"--k={float(k)!r}", f"--t={float(t)!r}",
+                            "--grid-points", str(n))
+    assert got == code and out == ""
+    assert ("half_integer_caustic" in err) == (code == 4)
 
 
 def test_there_is_no_samples_flag(tmp_path, capsys):
