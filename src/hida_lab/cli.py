@@ -3,16 +3,18 @@
 Every subcommand emits one JSON object {config, results, diagnostics,
 versions}; complex numbers are serialized as {"re": ..., "im": ...} and the
 timestamp lives in a separate header field so identical configs produce
-byte-identical result sections.
+byte-identical result sections.  A report is strict JSON: one that would
+carry nan or inf is not written, and the command is a numeric failure.
 
 Every option is defined, typed, checked and defaulted once, in `OPTIONS`
-(a float option refuses nan and inf, so no report carries either), and
-each command in `COMMANDS` declares only the options it reads, so a
-report's `config` holds exactly the options that made it.  A `--config`
-file of `key = value` lines goes through the chosen command's parser, as
-the flags do, so a bad value, a key that command does not declare or an
-unreadable file is a config error; `quick` takes 1/true/yes/on or
-0/false/no/off.  Flags on the command line win over the file.
+(a float option refuses nan and inf, and a k*t that overflows or is a
+nonzero below the smallest normal float is refused too), and each command
+in `COMMANDS` declares only the options it reads, so a report's `config`
+holds exactly the options that made it.  A `--config` file of
+`key = value` lines goes through the chosen command's parser, as the flags
+do, so a bad value, a key that command does not declare or an unreadable
+file is a config error; `quick` takes 1/true/yes/on or 0/false/no/off.
+Flags on the command line win over the file.
 
 Exit codes: 0 success, 1 verification failure, 2 config error,
 3 numeric failure, 4 caustic.
@@ -116,7 +118,11 @@ def emit(args: argparse.Namespace, results: dict, diagnostics: dict | None = Non
                           for k, v in row.items()} for row in rows)
         text = buf.getvalue()
     else:
-        text = json.dumps(payload, indent=2, sort_keys=True, default=_json) + "\n"
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True, default=_json,
+                              allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NumericFailureError(f"the report holds a non-finite number: {exc}") from None
     if args.out_file:
         with open(args.out_file, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -15,8 +15,7 @@ Three evaluation routes exist on purpose:
 * :class:`LemmaEvaluator` composes the T-transform from fully numeric
   dense ingredients for any K, L: one dense LU of N gives the determinant,
   the resolvent solves and the numeric Gram matrix.  It is the dense
-  oracle.  When N is i times a real matrix, as the magnetic
-  N = -i(Id + B) is, that LU is a real one.
+  oracle.  When N = -iR with R real (:mod:`fredholm`), that LU is R's.
 
 The closed and structured routes share no solve, and ``verify``'s
 ``two_path_consistency`` compares them at seeded test functions.  All three
@@ -65,8 +64,8 @@ import numpy as np
 
 from .errors import (ConditionViolationError, InvalidParameterError, NearSingularError,
                      NumericFailureError)
-from .fredholm import (Resolvent, analytic_gram_diagonal, closed_solve, refuse_caustic,
-                       refuse_caustic_in_span, refuse_ill_conditioned,
+from .fredholm import (Resolvent, analytic_gram_diagonal, closed_solve, lift,
+                       refuse_caustic, refuse_caustic_in_span, refuse_ill_conditioned,
                        refuse_singular_determinant, rotation_gram)
 from .grid import Grid, GridFunctionPair, make_grid
 from .operators import BlockOperator, MagneticModel
@@ -121,13 +120,10 @@ class LemmaEvaluator:
     directions is built from resolvent solves.  ``evaluate`` is then cheap
     per test function.
 
-    When Re N = 0 exactly, so N = i R with R real, the buffer holds R and the
-    LU is real, about a quarter of the flops of a complex one.  The magnetic
-    N = -i(Id + B) is such a case.  Nothing is approximated: the phase i
-    factors out exactly, as det N = (-1)^n det R for 2n x 2n N,
-    N^{-1} b = -i R^{-1} b and cond(N) = cond(R).  A complex b goes through
-    R^{-1} as two real columns, its real and imaginary parts.  Any other N is
-    factored as a complex matrix.
+    When Re N = 0 exactly, N = -iR with R real (the magnetic R = Id + B), the
+    buffer holds R and the LU is real, about a quarter of the flops of a
+    complex one, with det N = (-1)^n det R, cond(N) = cond(R) and the solves
+    lifted by :func:`fredholm.lift`.  Any other N is factored as a complex matrix.
     """
 
     def __init__(self, K: BlockOperator, L: BlockOperator, etas=()):
@@ -145,7 +141,7 @@ class LemmaEvaluator:
         sign_k, logdet_k = _slogdet_id_plus(K.entries)
         if sign_k == 0:
             raise NearSingularError("Id + K is singular", cond_estimate=np.inf)
-        # The one dense buffer a: N itself, or the real Im N when N = i a.
+        # The one dense buffer a: N itself, or the real R when N = -iR.
         a = _assemble_N(K.entries, L.entries)
         real = not np.iscomplexobj(a)
         # a.T is a^T in Fortran order, which LAPACK reads and factors in place.
@@ -155,9 +151,9 @@ class LemmaEvaluator:
         anorm = lange("I", a.T)
         lu, piv = sla.lu_factor(a.T, overwrite_a=True)
         solve = partial(sla.lu_solve, (lu, piv), trans=1)
-        self._solve = partial(_solve_real, solve) if real else solve
+        self._solve = partial(lift, solve) if real else solve
         # det a = (-1)^swaps prod diag(U), a zero pivot giving det N = 0; for
-        # N = i a, det N = i^2n det a = (-1)^n det a.
+        # N = -iR, det N = (-i)^2n det R = (-1)^n det R.
         sign_u, log_abs_n = _slogdet_diagonal(np.diagonal(lu))
         swaps = np.count_nonzero(piv != np.arange(n2)) + (self.grid.n if real else 0)
         phase_n = (-1) ** swaps * sign_u
@@ -183,15 +179,14 @@ class LemmaEvaluator:
 
 
 def _assemble_N(k: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """N = Id + k + l as one dense buffer, or the real Im N when Re N = 0.
+    """N = Id + k + l as one dense buffer, or the real R = -Im N when Re N = 0.
 
-    The test is exact: Re N = 0 everywhere (the magnetic N = -i(Id + B)) gives
-    the real buffer Im N, with N = i Im N.  Re N is formed a block of rows at
-    a time, so that case makes no complex 2n x 2n matrix.  Any other N comes
-    back whole and complex; the real buffer is dropped before that one is made.
+    The test is exact.  Re N is formed a block of rows at a time, so the real
+    case makes no complex 2n x 2n matrix.  Any other N comes back whole and
+    complex; the real buffer is dropped before that one is made.
     """
     n2 = len(k)
-    im_n = np.empty((n2, n2))
+    r = np.empty((n2, n2))
     re_block = np.empty((min(_ROWS, n2), n2))
     for start in range(0, n2, _ROWS):
         stop = min(start + _ROWS, n2)
@@ -199,26 +194,12 @@ def _assemble_N(k: np.ndarray, l: np.ndarray) -> np.ndarray:
         np.add(k.real[start:stop], l.real[start:stop], out=re)
         re[np.arange(stop - start), np.arange(start, stop)] += 1.0
         if re.any():
-            del im_n
+            del r
             n_matrix = k + l
             n_matrix[np.diag_indices(n2)] += 1.0
             return n_matrix
-        np.add(k.imag[start:stop], l.imag[start:stop], out=im_n[start:stop])
-    return im_n
-
-
-def _solve_real(solve, rhs: np.ndarray) -> np.ndarray:
-    """N^{-1} rhs for N = i a with a real, given solve = a^{-1} on real arrays.
-
-    The real and imaginary parts of rhs go in as separate real columns: a
-    complex rhs would make scipy cast the real LU to complex.
-    """
-    rhs = np.asarray(rhs)
-    columns = rhs.reshape(len(rhs), -1)
-    j = columns.shape[1]
-    x = solve(np.concatenate([columns.real, columns.imag], axis=1))
-    # N^{-1} rhs = -i a^{-1} rhs.
-    return (x[:, j:] - 1j * x[:, :j]).reshape(rhs.shape)
+        np.add(k.imag[start:stop], l.imag[start:stop], out=r[start:stop])
+    return np.negative(r, out=r)
 
 
 def _slogdet_id_plus(k: np.ndarray):

@@ -1,6 +1,8 @@
 """Resolvent solves N x = eta, closed-form preimages, the Gram matrix, and every refusal.
 
-On the grid N = -i (Id + B).  :class:`Resolvent` is the structured N^{-1}
+On the grid N = -iR with R = Id + B real, so N^{-1} = i R^{-1}: every route
+(structured, closed and the dense oracle) supplies a real solve of R, and
+:func:`lift` alone makes it N^{-1}.  :class:`Resolvent` is the structured N^{-1}
 and the only code that takes the FFT: it reads the spectrum sigma of B's
 skew-circulant block once and gives the Fredholm determinant
 det(Id + B) = prod(1 - sigma^2), the exact 2-norm condition number
@@ -61,9 +63,8 @@ class CausticClassification:
 
 
 def caustic_check(m: MagneticModel) -> CausticClassification:
-    """Classify kt against the exclusion set; kt = 0 is the t -> 0 limit, not a caustic."""
-    if m.k == 0:
-        return CausticClassification("regular", 0.0, float("inf"))
+    """Classify kt against the exclusion set; kt = 0 is the t -> 0 limit, not a
+    caustic, and reads as pi/2 from the nearest one."""
     kt, half = m.k * m.t, np.pi / 2.0
     nearest_idx = round(kt / half) or (1 if kt >= 0 else -1)
     distance = abs(kt - nearest_idx * half)
@@ -144,7 +145,7 @@ class Resolvent:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """N^{-1} rhs = i (Id + B)^{-1} rhs for a real or complex 2n-vector rhs."""
-        return _lift(self._id_plus_core, rhs)
+        return lift(self._id_plus_core, rhs)
 
     def _id_plus_core(self, rhs: np.ndarray) -> np.ndarray:
         """(Id + B)^{-1} rhs for a real 2n-vector rhs.
@@ -164,8 +165,8 @@ def _twist(n: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.arange(n) / n)
 
 
-def _lift(real_solve, rhs: np.ndarray) -> np.ndarray:
-    """i real_solve(rhs) for a real or complex rhs, given a real linear solve;
+def lift(real_solve, rhs: np.ndarray) -> np.ndarray:
+    """N^{-1} rhs = i R^{-1} rhs for a real or complex rhs, given real_solve = R^{-1};
     the parts are solved apart, so a real rhs gives an exactly imaginary x."""
     sol = real_solve(rhs.real)
     if np.iscomplexobj(rhs) and np.count_nonzero(rhs.imag):
@@ -204,12 +205,10 @@ def closed_solve(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
     (h/2) e^{-ikh/2} sinc(kh/2pi).  So x is that rho's continuum N^{-1} at the
     nodes to rounding, with no FFT and no matrix; at rho = eta_1 it is the
     paper's i (cos 2ks + tan(kt) sin 2ks, tan(kt) cos 2ks - sin 2ks).
-    W's denominator vanishes at the half-integer caustics (the band).  A
-    complex rhs is solved as its real and imaginary parts, as
-    :meth:`Resolvent.solve` does.
+    W's denominator vanishes at the half-integer caustics (the band).
     """
     check_away_from_caustic(m)
-    return _lift(partial(_closed_id_plus_core, m, g), rhs)
+    return lift(partial(_closed_id_plus_core, m, g), rhs)
 
 
 def _closed_id_plus_core(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:

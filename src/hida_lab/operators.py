@@ -14,6 +14,7 @@ Id + B through it, and the dense builders here are its test oracles.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,10 @@ class MagneticModel:
             raise InvalidParameterError(f"terminal time must be positive, got {self.t}")
         if not (math.isfinite(self.k) and math.isfinite(self.t)):
             raise InvalidParameterError(f"k and t must be finite, got k={self.k}, t={self.t}")
+        kt = self.k * self.t
+        if not math.isfinite(kt) or (self.k != 0 and abs(kt) < sys.float_info.min):
+            raise InvalidParameterError(f"k*t = {kt} must be 0 or a finite normal float, "
+                                        f"got k={self.k}, t={self.t}")
 
 
 @dataclass(frozen=True)

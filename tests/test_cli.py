@@ -287,6 +287,46 @@ def test_a_non_finite_config_value_is_a_config_error(tmp_path, capsys):
     assert "config error" in err and "argument --y1: " in err and "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["propagator", "--k", "1e308", "--t", "1e308"],
+    ["determinant", "--k", "1e200", "--t", "1e200"],
+    ["residual", "--k", "1e-320", "--t", "1"],
+    ["propagator", "--k", "1e-170", "--t", "1e-150"],
+], ids=["propagator_overflow", "determinant_overflow", "residual_subnormal",
+        "propagator_subnormal_kt"])
+def test_an_unrepresentable_kt_is_a_config_error(capsys, argv):
+    """Refused by MagneticModel with exit 2, where an overflowing k t died in
+    caustic_check (exit 1) and a subnormal one gave NaN or wrong numbers."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "config error" in err and "k*t = " in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("name", [name for name, (_, options) in cli.COMMANDS.items()
+                                  if "k" in options])
+def test_every_command_at_k_zero_prints_strict_json(capsys, name):
+    """k = 0 is the free particle: no command reports an infinite caustic distance."""
+    argv = [name, "--k", "0"]
+    for key, value in SMALL.items():
+        option = key.replace("_", "-")
+        if option in cli.COMMANDS[name][1] and option != "quick":
+            argv += [f"--{option}", str(value)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    json.loads(out, parse_constant=_refuse_constant)
+
+
+def test_a_non_finite_number_in_a_report_is_a_numeric_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "composed_closed_value", lambda m, y: complex(np.nan, 0.0))
+    code, out, err = run_cli(capsys, "propagator", "--grid-points", "60")
+    assert code == 3 and out == ""
+    assert "numeric failure" in err and "non-finite" in err
+
+
 def _complex(value):
     """A complex number, or a nested list of them, from the report's {re, im}."""
     if isinstance(value, list):

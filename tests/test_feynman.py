@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
-                      TTransformReport, caustic_check, composed_closed_value,
+from hida_lab import (CausticClassification, CausticError, InvalidParameterError,
+                      MagneticModel, TTransformReport, caustic_check, composed_closed_value,
                       free_limit_reference, magnetic_T, printed_propagator_value,
                       propagator, residual_convergence, schrodinger_residual)
 from hida_lab.errors import (ConditionViolationError, NearSingularError,
@@ -15,7 +15,7 @@ from hida_lab import feynman, fredholm
 from hida_lab.feynman import LemmaEvaluator, _closed_form
 from hida_lab.gausskernels import donsker_T
 from hida_lab.grid import GridFunctionPair, make_grid, pair, sample
-from hida_lab.operators import BlockOperator, free_K, magnetic_L
+from hida_lab.operators import BlockOperator, free_K, magnetic_L, symmetric_core
 from hida_lab.testfunctions import indicator_pair, random_suite
 
 M11 = MagneticModel(k=1.0, t=1.0)
@@ -53,6 +53,9 @@ def test_kt_near_zero_is_the_short_time_limit_not_a_caustic():
 def test_caustic_distance_is_reported():
     cls = caustic_check(M11)
     assert cls.distance == pytest.approx(np.pi / 2 - 1.0)
+    # kt = 0 is pi/2 from the nearest caustic, a finite distance.
+    assert caustic_check(MagneticModel(k=0.0, t=5.0)) == \
+        CausticClassification("regular", 0.0, np.pi / 2)
 
 
 def test_propagator_refuses_caustic_times():
@@ -157,10 +160,11 @@ def test_lemma_refuses_a_singular_id_plus_K():
 def test_lemma_factors_N_once_and_reads_det_id_plus_K_off_the_diagonal(monkeypatch):
     import scipy.linalg as sla
     lu_factor, lu_solve = sla.lu_factor, sla.lu_solve
-    factored, solved = [], []
+    factored, solved, buffers = [], [], []
 
     def counting_lu_factor(a, *args, **kwargs):
         factored.append((a.shape, a.dtype))
+        buffers.append(a.copy())
         return lu_factor(a, *args, **kwargs)
 
     def recording_lu_solve(factors, b, *args, **kwargs):
@@ -176,9 +180,11 @@ def test_lemma_factors_N_once_and_reads_det_id_plus_K_off_the_diagonal(monkeypat
     g = make_grid(1.0, 50)
     etas = (indicator_pair(g, 1), indicator_pair(g, 2))
     f = random_suite(777, 1, g)[0]
-    # The magnetic N = -i(Id + B): one real factorization, fed only real columns.
+    # The magnetic N = -i(Id + B): one real factorization of R = Id + B itself,
+    # handed to LAPACK transposed and fed only real columns.
     LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g), etas).evaluate(f=f, ys=(0.3, -0.4))
     assert factored == [((100, 100), np.float64)]
+    assert np.array_equal(buffers[0], (np.eye(100) + symmetric_core(M11, g)).T)
     assert solved and set(solved) == {np.dtype(np.float64)}
     # A complex diagonal K leaves N genuinely complex: one complex factorization.
     factored.clear()

@@ -1,14 +1,16 @@
 """Volterra discretization, pairing-adjointness, and the block operators."""
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hida_lab import (GridMismatchError, InvalidParameterError, MagneticModel,
-                      apply_N, build_N, free_K, magnetic_L, potential_form_direct,
+                      analytic_gram_diagonal, apply_N, build_N, composed_closed_value,
+                      free_K, free_limit_reference, magnetic_L, potential_form_direct,
                       symmetric_core, volterra)
 from hida_lab.grid import GridFunctionPair, make_grid, pair, pair_from_vector, sample
 from hida_lab.operators import BlockOperator, apply_volterra
@@ -24,6 +26,27 @@ def test_model_requires_positive_time():
 def test_model_refuses_a_non_finite_coupling_or_time(k, t):
     with pytest.raises(InvalidParameterError, match="finite"):
         MagneticModel(k=k, t=t)
+
+
+@pytest.mark.parametrize("k, t", [(1e308, 1e308), (-1e200, 1e200), (1e-320, 0.7),
+                                  (1e-170, 1e-150), (-1e-200, 1e-200)],
+                         ids=["overflow", "overflow_kneg", "subnormal_k", "subnormal_kt",
+                              "kt_underflows_to_zero"])
+def test_model_refuses_a_kt_it_cannot_represent(k, t):
+    """k t overflows, or k != 0 and |k t| is below the smallest normal float,
+    where sin(kt) keeps a handful of bits and the closed forms go wrong."""
+    with pytest.raises(InvalidParameterError, match=r"k\*t = "):
+        MagneticModel(k=k, t=t)
+
+
+def test_model_takes_k_zero_at_any_time_and_the_smallest_normal_kt():
+    tiny = sys.float_info.min
+    for k, t in [(0.0, 5e-324), (0.0, 1e308), (-0.0, 1.0), (tiny, 1.0), (-tiny / 0.5, 0.5)]:
+        MagneticModel(k=k, t=t)
+    m = MagneticModel(k=tiny, t=1.5)
+    assert composed_closed_value(m, (0.3, -0.4)) == pytest.approx(
+        free_limit_reference(1.5, (0.3, -0.4)), rel=1e-15)
+    assert analytic_gram_diagonal(m) == pytest.approx(1.5j, rel=1e-15)
 
 
 def test_volterra_matches_cumulative_integral():
@@ -179,6 +202,7 @@ def test_apply_volterra_is_the_volterra_matrix_product():
 @example(1.0, 1.0, 3, 2)
 def test_apply_N_matches_the_dense_N(k, t, n, seed):
     """The O(n) apply equals build_N(m, g).apply(f) for complex f, relative to max|N f|."""
+    assume(k == 0 or abs(k * t) >= sys.float_info.min)     # MagneticModel refuses such k t
     m, g = MagneticModel(k=k, t=t), make_grid(t, n)
     rng = np.random.default_rng(seed)
     comps = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
