@@ -193,11 +193,11 @@ def cmd_ttransform(cfg: argparse.Namespace) -> int:
     suite = random_suite(cfg.seed, cfg.count, g)
     rows = []
     for idx, f in enumerate(suite):
-        rep = magnetic_T(m, (cfg.y1, cfg.y2), f=f, convention=cfg.convention)
+        rep = magnetic_T(m, (cfg.y1, cfg.y2), f=f)
         rows.append({"index": idx, "value": rep.value,
                      "exponent_quadratic": rep.exponent_quadratic,
                      "exponent_delta": rep.exponent_delta})
-    emit(cfg, {"rows": rows}, {"convention": cfg.convention, "route": rep.route})
+    emit(cfg, {"rows": rows}, {"route": rep.route})
     return EXIT_OK
 
 
@@ -324,7 +324,7 @@ COMMANDS = {
     "determinant": (cmd_determinant, ("k", "t", "grid-points", "n-max", "out-file")),
     "preimage": (cmd_preimage, ("k", "t", "grid-points", "out-file")),
     "ttransform": (cmd_ttransform, ("k", "t", "grid-points", "count", "seed", "y1", "y2",
-                                    "convention", "output", "out-file")),
+                                    "output", "out-file")),
     "propagator": (cmd_propagator, ("k", "t", "grid-points", "y1", "y2", "out-file")),
     "residual": (cmd_residual, ("k", "t", "convention", "out-file")),
     "verify": (cmd_verify, ("quick", "seed", "output", "out-file")),

@@ -21,8 +21,8 @@ The closed and structured routes share no solve, and ``verify``'s
 ``two_path_consistency`` compares them at seeded test functions.  All three
 routes share one composition, ``_compose``: each supplies the determinant,
 the Gram matrix M, the pinning values, its N^{-1} (``closed_solve``,
-``Resolvent.solve`` or the dense LU), the convention and the signs that make
-the principal square roots of det and of (2pi)^J det M the continuous ones.
+``Resolvent.solve`` or the dense LU) and the signs that make the principal
+square roots of det and of (2pi)^J det M the continuous ones.
 So one function reads the test function f, with one solve N^{-1} f for the
 quadratic term -1/2 (f, N^{-1} f) and the couplings (eta_a, N^{-1} f), and
 applies the branch rule, the delta exponent, the endpoint check and the
@@ -44,15 +44,13 @@ expectation at k > 0 is
 which reduces to the free two-dimensional propagator as k -> 0 and solves
 the magnetic Schrödinger equation (both verified in the test suite).
 
-"Printed" names two things.  ``convention="printed"`` (:func:`magnetic_T`,
-:func:`composed_closed_value`, :func:`schrodinger_residual`, ``--convention``)
-keeps the sin prefactor and flips the delta exponent to -1/2 u^T M^{-1} u;
-the residual check judges the composed convention against this one; any
-other convention is refused.  :func:`printed_propagator_value` is the
-often-quoted cos-prefactor formula k / (2 pi i cos(kt)) * exp(+(ik/2) cot(kt)
-|y|^2): ``hida-lab propagator`` reports it for comparison, never substituted
-and selected by no convention.  A composed value that is not finite is
-refused with :class:`NumericFailureError`.
+The printed sign, -1/2 u^T M^{-1} u with the sin prefactor, lives only in
+the check that judges it: :func:`schrodinger_residual` (``hida-lab
+residual``) evaluates it too and finds that it does not converge.
+:func:`printed_propagator_value` is the often-quoted cos-prefactor formula
+k / (2 pi i cos(kt)) * exp(+(ik/2) cot(kt) |y|^2): ``hida-lab propagator``
+reports it for comparison, never substituted.  A composed value that is not
+finite is refused with :class:`NumericFailureError`.
 """
 
 from __future__ import annotations
@@ -101,12 +99,11 @@ class TTransformReport:
     exponent_delta: complex
     u: np.ndarray
     branch_note: tuple
-    convention: str
     gram: np.ndarray = field(repr=False)
     determinant: complex
     route: str                        # closed | structured | dense
     # cond of N: exact 2-norm (structured), 1-norm estimate (dense), None (closed)
-    cond_estimate: float
+    cond_estimate: float | None
 
 
 class LemmaEvaluator:
@@ -170,7 +167,7 @@ class LemmaEvaluator:
         self._weighted_etas = self.grid.h * etas_mat
         self.gram = self._weighted_etas @ self._solve(etas_mat.T)
         if self.etas:
-            self.gram_branch = _gram_branch(self.gram, _GRAM_TOL)
+            self.gram_branch = _gram_branch(self.gram)
 
     def evaluate(self, f: GridFunctionPair | None = None, ys=()) -> TTransformReport:
         return _compose(self.determinant, self.gram, ys, self.grid, f, self._solve,
@@ -224,11 +221,11 @@ def _slogdet_diagonal(d: np.ndarray):
     return np.prod(d / moduli), np.sum(np.log(moduli))
 
 
-def _gram_branch(gram: np.ndarray, tol: float) -> str:
+def _gram_branch(gram: np.ndarray) -> str:
     """'imaginary' or 'positive_real'; any other Gram matrix is refused."""
     scale = np.abs(gram).max()
     re, im = gram.real, gram.imag
-    if np.abs(re).max() <= tol * max(scale, 1e-300):
+    if np.abs(re).max() <= _GRAM_TOL * max(scale, 1e-300):
         if np.abs(im).max() == 0:
             raise ConditionViolationError("Gram matrix vanishes identically")
         return "imaginary"
@@ -242,9 +239,9 @@ def _gram_branch(gram: np.ndarray, tol: float) -> str:
 
 
 def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solve,
-             route: str, cond_estimate: float, branch=(1.0, 1.0),
-             convention: str = "composed", weighted_etas=None) -> TTransformReport:
-    """det^{-1/2} ((2pi)^J det M)^{-1/2} exp(-1/2 (f, N^{-1} f) +- 1/2 u^T M^{-1} u).
+             route: str, cond_estimate: float | None, branch=(1.0, 1.0),
+             weighted_etas=None) -> TTransformReport:
+    """det^{-1/2} ((2pi)^J det M)^{-1/2} exp(-1/2 (f, N^{-1} f) + 1/2 u^T M^{-1} u).
 
     The only code that reads the test function f, which must live on g (None
     when f is): one solve x = N^{-1} f by the route's ``solve`` gives the
@@ -252,8 +249,7 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
     dense oracle's h E, or the indicator directions when it is None.
     u = i ys + those couplings, where ys holds the J = len(gram) pinning
     values.  ``branch`` is a pair of signs that turn the principal roots of
-    det and of (2pi)^J det M into the continuous ones; ``convention`` gives
-    the sign of the delta exponent.
+    det and of (2pi)^J det M into the continuous ones.
     """
     phi = _combine(g, f)
     coupling = None
@@ -270,7 +266,6 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
     if not np.isfinite(ys).all():
         raise InvalidParameterError(f"pinning values must be finite, got {ys}")
     u = 1j * ys if coupling is None else 1j * ys + coupling
-    sign = _convention_sign(convention)
     det_sign, gram_sign = branch
     notes: list = []
     det_factor = 1.0 / (det_sign * _branch_sqrt(determinant, notes, "det(Id+L(Id+K)^-1)"))
@@ -288,15 +283,14 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
             notes.append("(2pi)^J det(M): sign -1, the root continuous in t")
         # The composed sign is fixed by performing the Gaussian integrals over
         # the pinning parameters: completing the square yields +1/2 u^T M^{-1} u.
-        exponent_delta = 0.5 * sign * complex(u @ np.linalg.solve(gram, u))
-        notes.append("delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)"
-                     if sign > 0 else "delta exponent: -1/2 u^T M^-1 u (printed convention)")
+        exponent_delta = 0.5 * complex(u @ np.linalg.solve(gram, u))
+        notes.append("delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)")
 
     value = _finite_value(det_factor * gram_factor, exponent_quadratic + exponent_delta)
     return TTransformReport(value=complex(value),
                             exponent_quadratic=complex(exponent_quadratic),
                             exponent_delta=complex(exponent_delta),
-                            u=u, branch_note=tuple(notes), convention=convention,
+                            u=u, branch_note=tuple(notes),
                             gram=gram.copy(), determinant=determinant, route=route,
                             cond_estimate=cond_estimate)
 
@@ -329,7 +323,7 @@ def _convention_sign(convention: str) -> float:
 
 
 def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
-               n_grid: int = 1000, convention: str = "composed") -> TTransformReport:
+               n_grid: int = 1000) -> TTransformReport:
     """Closed-form specialization of the T-transform for the magnetic model.
 
     Uses the analytic determinant cos^2(kt) and the analytic Gram matrix
@@ -350,7 +344,7 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
     g = None if f is None else make_grid(m.t, f.grid.n)
     return _compose(complex(np.cos(kt) ** 2), gram_diag * np.eye(2, dtype=complex), y,
                     g, f, partial(closed_solve, m, g), route="closed", cond_estimate=None,
-                    branch=branch, convention=convention)
+                    branch=branch)
 
 
 def printed_propagator_value(m: MagneticModel, y) -> complex:
@@ -367,20 +361,16 @@ def printed_propagator_value(m: MagneticModel, y) -> complex:
             * np.exp(0.5j * m.k / np.tan(kt) * float(y @ y)))
 
 
-def composed_closed_value(m: MagneticModel, y, convention: str = "composed") -> complex:
-    """Closed form of the composed generalized expectation.
-
-    k/(2 pi i sin(kt)) exp(+-(ik/2) cot(kt) |y|^2); the '+' sign is the
-    composed convention, '-' the alternative under adjudication.
-    """
-    sign = _convention_sign(convention)
+def composed_closed_value(m: MagneticModel, y) -> complex:
+    """Closed form of the composed generalized expectation,
+    k/(2 pi i sin(kt)) exp(+(ik/2) cot(kt) |y|^2)."""
     y = np.asarray(y, dtype=float)
-    return _closed_form(m.k, m.t, float(y @ y), sign)
+    return _closed_form(m.k, m.t, float(y @ y))
 
 
-def _closed_form(k: float, t: float, r2, sign: float = 1.0):
-    """k/(2 pi i sin(kt)) exp(sign (ik/2) cot(kt) r2) at |y|^2 = r2, scalar or array."""
-    a, c = _closed_form_coefficients(k, t, sign)
+def _closed_form(k: float, t: float, r2):
+    """k/(2 pi i sin(kt)) exp((ik/2) cot(kt) r2) at |y|^2 = r2."""
+    a, c = _closed_form_coefficients(k, t)
     return a * np.exp(c * r2)
 
 
@@ -414,7 +404,7 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
     refuse_singular_determinant(determinant)
     refuse_ill_conditioned(res.cond_estimate)
     gram = rotation_gram(g, res.solve(indicator_pair(g, 1).as_vector().real))
-    _gram_branch(gram, _GRAM_TOL)     # LemmaEvaluator's admissibility verdict
+    _gram_branch(gram)  # LemmaEvaluator's admissibility verdict
     return _compose(determinant, gram, y, g, f, res.solve, route="structured",
                     cond_estimate=res.cond_estimate)
 

@@ -13,7 +13,7 @@ determinant of Id + L(Id+K)^{-1} is cos^2(kt), reachable three ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +31,9 @@ class SpectralReport:
     analytic: np.ndarray          # positive-branch closed-form values, multiplicity 2 each
     discrete: np.ndarray          # all eigenvalues of B, sorted by descending |value|
     match_errors: np.ndarray      # per matched pair: relative error vs analytic value
-    pair_gaps: np.ndarray = field(default=None)   # per matched pair: relative in-pair spread
-    matched_analytic: np.ndarray = field(default=None)  # signed analytic value per pair
-    matched_means: np.ndarray = field(default=None)     # discrete pair means
+    pair_gaps: np.ndarray         # per matched pair: relative in-pair spread
+    matched_analytic: np.ndarray  # signed analytic value per pair
+    matched_means: np.ndarray     # discrete pair means
 
 
 @dataclass(frozen=True)

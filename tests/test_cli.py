@@ -143,15 +143,18 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, line):
 
 def test_config_key_of_another_command_is_unknown(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 5\n")
-    code, out, err = run_cli(capsys, "--config", str(cfg), "determinant")
-    assert code == 2 and out == ""
-    assert "unknown config key" in err
+    for line, command in (("seed = 5", "determinant"), ("convention = printed", "ttransform")):
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), command)
+        assert code == 2 and out == ""
+        assert "unknown config key" in err
 
 
 def test_flags_of_other_commands_are_refused(capsys):
     code, out, _ = run_cli(capsys, "determinant", "--convention", "printed",
                            "--seed", "5", "--sweep-param", "k")
+    assert code == 2 and out == ""
+    code, out, _ = run_cli(capsys, "ttransform", "--convention", "printed")
     assert code == 2 and out == ""
 
 
@@ -183,6 +186,23 @@ def test_each_command_declares_exactly_the_options_it_reads(capsys, monkeypatch,
     assert set(vars(commands[name].parse_args([]))) == reads
 
 
+def test_readme_option_table_lists_what_each_command_declares():
+    """README's `| command | options |` table has one row per command of
+    `cli.COMMANDS`, listing exactly the options that command declares."""
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| command | options |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, options = (cell.strip(" `") for cell in line.strip("|").split("|"))
+        assert command not in rows, f"two README rows for {command}"
+        rows[command] = [option.strip(" `") for option in options.split(",")]
+    assert rows == {name: [f"--{option}" for option in options]
+                    for name, (_, options) in cli.COMMANDS.items()}
+
+
 @pytest.mark.parametrize("word, quick", [("yes", True), ("off", False), ("ON", True)])
 def test_config_file_quick_words(tmp_path, capsys, monkeypatch, word, quick):
     monkeypatch.setattr(cli, "run_checks", lambda quick, seed: _fake_checks(True))
@@ -195,11 +215,10 @@ def test_config_file_quick_words(tmp_path, capsys, monkeypatch, word, quick):
 
 def test_config_file_and_flags_give_the_same_report(tmp_path, capsys):
     flags = ["--k", "0.7", "--t", "1.3", "--grid-points", "120", "--count", "3",
-             "--seed", "777", "--y1", "0.3", "--y2", "-0.4",
-             "--convention", "printed"]
+             "--seed", "777", "--y1", "0.3", "--y2", "-0.4"]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 0.7\nt = 1.3\ngrid-points = 120\ncount = 3\nseed = 777\n"
-                   "y1 = 0.3\ny2 = -0.4\nconvention = printed\n")
+                   "y1 = 0.3\ny2 = -0.4\n")
     code, out, _ = run_cli(capsys, "ttransform", *flags)
     assert code == 0
     by_flags = json.loads(out)
@@ -230,7 +249,7 @@ def test_ttransform_emits_the_requested_count(capsys):
     payload = json.loads(out)
     assert payload["config"]["count"] == 40
     assert [r["index"] for r in payload["results"]["rows"]] == list(range(40))
-    assert payload["diagnostics"] == {"convention": "composed", "route": "closed"}
+    assert payload["diagnostics"] == {"route": "closed"}
 
     code, out, err = run_cli(capsys, "ttransform", "--count", "0", "--grid-points", "60")
     assert code == 2

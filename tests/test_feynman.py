@@ -12,7 +12,7 @@ from hida_lab import (CausticClassification, CausticError, InvalidParameterError
 from hida_lab.errors import (ConditionViolationError, NearSingularError,
                              NumericFailureError)
 from hida_lab import feynman, fredholm
-from hida_lab.feynman import LemmaEvaluator, _closed_form
+from hida_lab.feynman import LemmaEvaluator, _closed_form_coefficients
 from hida_lab.gausskernels import donsker_T
 from hida_lab.grid import GridFunctionPair, make_grid, pair, sample
 from hida_lab.operators import BlockOperator, free_K, magnetic_L, symmetric_core
@@ -332,8 +332,7 @@ def test_closed_route_refuses_a_test_function_on_another_time_span():
         magnetic_T(M11, (0.3, -0.4), f=f)
 
 
-@pytest.mark.parametrize("convention", ["composed", "printed"])
-def test_closed_route_is_the_closed_value_past_the_first_caustic(convention):
+def test_closed_route_is_the_closed_value_past_the_first_caustic():
     """kt in (0, 3 pi), 1e-3 away from every j pi / 2: the branch signs of the
     composition take the closed route through cos(kt) < 0 and tan(kt) < 0."""
     rng = np.random.default_rng(16)
@@ -343,14 +342,14 @@ def test_closed_route_is_the_closed_value_past_the_first_caustic(convention):
         for kt in kts:
             m = MagneticModel(k=k, t=kt / abs(k))
             y = rng.uniform(-1.0, 1.0, 2)
-            rep = magnetic_T(m, y, convention=convention)
-            closed = composed_closed_value(m, y, convention)
+            rep = magnetic_T(m, y)
+            closed = composed_closed_value(m, y)
             assert abs(rep.value - closed) <= 1e-13 * (1 + abs(rep.exponent_delta)) * abs(closed)
     for t in (1e-3, 0.7, 5.0):
         m = MagneticModel(k=0.0, t=t)
         y = rng.uniform(-1.0, 1.0, 2)
-        rep = magnetic_T(m, y, convention=convention)
-        closed = composed_closed_value(m, y, convention)
+        rep = magnetic_T(m, y)
+        closed = composed_closed_value(m, y)
         assert abs(rep.value - closed) <= 1e-13 * (1 + abs(rep.exponent_delta)) * abs(closed)
 
 
@@ -389,20 +388,9 @@ def test_magnetic_T_without_test_function_is_the_closed_value():
     assert rep.value == pytest.approx(composed_closed_value(M11, y), rel=1e-12)
 
 
-def test_printed_convention_flips_delta_exponent():
-    y = (0.5, 0.0)
-    composed = magnetic_T(M11, y, convention="composed")
-    printed = magnetic_T(M11, y, convention="printed")
-    assert printed.exponent_delta == pytest.approx(-composed.exponent_delta)
-    with pytest.raises(InvalidParameterError):
-        magnetic_T(M11, y, convention="other")
-
-
 @pytest.mark.parametrize("evaluate", [
-    lambda c: magnetic_T(M11, (0.5, 0.0), convention=c),
-    lambda c: composed_closed_value(M11, (0.5, 0.0), convention=c),
     lambda c: schrodinger_residual(M11, convention=c),
-], ids=["magnetic_T", "composed_closed_value", "schrodinger_residual"])
+], ids=["schrodinger_residual"])
 def test_an_unknown_convention_is_refused(evaluate):
     with pytest.raises(InvalidParameterError, match="unknown convention 'typo'"):
         evaluate("typo")
@@ -412,7 +400,6 @@ def test_propagator_returns_the_structured_report():
     rep = propagator(M11, (0.3, -0.4), n_grid=200)
     assert isinstance(rep, TTransformReport)
     assert rep.route == "structured"
-    assert rep.convention == "composed"
     assert 1.0 <= rep.cond_estimate < np.inf
     assert rep.branch_note and "delta exponent" in rep.branch_note[-1]
 
@@ -549,7 +536,8 @@ def _residual_on_the_whole_cube(m, n, convention):
     y1 = y_axis[:, None]
     y2 = y_axis[None, :]
     r2 = y1 ** 2 + y2 ** 2
-    g_vals = np.stack([_closed_form(m.k, t, r2, sign) for t in t_axis])   # (t, y1, y2)
+    coefficients = [_closed_form_coefficients(m.k, t, sign) for t in t_axis]
+    g_vals = np.stack([a * np.exp(c * r2) for a, c in coefficients])   # (t, y1, y2)
 
     dt = (g_vals[2:] - g_vals[:-2]) / (2.0 * ht)
     inner = g_vals[1:-1]
