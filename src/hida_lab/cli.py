@@ -7,8 +7,8 @@ byte-identical result sections.  A report is strict JSON: one that would
 carry nan or inf is not written, and the command is a numeric failure.
 
 Every option is defined, typed, checked and defaulted once, in `OPTIONS`
-(a float option refuses nan and inf, and a k*t that overflows or is a
-nonzero below the smallest normal float is refused too), and each command
+(a float option refuses nan and inf, and a k*t of size 2**52 or more or a
+nonzero one below the smallest normal float is refused too), and each command
 in `COMMANDS` declares only the options it reads, so a report's `config`
 holds exactly the options that made it.  A `--config` file of
 `key = value` lines goes through the chosen command's parser, as the flags
@@ -131,13 +131,13 @@ def emit(args: argparse.Namespace, results: dict, diagnostics: dict | None = Non
 
 
 def worker_count() -> int:
-    cap = os.environ.get("HIDA_LAB_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            raise InvalidParameterError(f"HIDA_LAB_THREADS={cap!r} is not an integer")
     return min(8, os.cpu_count() or 1)
+
+
+# A sweep pools worker_count() threads from this grid size up, one thread below.  Timed
+# for 24-point t-sweeps on 2 cores, 10 alternating pairs per n, twice: one worker beat
+# two in 9/10 and 10/10 pairs at n = 2000, two beat one in 6-10/10 at 3000 to 5000.
+_POOL_MIN_GRID = 3000
 
 
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
@@ -223,8 +223,7 @@ def cmd_propagator(cfg: argparse.Namespace) -> int:
 def cmd_residual(cfg: argparse.Namespace) -> int:
     m = MagneticModel(k=cfg.k, t=cfg.t)
     residuals = residual_convergence(m, convention=cfg.convention)
-    emit(cfg, {"residuals": residuals, "orders": convergence_orders(residuals),
-               "convention": cfg.convention})
+    emit(cfg, {"residuals": residuals, "orders": convergence_orders(residuals)})
     return EXIT_OK
 
 
@@ -284,7 +283,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
             row["error"] = str(exc)
         return row
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    workers = worker_count() if cfg.grid_points >= _POOL_MIN_GRID else 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(one, values))
     rows.sort(key=lambda r: r[cfg.sweep_param])
     emit(cfg, {"rows": rows})

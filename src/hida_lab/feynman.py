@@ -72,8 +72,6 @@ from .testfunctions import indicator_pair
 _NEAR_REAL = 1e-8
 # A Gram matrix whose real part is below this share of its scale is imaginary.
 _GRAM_TOL = 1e-8
-# Rows per block in the block-wise passes over a dense 2n x 2n matrix.
-_ROWS = 256
 
 
 def _branch_sqrt(z: complex, notes: list, label: str) -> complex:
@@ -178,24 +176,18 @@ class LemmaEvaluator:
 def _assemble_N(k: np.ndarray, l: np.ndarray) -> np.ndarray:
     """N = Id + k + l as one dense buffer, or the real R = -Im N when Re N = 0.
 
-    The test is exact.  Re N is formed a block of rows at a time, so the real
-    case makes no complex 2n x 2n matrix.  Any other N comes back whole and
-    complex; the real buffer is dropped before that one is made.
+    The test is exact, made on Re N in the real buffer that then takes R, so
+    the real case makes no complex 2n x 2n matrix.  Any other N comes back
+    whole and complex; the real buffer is dropped before that one is made.
     """
-    n2 = len(k)
-    r = np.empty((n2, n2))
-    re_block = np.empty((min(_ROWS, n2), n2))
-    for start in range(0, n2, _ROWS):
-        stop = min(start + _ROWS, n2)
-        re = re_block[:stop - start]
-        np.add(k.real[start:stop], l.real[start:stop], out=re)
-        re[np.arange(stop - start), np.arange(start, stop)] += 1.0
-        if re.any():
-            del r
-            n_matrix = k + l
-            n_matrix[np.diag_indices(n2)] += 1.0
-            return n_matrix
-        np.add(k.imag[start:stop], l.imag[start:stop], out=r[start:stop])
+    r = np.add(k.real, l.real)
+    r[np.diag_indices_from(r)] += 1.0
+    if r.any():
+        del r
+        n_matrix = k + l
+        n_matrix[np.diag_indices_from(n_matrix)] += 1.0
+        return n_matrix
+    np.add(k.imag, l.imag, out=r)
     return np.negative(r, out=r)
 
 

@@ -44,7 +44,7 @@ from functools import partial
 import numpy as np
 
 from .errors import (CausticError, GridMismatchError, InvalidParameterError,
-                     NearSingularError)
+                     NearSingularError, NumericFailureError)
 from .grid import Grid, GridFunctionPair, conj_norm_sq, pair_from_vector
 from .operators import MagneticModel, apply_N
 from .testfunctions import indicator_pair
@@ -140,8 +140,12 @@ class Resolvent:
 
     @property
     def determinant(self) -> complex:
-        """det(Id + B) = det(Id + L(Id+K)^{-1}) = prod(1 - sigma^2)."""
-        return complex(np.prod(1.0 - self.sigma ** 2))
+        """det(Id + B) = det(Id + L(Id+K)^{-1}) = prod(1 - sigma^2); refused if it overflows."""
+        with np.errstate(over="raise"):
+            try:
+                return complex(np.prod(1.0 - self.sigma ** 2))
+            except FloatingPointError:
+                raise NumericFailureError("det(Id + B) = prod(1 - sigma^2) overflows") from None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """N^{-1} rhs = i (Id + B)^{-1} rhs for a real or complex 2n-vector rhs."""

@@ -36,9 +36,10 @@ class MagneticModel:
         if not (math.isfinite(self.k) and math.isfinite(self.t)):
             raise InvalidParameterError(f"k and t must be finite, got k={self.k}, t={self.t}")
         kt = self.k * self.t
-        if not math.isfinite(kt) or (self.k != 0 and abs(kt) < sys.float_info.min):
-            raise InvalidParameterError(f"k*t = {kt} must be 0 or a finite normal float, "
-                                        f"got k={self.k}, t={self.t}")
+        # From 2**52 up k*t holds no fractional digit: rounding moves the phase kt by up to 1/2.
+        if not abs(kt) < 2.0 ** 52 or (self.k != 0 and abs(kt) < sys.float_info.min):
+            raise InvalidParameterError(f"k*t = {kt} must be 0 or a normal float below "
+                                        f"2**52 in size, got k={self.k}, t={self.t}")
 
 
 @dataclass(frozen=True)

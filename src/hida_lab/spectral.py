@@ -110,14 +110,18 @@ def determinant_closed(m: MagneticModel) -> float:
 
 
 def determinant_product(m: MagneticModel, n_max: int = 100_000) -> float:
-    """Partial product of (1 - 4k^2t^2/((2n-1)^2 pi^2))^2 up to n_max."""
+    """Partial product of (1 - 4k^2t^2/((2n-1)^2 pi^2))^2 up to n_max; refused if it overflows."""
     if n_max < 1:
         raise InvalidParameterError(f"n_max must be >= 1, got {n_max}")
     factors = np.arange(1.0, 2.0 * n_max, 2.0)        # 2n - 1, in one buffer
     np.multiply(factors, np.pi, out=factors)
     np.divide(2.0 * m.k * m.t, factors, out=factors)
     np.subtract(1.0, np.square(factors, out=factors), out=factors)
-    return float(np.prod(factors) ** 2)
+    with np.errstate(over="raise"):
+        try:
+            return float(np.prod(factors) ** 2)
+        except FloatingPointError:
+            raise NumericFailureError(f"the product to n_max = {n_max} overflows") from None
 
 
 def determinant_report(m: MagneticModel, g: Grid, n_max: int = 100_000) -> DeterminantReport:

@@ -18,7 +18,7 @@ import hida_lab.cli as cli
 import hida_lab.verification as verification
 from hida_lab import (MagneticModel, analytic_gram_diagonal, fredholm, gram_matrix, propagator,
                       verify_preimage)
-from hida_lab.errors import InvalidParameterError, NearSingularError
+from hida_lab.errors import NearSingularError
 from hida_lab.fredholm import Resolvent
 from hida_lab.grid import make_grid
 from hida_lab.testfunctions import indicator_pair
@@ -321,6 +321,28 @@ def test_an_unrepresentable_kt_is_a_config_error(capsys, argv):
     assert "config error" in err and "k*t = " in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code", [
+    (["determinant", "--k", "1e77", "--t", "1e77"], 2),
+    (["preimage", "--k", "1e77", "--t", "1e77"], 2),
+    (["determinant", "--k", "1e150", "--t", "1e150"], 2),
+    (["preimage", "--k", "1e150", "--t", "1e150"], 2),
+    (["spectrum", "--k", "1e150", "--t", "1e150"], 2),
+    (["determinant", "--k", "1e4", "--t", "1"], 3),
+    (["determinant", "--k", "1200", "--t", "1", "--grid-points", "1000"], 3),
+    (["propagator", "--k", "1200", "--t", "1", "--grid-points", "1000"], 3),
+], ids=["determinant_1e77", "preimage_1e77", "determinant_1e150", "preimage_1e150",
+        "spectrum_1e150", "determinant_product", "determinant_coarse_grid",
+        "propagator_coarse_grid"])
+def test_an_overflow_is_refused_with_no_warning(capsys, argv, code):
+    """A k t of 2**52 or more exits 2; a determinant product that overflows,
+    the partial product or det(Id + B) on a grid too coarse for k, exits 3.
+    Each of these overflowed in numpy with a RuntimeWarning."""
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code and out == ""
+    assert ("k*t = " in err) if code == 2 else ("numeric failure" in err and "overflows" in err)
+
+
 def _refuse_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -412,11 +434,11 @@ def test_there_is_no_samples_flag(tmp_path, capsys):
     assert code == 2 and "unknown config key" in err
 
 
-def test_sweep_csv_is_sorted(capsys, monkeypatch):
-    monkeypatch.setenv("HIDA_LAB_THREADS", "2")
+def test_sweep_csv_is_sorted(capsys):
+    """A descending sweep comes back ascending through the pooled path."""
     code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "t",
                            "--sweep-start", "1.0", "--sweep-stop", "0.5",
-                           "--sweep-steps", "3", "--grid-points", "100",
+                           "--sweep-steps", "3", "--grid-points", str(cli._POOL_MIN_GRID),
                            "--output", "csv")
     assert code == 0
     lines = out.strip().splitlines()
@@ -489,9 +511,10 @@ def test_sweep_marks_caustic_rows(capsys):
 def test_residual_subcommand(capsys):
     code, out, _ = run_cli(capsys, "residual", "--k", "0.5")
     assert code == 0
-    results = json.loads(out)["results"]
-    assert results["convention"] == "composed"
-    assert len(results["residuals"]) == 3
+    payload = json.loads(out)
+    assert payload["config"]["convention"] == "composed"
+    assert "convention" not in payload["results"]
+    assert len(payload["results"]["residuals"]) == 3
 
 
 def test_residual_reads_its_time_span_from_t(capsys):
@@ -524,12 +547,40 @@ def test_residual_refuses_an_integer_caustic_at_a_node_or_between(capsys, argv):
     assert "[integer_caustic]" in err and out == ""
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("HIDA_LAB_THREADS", "3")
-    assert cli.worker_count() == 3
-    monkeypatch.setenv("HIDA_LAB_THREADS", "zero")
-    with pytest.raises(InvalidParameterError):
-        cli.worker_count()
+def _sweep_argv(n):
+    return ["sweep", "--sweep-param", "t", "--sweep-start", "2.0", "--sweep-stop", "0.4",
+            "--sweep-steps", "5", "--grid-points", str(n), "--y1", "0.3", "--y2", "-0.4"]
+
+
+@pytest.mark.parametrize("n", [cli._POOL_MIN_GRID - 1, cli._POOL_MIN_GRID])
+def test_sweep_sizes_its_pool_from_the_grid(capsys, monkeypatch, n):
+    """One worker below _POOL_MIN_GRID, worker_count() from it up."""
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+    code, _, _ = run_cli(capsys, *_sweep_argv(n))
+    assert code == 0
+    assert sizes == [1 if n < cli._POOL_MIN_GRID else cli.worker_count()]
+
+
+@pytest.mark.parametrize("n", [cli._POOL_MIN_GRID - 1, cli._POOL_MIN_GRID])
+def test_sweep_results_do_not_depend_on_the_worker_count(capsys, monkeypatch, n):
+    """The same rows, in the same order, at 1 worker and at worker_count() workers."""
+    full, results = cli.worker_count(), {}
+    monkeypatch.setattr(cli, "_POOL_MIN_GRID", 0)
+    for workers in (1, full):
+        monkeypatch.setattr(cli, "worker_count", lambda workers=workers: workers)
+        code, out, _ = run_cli(capsys, *_sweep_argv(n))
+        assert code == 0
+        results[workers] = json.loads(out)["results"]
+    assert results[1] == results[full]
 
 
 def _fake_checks(passed):

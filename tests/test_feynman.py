@@ -213,7 +213,7 @@ def test_lemma_holds_one_dense_buffer_beyond_its_inputs():
 def test_lemma_holds_the_magnetic_N_as_one_real_buffer():
     """N = -i(Id + B) is factored as a real matrix, half the bytes of a complex N.
 
-    The peak is that buffer (0.5 of K) plus one 256-row block temporary (0.16).
+    The peak is that buffer (0.5 of K), which holds Re N for the test and then R.
     """
     g = make_grid(1.0, 400)
     K, L = free_K(M11, g), magnetic_L(M11, g)

@@ -1,5 +1,6 @@
 """Volterra discretization, pairing-adjointness, and the block operators."""
 
+import math
 import sys
 import tracemalloc
 
@@ -28,20 +29,25 @@ def test_model_refuses_a_non_finite_coupling_or_time(k, t):
         MagneticModel(k=k, t=t)
 
 
-@pytest.mark.parametrize("k, t", [(1e308, 1e308), (-1e200, 1e200), (1e-320, 0.7),
+@pytest.mark.parametrize("k, t", [(1e308, 1e308), (-1e200, 1e200), (1e150, 1e150),
+                                  (1e77, 1e77), (-2.0 ** 52, 1.0), (1e-320, 0.7),
                                   (1e-170, 1e-150), (-1e-200, 1e-200)],
-                         ids=["overflow", "overflow_kneg", "subnormal_k", "subnormal_kt",
-                              "kt_underflows_to_zero"])
+                         ids=["overflow", "overflow_kneg", "kt_1e300",
+                              "kt_1e154", "kt_at_2_52", "subnormal_k",
+                              "subnormal_kt", "kt_underflows_to_zero"])
 def test_model_refuses_a_kt_it_cannot_represent(k, t):
-    """k t overflows, or k != 0 and |k t| is below the smallest normal float,
-    where sin(kt) keeps a handful of bits and the closed forms go wrong."""
+    """|k t| is 2**52 or more, where the float k t has no fractional digit and
+    the sigma route overflows from about 1e154 on, or k != 0 and |k t| is below
+    the smallest normal float, where sin(kt) keeps a handful of bits and the
+    closed forms go wrong."""
     with pytest.raises(InvalidParameterError, match=r"k\*t = "):
         MagneticModel(k=k, t=t)
 
 
 def test_model_takes_k_zero_at_any_time_and_the_smallest_normal_kt():
     tiny = sys.float_info.min
-    for k, t in [(0.0, 5e-324), (0.0, 1e308), (-0.0, 1.0), (tiny, 1.0), (-tiny / 0.5, 0.5)]:
+    for k, t in [(0.0, 5e-324), (0.0, 1e308), (-0.0, 1.0), (tiny, 1.0), (-tiny / 0.5, 0.5),
+                 (-math.nextafter(2.0 ** 52, 0.0), 1.0)]:
         MagneticModel(k=k, t=t)
     m = MagneticModel(k=tiny, t=1.5)
     assert composed_closed_value(m, (0.3, -0.4)) == pytest.approx(
