@@ -1,9 +1,8 @@
 """Numerical laboratory for the white-noise Feynman integrand of a charged
 particle in a constant magnetic field."""
 
-from .errors import (CausticError, ConditionViolationError, GridMismatchError,
-                     HidaLabError, InvalidParameterError, NearSingularError,
-                     NumericFailureError)
+from .errors import (CausticError, ConditionViolationError, HidaLabError,
+                     InvalidParameterError, NearSingularError, NumericFailureError)
 from .grid import Grid, GridFunctionPair, make_grid, pair, sample
 from .operators import (BlockOperator, MagneticModel, apply_N, build_N, free_K,
                         magnetic_L, potential_form_direct, symmetric_core, volterra)

@@ -9,10 +9,6 @@ class InvalidParameterError(HidaLabError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class GridMismatchError(HidaLabError, ValueError):
-    """Two grid-sampled objects live on different grids."""
-
-
 class CausticError(HidaLabError, ArithmeticError):
     """The model sits on (or numerically too close to) a caustic time.
 

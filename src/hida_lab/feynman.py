@@ -64,8 +64,8 @@ from .errors import (ConditionViolationError, InvalidParameterError, NearSingula
                      NumericFailureError)
 from .fredholm import (Resolvent, analytic_gram_diagonal, closed_solve, lift,
                        refuse_caustic, refuse_caustic_in_span, refuse_ill_conditioned,
-                       refuse_singular_determinant, rotation_gram)
-from .grid import Grid, GridFunctionPair, make_grid
+                       refuse_overflow, refuse_singular_determinant, rotation_gram)
+from .grid import Grid, GridFunctionPair, check_same_grid, make_grid
 from .operators import BlockOperator, MagneticModel
 from .testfunctions import indicator_pair
 
@@ -122,13 +122,9 @@ class LemmaEvaluator:
     """
 
     def __init__(self, K: BlockOperator, L: BlockOperator, etas=()):
-        if K.grid != L.grid:
-            raise InvalidParameterError("K and L must live on the same grid")
         self.grid = K.grid
         self.etas = tuple(etas)
-        for eta in self.etas:
-            if eta.grid != self.grid:
-                raise InvalidParameterError("every eta must live on the operator grid")
+        check_same_grid(self.grid, L, *self.etas)
         # Deferred: only this dense oracle needs scipy, which is slow to import.
         import scipy.linalg as sla
 
@@ -139,13 +135,10 @@ class LemmaEvaluator:
         # The one dense buffer a: N itself, or the real R when N = -iR.
         a = _assemble_N(K.entries, L.entries)
         real = not np.iscomplexobj(a)
-        # a.T is a^T in Fortran order, which LAPACK reads and factors in place.
-        # So solves take trans=1, and the 1-norm of a (that of N) is the
-        # inf-norm of a^T, taken before the LU overwrites a.
         lange = sla.get_lapack_funcs("lange", (a,))
-        anorm = lange("I", a.T)
-        lu, piv = sla.lu_factor(a.T, overwrite_a=True)
-        solve = partial(sla.lu_solve, (lu, piv), trans=1)
+        anorm = lange("1", a)          # taken before the LU overwrites a
+        lu, piv = sla.lu_factor(a, overwrite_a=True)
+        solve = partial(sla.lu_solve, (lu, piv))
         self._solve = partial(lift, solve) if real else solve
         # det a = (-1)^swaps prod diag(U), a zero pivot giving det N = 0; for
         # N = -iR, det N = (-i)^2n det R = (-1)^n det R.
@@ -156,7 +149,7 @@ class LemmaEvaluator:
         refuse_singular_determinant(self.determinant)
 
         gecon = sla.get_lapack_funcs("gecon", (lu,))
-        rcond, _ = gecon(lu, anorm, norm="I")
+        rcond, _ = gecon(lu, anorm)
         self.cond_estimate = np.inf if rcond == 0 else 1.0 / rcond
         refuse_ill_conditioned(self.cond_estimate)
 
@@ -174,17 +167,16 @@ class LemmaEvaluator:
 
 
 def _assemble_N(k: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """N = Id + k + l as one dense buffer, or the real R = -Im N when Re N = 0.
-
-    The test is exact, made on Re N in the real buffer that then takes R, so
-    the real case makes no complex 2n x 2n matrix.  Any other N comes back
-    whole and complex; the real buffer is dropped before that one is made.
+    """N = Id + k + l as one Fortran-order buffer, which LAPACK factors in place,
+    or the real R = -Im N when Re N = 0, tested exactly on Re N in the real
+    buffer that then takes R; so the real case makes no complex 2n x 2n matrix.
+    Any other N comes back whole and complex, made after the real one is dropped.
     """
-    r = np.add(k.real, l.real)
+    r = np.add(k.real, l.real, order="F")
     r[np.diag_indices_from(r)] += 1.0
     if r.any():
         del r
-        n_matrix = k + l
+        n_matrix = np.add(k, l, order="F")
         n_matrix[np.diag_indices_from(n_matrix)] += 1.0
         return n_matrix
     np.add(k.imag, l.imag, out=r)
@@ -267,7 +259,8 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
         gram_factor = 1.0 + 0.0j
         exponent_delta = 0.0 + 0.0j
     else:
-        scaled_det_m = (2.0 * np.pi) ** j * complex(np.linalg.det(gram))
+        with refuse_overflow("(2pi)^J det(M)"):
+            scaled_det_m = complex((2.0 * np.pi) ** j * np.linalg.det(gram))
         if scaled_det_m == 0:
             raise NumericFailureError("(2pi)^J det(M) underflows to 0")
         gram_factor = 1.0 / (gram_sign * _branch_sqrt(scaled_det_m, notes, "(2pi)^J det(M)"))
@@ -301,8 +294,7 @@ def _combine(g: Grid, f):
     """f as one 2n-vector, or None when f is absent or identically zero."""
     if f is None:
         return None
-    if f.grid != g:
-        raise InvalidParameterError("test function lives on a different grid")
+    check_same_grid(g, f)
     phi = f.as_vector()
     return phi if np.any(phi) else None
 
@@ -342,8 +334,10 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
 def printed_propagator_value(m: MagneticModel, y) -> complex:
     """The as-quoted closed formula k/(2 pi i cos(kt)) exp(+(ik/2) cot(kt) |y|^2).
 
-    Kept verbatim for comparison; it does not recover the free propagator as
-    k -> 0 and is not the value this package vouches for.
+    Kept verbatim for comparison; it is not the value this package vouches
+    for.  Its own k -> 0 limit is 0, because the prefactor k/(2 pi i cos(kt))
+    vanishes, so it does not recover the free propagator; at k = 0 exactly
+    this function returns :func:`free_limit_reference` instead.
     """
     y = np.asarray(y, dtype=float)
     kt = m.k * m.t
@@ -409,6 +403,7 @@ def free_limit_reference(t: float, y) -> complex:
     return _closed_form(0.0, t, float(y @ y))
 
 
+@refuse_overflow("the residual stencil")
 def schrodinger_residual(m: MagneticModel, n: int = 21,
                          convention: str = "composed") -> float:
     """Finite-difference residual ||i dG/dt - H G|| / ||G|| of the composed
@@ -464,6 +459,10 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
         coef = np.array([a[i], a[i], a[i], -a[i], i_dt[i + 1], -i_dt[i - 1]])
         res = (coef[:, None] * p).T @ p[[1, 0, 3, 2, 4, 5]]
         res_sq += float(np.sum(res.real ** 2 + res.imag ** 2))
+    # Squares below the smallest normal float have lost their digits (at k = 0 from t = 1e77).
+    if not np.finfo(float).tiny <= min(res_sq, core_sq) <= max(res_sq, core_sq) < np.inf:
+        raise NumericFailureError(f"the residual's squared norms {res_sq:.3g} and "
+                                  f"{core_sq:.3g} are not both normal floats")
     return float(np.sqrt(res_sq / core_sq))
 
 

@@ -34,18 +34,21 @@ kt in {j pi} u {(j + 1/2) pi}.  Four guards enforce it, defined here alone:
 :func:`caustic_check` classifies without refusing, and the residual's window
 is :func:`refuse_caustic_in_span`.  Each CausticError carries kt (the
 residual's: the caustic j pi), except the floor's.  The exit code is the CLI's.
+Where a route's numbers leave the float range, :func:`refuse_overflow`
+refuses with NumericFailureError (exit 3).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .errors import (CausticError, GridMismatchError, InvalidParameterError,
-                     NearSingularError, NumericFailureError)
-from .grid import Grid, GridFunctionPair, conj_norm_sq, pair_from_vector
+from .errors import (CausticError, InvalidParameterError, NearSingularError,
+                     NumericFailureError)
+from .grid import Grid, GridFunctionPair, check_same_grid, conj_norm_sq, pair_from_vector
 from .operators import MagneticModel, apply_N
 from .testfunctions import indicator_pair
 
@@ -116,6 +119,19 @@ def refuse_ill_conditioned(cond_estimate: float) -> None:
                                 f"(cond = {cond_estimate:.3g})", cond_estimate=cond_estimate)
 
 
+@contextmanager
+def refuse_overflow(what: str):
+    """Refuse, with NumericFailureError, an overflow in numpy inside the block or
+    the decorated function, or an invalid value, which finite inputs give only
+    after one.  np.errstate holds in the calling thread only, so each route
+    sets it where it computes."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NumericFailureError(f"{what} overflows ({exc})") from None
+
+
 @dataclass(frozen=True)
 class Resolvent:
     """N^{-1} = i (Id + B)^{-1} through the spectrum sigma of B's skew-circulant block.
@@ -141,11 +157,8 @@ class Resolvent:
     @property
     def determinant(self) -> complex:
         """det(Id + B) = det(Id + L(Id+K)^{-1}) = prod(1 - sigma^2); refused if it overflows."""
-        with np.errstate(over="raise"):
-            try:
-                return complex(np.prod(1.0 - self.sigma ** 2))
-            except FloatingPointError:
-                raise NumericFailureError("det(Id + B) = prod(1 - sigma^2) overflows") from None
+        with refuse_overflow("det(Id + B) = prod(1 - sigma^2)"):
+            return complex(np.prod(1.0 - self.sigma ** 2))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """N^{-1} rhs = i (Id + B)^{-1} rhs for a real or complex 2n-vector rhs."""
@@ -188,8 +201,7 @@ def resolvent(m: MagneticModel, g: Grid) -> Resolvent:
 
 def solve_N(m: MagneticModel, g: Grid, rhs: GridFunctionPair) -> GridFunctionPair:
     """x = N^{-1} rhs = i (Id + B)^{-1} rhs on the grid."""
-    if rhs.grid != g:
-        raise GridMismatchError("rhs lives on a different grid")
+    check_same_grid(g, rhs)
     return pair_from_vector(g, resolvent(m, g).solve(rhs.as_vector()))
 
 
@@ -215,6 +227,7 @@ def closed_solve(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
     return lift(partial(_closed_id_plus_core, m, g), rhs)
 
 
+@refuse_overflow("the closed solve")
 def _closed_id_plus_core(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
     """(Id + B)^{-1} rhs for a real 2n-vector rhs: the z = x1 + i x2 of closed_solve."""
     rho = rhs[:g.n] + 1j * rhs[g.n:]
@@ -292,8 +305,7 @@ def gram_matrix(m: MagneticModel, g: Grid, etas) -> np.ndarray:
     etas = tuple(etas)
     if not etas:
         raise InvalidParameterError("need at least one generating function")
-    if any(eta.grid != g for eta in etas):
-        raise GridMismatchError("every eta must live on the grid")
+    check_same_grid(g, *etas)
     res = resolvent(m, g)
     stacked = np.array([eta.as_vector() for eta in etas])
     solutions = np.array([res.solve(vec) for vec in stacked]).T

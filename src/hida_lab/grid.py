@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidParameterError
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,13 @@ def sample(f1, f2, g: Grid) -> GridFunctionPair:
     return GridFunctionPair(grid=g, comp1=_eval(f1), comp2=_eval(f2))
 
 
-def check_same_grid(u: GridFunctionPair, v: GridFunctionPair) -> None:
-    if u.grid != v.grid:
-        raise GridMismatchError(
-            f"grids differ: (t={u.grid.t}, n={u.grid.n}) vs (t={v.grid.t}, n={v.grid.n})")
+def check_same_grid(g: Grid, *objects) -> None:
+    """Refuse any object (a grid function or an operator) whose grid is not g."""
+    for obj in objects:
+        if obj.grid != g:
+            raise InvalidParameterError(
+                f"{type(obj).__name__} lives on a different grid: (t={obj.grid.t}, "
+                f"n={obj.grid.n}), expected (t={g.t}, n={g.n})")
 
 
 def pair(u: GridFunctionPair, v: GridFunctionPair) -> complex:
@@ -95,7 +98,7 @@ def pair(u: GridFunctionPair, v: GridFunctionPair) -> complex:
     No complex conjugation: this is the bilinear extension of the real
     pairing, the convention used by every formula in this package.
     """
-    check_same_grid(u, v)
+    check_same_grid(u.grid, v)
     return complex(np.sum(u.grid.h * (u.comp1 * v.comp1 + u.comp2 * v.comp2)))
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidParameterError
-from .grid import Grid, GridFunctionPair, pair_from_vector
+from .errors import InvalidParameterError
+from .grid import Grid, GridFunctionPair, check_same_grid, pair_from_vector
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class BlockOperator:
                 f"entries shape {self.entries.shape} does not match grid (expect {(n2, n2)})")
 
     def apply(self, f: GridFunctionPair) -> GridFunctionPair:
-        if f.grid != self.grid:
-            raise GridMismatchError("operator and function live on different grids")
+        check_same_grid(self.grid, f)
         return pair_from_vector(self.grid, self.entries @ f.as_vector())
 
 
@@ -125,8 +124,7 @@ def apply_N(m: MagneticModel, g: Grid, f: GridFunctionPair) -> GridFunctionPair:
     Neither the FFT solve nor a closed form enters, so this apply stays
     independent of both routes it is used to check.
     """
-    if f.grid != g:
-        raise GridMismatchError("operator and function live on different grids")
+    check_same_grid(g, f)
 
     def coupling(v):
         av = apply_volterra(g, v)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
-from .fredholm import Resolvent
+from .fredholm import Resolvent, refuse_overflow
 from .grid import Grid, GridFunctionPair
 from .operators import MagneticModel
 
@@ -117,11 +117,8 @@ def determinant_product(m: MagneticModel, n_max: int = 100_000) -> float:
     np.multiply(factors, np.pi, out=factors)
     np.divide(2.0 * m.k * m.t, factors, out=factors)
     np.subtract(1.0, np.square(factors, out=factors), out=factors)
-    with np.errstate(over="raise"):
-        try:
-            return float(np.prod(factors) ** 2)
-        except FloatingPointError:
-            raise NumericFailureError(f"the product to n_max = {n_max} overflows") from None
+    with refuse_overflow(f"the product to n_max = {n_max}"):
+        return float(np.prod(factors) ** 2)
 
 
 def determinant_report(m: MagneticModel, g: Grid, n_max: int = 100_000) -> DeterminantReport:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -341,6 +342,72 @@ def test_an_overflow_is_refused_with_no_warning(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
     assert got == code and out == ""
     assert ("k*t = " in err) if code == 2 else ("numeric failure" in err and "overflows" in err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, code", [
+    (["residual", "--k", "0", "--t", "1e154"], 3),
+    (["residual", "--k", "0", "--t", "1e77"], 3),
+    (["residual", "--k", "0", "--t", "1e76"], 0),
+    (["residual", "--k", "0", "--t", "1e-100"], 3),
+    (["preimage", "--k", "0", "--t", "1e308", "--grid-points", "200"], 3),
+    (["propagator", "--k", "0", "--t", "1e308", "--grid-points", "200"], 3),
+    (["ttransform", "--k", "0", "--t", "1e308", "--grid-points", "200", "--count", "2"], 3),
+    (["propagator", "--k", "1e-300", "--t", "1e200", "--grid-points", "200"], 3),
+    (["propagator", "--k", "0", "--t", "1e-300", "--grid-points", "200"], 3),
+], ids=["residual_1e154", "residual_1e77", "residual_1e76", "residual_1e-100",
+        "preimage_1e308", "propagator_1e308", "ttransform_1e308", "propagator_k1e-300",
+        "propagator_1e-300"])
+def test_an_extreme_t_is_refused_where_it_leaves_the_float_range(capsys, argv, code):
+    """Exit 3 where a route's numbers leave the float range: the residual's
+    squared norms (below the smallest normal float from t = 1e77 at k = 0,
+    where its digits go, and 0 at 1e154, where convergence_orders divided by
+    it), its stencil, the closed solve and det M.  Each of these raised."""
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert (out == "" and "numeric failure" in err
+            if code else json.loads(out, parse_constant=_refuse_constant)["results"])
+
+
+def test_a_sweep_reports_an_extreme_t_refusal_in_its_rows(capsys):
+    """A sweep does not abort: each row that leaves the float range carries the refusal."""
+    code, out, _ = run_cli(capsys, "sweep", "--k", "0", "--sweep-param", "t",
+                           "--sweep-start", "1e300", "--sweep-stop", "1e308",
+                           "--sweep-steps", "2", "--grid-points", "50")
+    rows = json.loads(out, parse_constant=_refuse_constant)["results"]["rows"]
+    assert code == 0 and len(rows) == 2
+    assert all(row["value"] is None and "det(M) overflows" in row["error"] for row in rows)
+
+
+EXTREME_EXPONENTS = sorted(set(range(-320, 309, 16)) | {153, 154, 155, 307, 308})
+EXTREME_OPTIONS = {
+    "preimage": ["--grid-points", "8"],
+    "propagator": ["--grid-points", "8"],
+    "ttransform": ["--grid-points", "8", "--count", "2"],
+    "residual": [],
+    "spectrum": ["--grid-points", "8", "--count", "1"],
+    "determinant": ["--grid-points", "8", "--n-max", "10"],
+    "sweep": ["--grid-points", "8", "--sweep-param", "t", "--sweep-steps", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(EXTREME_OPTIONS))
+def test_every_command_at_an_extreme_t_exits_with_a_code(capsys, command):
+    """At k in {0, 1, 1e-200} and t = 10^e from 1e-320 to 1e308, with every
+    warning an error, each command returns 0, 2, 3 or 4 and prints nothing on
+    a refusal; none raises.  The sweep runs from 10^(e-1) to 10^e."""
+    wrong = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in ("0", "1", "1e-200"):
+            for e in EXTREME_EXPONENTS:
+                span = ["--sweep-start", f"1e{e - 1}", "--sweep-stop", f"1e{e}"]
+                argv = [command, "--k", k, "--t", f"1e{e}", *EXTREME_OPTIONS[command],
+                        *(span if command == "sweep" else [])]
+                code, out, _ = run_cli(capsys, *argv)
+                if code not in (0, 2, 3, 4) or (code and out):
+                    wrong.append((k, e, code))
+    assert wrong == []
 
 
 def _refuse_constant(name):

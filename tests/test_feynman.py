@@ -181,10 +181,10 @@ def test_lemma_factors_N_once_and_reads_det_id_plus_K_off_the_diagonal(monkeypat
     etas = (indicator_pair(g, 1), indicator_pair(g, 2))
     f = random_suite(777, 1, g)[0]
     # The magnetic N = -i(Id + B): one real factorization of R = Id + B itself,
-    # handed to LAPACK transposed and fed only real columns.
+    # fed only real columns.
     LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g), etas).evaluate(f=f, ys=(0.3, -0.4))
     assert factored == [((100, 100), np.float64)]
-    assert np.array_equal(buffers[0], (np.eye(100) + symmetric_core(M11, g)).T)
+    assert np.array_equal(buffers[0], np.eye(100) + symmetric_core(M11, g))
     assert solved and set(solved) == {np.dtype(np.float64)}
     # A complex diagonal K leaves N genuinely complex: one complex factorization.
     factored.clear()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hida_lab import (CausticError, GridMismatchError, MagneticModel,
+from hida_lab import (CausticError, InvalidParameterError, MagneticModel,
                       NearSingularError, analytic_gram_diagonal, determinant_report,
                       discrete_spectrum, gram_matrix, magnetic_T, propagator,
                       solve_N, verify_preimage)
@@ -53,7 +53,7 @@ def test_solve_of_real_rhs_is_purely_imaginary():
 def test_solve_rejects_foreign_grid():
     g = make_grid(1.0, 100)
     rhs = indicator_pair(make_grid(1.0, 101), 1)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InvalidParameterError):
         solve_N(M11, g, rhs)
 
 
@@ -143,7 +143,7 @@ def test_gram_matrix_reads_the_spectrum_once(monkeypatch):
     pairings = [[pair(a, solve_N(M11, g, b)) for b in etas] for a in etas]
     np.testing.assert_allclose(entries, pairings, rtol=0, atol=1e-14 * abs(entries).max())
     foreign = make_grid(1.0, 32)
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InvalidParameterError):
         gram_matrix(M11, g, [indicator_pair(g, 1), indicator_pair(foreign, 2)])
 
 

@@ -1,13 +1,16 @@
 """Grid construction, sampling, and the bilinear pairing."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from hida_lab import GridMismatchError, InvalidParameterError
+from hida_lab import (InvalidParameterError, LemmaEvaluator, MagneticModel, apply_N, free_K,
+                      gram_matrix, magnetic_L, magnetic_T, propagator, solve_N)
 from hida_lab.grid import (Grid, conj_norm_sq, make_grid, pair, pair_from_vector,
                            sample)
+from hida_lab.testfunctions import indicator_pair
 
 
 def test_midpoint_nodes_and_weights():
@@ -81,5 +84,37 @@ def test_pair_matches_exact_integral():
 def test_pair_rejects_mismatched_grids():
     u = sample(1.0, 0.0, make_grid(1.0, 8))
     v = sample(1.0, 0.0, make_grid(1.0, 9))
-    with pytest.raises(GridMismatchError):
+    with pytest.raises(InvalidParameterError):
         pair(u, v)
+
+
+def _on_another_grid():
+    """Each call that takes an object on a grid, with one object on `other`."""
+    m, g, other = MagneticModel(k=1.0, t=1.0), make_grid(1.0, 8), make_grid(2.0, 8)
+    f, foreign = sample(1.0, 0.5, g), sample(1.0, 0.5, other)
+    etas = (indicator_pair(g, 1), indicator_pair(g, 2))
+    y = (0.3, -0.4)
+    return {
+        "pair": lambda: pair(f, foreign),
+        "BlockOperator.apply": lambda: free_K(m, g).apply(foreign),
+        "apply_N": lambda: apply_N(m, g, foreign),
+        "solve_N": lambda: solve_N(m, g, foreign),
+        "gram_matrix": lambda: gram_matrix(m, g, [etas[0], indicator_pair(other, 2)]),
+        "LemmaEvaluator_L": lambda: LemmaEvaluator(free_K(m, g), magnetic_L(m, other), etas),
+        "LemmaEvaluator_eta": lambda: LemmaEvaluator(free_K(m, g), magnetic_L(m, g),
+                                                     (etas[0], indicator_pair(other, 2))),
+        "LemmaEvaluator.evaluate": lambda: LemmaEvaluator(free_K(m, g), magnetic_L(m, g),
+                                                          etas).evaluate(f=foreign, ys=y),
+        "propagator": lambda: propagator(m, y, n_grid=8, f=foreign),
+        "magnetic_T": lambda: magnetic_T(m, y, f=foreign),
+    }
+
+
+@pytest.mark.parametrize("site", list(_on_another_grid()))
+def test_every_site_refuses_an_object_on_another_grid_with_one_message(site):
+    """check_same_grid is the one grid rule: one exception class and one message,
+    naming the object's type, its grid and the expected one."""
+    kind = "BlockOperator" if site == "LemmaEvaluator_L" else "GridFunctionPair"
+    message = f"{kind} lives on a different grid: (t=2.0, n=8), expected (t=1.0, n=8)"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        _on_another_grid()[site]()
