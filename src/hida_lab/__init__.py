@@ -11,8 +11,7 @@ from .spectral import (DeterminantReport, SpectralReport, analytic_eigenfunction
                        determinant_report, discrete_spectrum)
 from .fredholm import (CausticClassification, analytic_gram_diagonal, caustic_check,
                        gram_matrix, solve_N, verify_preimage)
-from .gausskernels import (FiniteRankKernel, donsker_T, finite_rank_T,
-                           montecarlo_gauss_expectation, normalized_exp_T)
+from .gausskernels import FiniteRankKernel, donsker_T, montecarlo_gauss_expectation
 from .testfunctions import indicator_pair, random_suite
 from .verification import CheckResult, run_checks
 from .feynman import (LemmaEvaluator, TTransformReport, composed_closed_value,

@@ -22,15 +22,7 @@ class CausticError(HidaLabError, ArithmeticError):
 
 
 class NearSingularError(HidaLabError, ArithmeticError):
-    """A linear solve was refused because the system is ill-conditioned.
-
-    ``cond_estimate`` holds the condition number of the refused matrix: exact
-    in the 2-norm for Id + B, a LAPACK 1-norm estimate for a dense N.
-    """
-
-    def __init__(self, message, cond_estimate=None):
-        super().__init__(message)
-        self.cond_estimate = cond_estimate
+    """A linear solve was refused because the system is ill-conditioned."""
 
 
 class ConditionViolationError(HidaLabError, ArithmeticError):

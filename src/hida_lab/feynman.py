@@ -131,7 +131,7 @@ class LemmaEvaluator:
         n2 = 2 * self.grid.n
         sign_k, logdet_k = _slogdet_id_plus(K.entries)
         if sign_k == 0:
-            raise NearSingularError("Id + K is singular", cond_estimate=np.inf)
+            raise NearSingularError("Id + K is singular")
         # The one dense buffer a: N itself, or the real R when N = -iR.
         a = _assemble_N(K.entries, L.entries)
         real = not np.iscomplexobj(a)

@@ -116,16 +116,16 @@ def refuse_ill_conditioned(cond_estimate: float) -> None:
     """Refuse a condition number of N above COND_LIMIT."""
     if cond_estimate > COND_LIMIT:
         raise NearSingularError(f"N = Id+K+L is numerically singular "
-                                f"(cond = {cond_estimate:.3g})", cond_estimate=cond_estimate)
+                                f"(cond = {cond_estimate:.3g})")
 
 
 @contextmanager
 def refuse_overflow(what: str):
-    """Refuse, with NumericFailureError, an overflow in numpy inside the block or
-    the decorated function, or an invalid value, which finite inputs give only
-    after one.  np.errstate holds in the calling thread only, so each route
-    sets it where it computes."""
-    with np.errstate(over="raise", invalid="raise"):
+    """Refuse, with NumericFailureError, an overflow or a division by zero in numpy
+    inside the block or the decorated function, or an invalid value, which finite
+    inputs give only after one.  np.errstate holds in the calling thread only, so
+    each route sets it where it computes."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
             yield
         except FloatingPointError as exc:
@@ -255,8 +255,6 @@ def rotation_gram(g: Grid, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreimageResidualReport:
-    model: MagneticModel
-    grid: Grid
     sup_f: float
     sup_g: float
     quad_f: float
@@ -291,7 +289,6 @@ def verify_preimage(m: MagneticModel, g: Grid) -> PreimageResidualReport:
     diff_g = GridFunctionPair(grid=g, comp1=res_g.comp1 - eta2.comp1,
                               comp2=res_g.comp2 - eta2.comp2)
     return PreimageResidualReport(
-        model=m, grid=g,
         sup_f=diff_f.sup_norm(), sup_g=diff_g.sup_norm(),
         quad_f=float(np.sqrt(conj_norm_sq(diff_f))),
         quad_g=float(np.sqrt(conj_norm_sq(diff_g))),

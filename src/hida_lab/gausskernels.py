@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NearSingularError
-from .grid import GridFunctionPair, pair
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -47,29 +46,10 @@ def donsker_T(eta_norm_sq: float, eta_dot_f: complex, f_norm_sq: complex,
     return np.exp(quad) / np.sqrt(2.0 * np.pi * eta_norm_sq)
 
 
-def finite_rank_T(kernel: FiniteRankKernel, f_coeffs, f_residual_norm_sq: complex = 0.0
-                  ) -> complex:
-    """T-transform of exp(-<.,K.>/2) for a finite-rank K.
-
-    det(Id+K)^{-1/2} * exp(-(f, (Id+K)^{-1} f)/2); the coefficients are
-    bilinear coordinates of f along the eigenbasis and the residual term
-    covers the orthogonal complement, where K acts as zero.
-    """
-    coeffs = np.asarray(f_coeffs, dtype=complex)
-    if coeffs.shape != (kernel.rank,):
-        raise InvalidParameterError(
-            f"expected {kernel.rank} coefficients, got shape {coeffs.shape}")
-    det = np.prod(1.0 + kernel.eigenvalues)
-    quad = np.sum(coeffs ** 2 / (1.0 + kernel.eigenvalues)) + f_residual_norm_sq
-    return det ** (-0.5) * np.exp(-0.5 * quad)
-
-
 @dataclass(frozen=True)
 class MonteCarloEstimate:
     mean: float
     std_error: float
-    samples: int
-    seed: int
     exact: float
 
 
@@ -89,19 +69,4 @@ def montecarlo_gauss_expectation(kernel: FiniteRankKernel, samples: int,
     mean = float(vals.mean())
     std_error = float(vals.std(ddof=1) / np.sqrt(samples)) if kernel.rank else 0.0
     exact = float(np.prod(1.0 + 2.0 * kernel.eigenvalues) ** (-0.5))
-    return MonteCarloEstimate(mean=mean, std_error=std_error, samples=samples,
-                              seed=seed, exact=exact)
-
-
-def normalized_exp_T(apply_inverse, f: GridFunctionPair) -> complex:
-    """T-transform of the normalized exponential: exp(-(f, (Id+K)^{-1} f)/2).
-
-    ``apply_inverse`` maps a GridFunctionPair to (Id+K)^{-1} applied to it;
-    no determinant prefactor is involved.
-    """
-    inv_f = apply_inverse(f)
-    if not isinstance(inv_f, GridFunctionPair):
-        raise InvalidParameterError("apply_inverse must return a GridFunctionPair")
-    if not np.all(np.isfinite(inv_f.comp1)) or not np.all(np.isfinite(inv_f.comp2)):
-        raise NearSingularError("(Id+K)^{-1} produced non-finite values")
-    return complex(np.exp(-0.5 * pair(f, inv_f)))
+    return MonteCarloEstimate(mean=mean, std_error=std_error, exact=exact)

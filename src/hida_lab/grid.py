@@ -4,12 +4,15 @@ Everything downstream works on two-component functions sampled at the
 midpoints s_j = (j + 1/2) h with h = t / n.  Midpoints keep every sample
 strictly inside [0, t), so the indicator of the interval is sampled exactly
 and no boundary convention is ever needed.  Every quadrature weight is the
-one step h, so a grid is fixed by (t, n) alone.
+one step h, so a grid is fixed by (t, n) alone.  A grid whose h is not a
+normal float is refused: a subnormal h has lost digits, and below it h is 0.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +22,10 @@ from .errors import InvalidParameterError
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform midpoint grid with n nodes on [0, t), step h = t / n."""
+    """Uniform midpoint grid with n nodes on [0, t), step h = t / n.
+
+    n is any integer (numpy's too, stored as an int); h must be a normal float.
+    """
 
     t: float
     n: int
@@ -29,8 +35,18 @@ class Grid:
             raise InvalidParameterError(f"duration t must be positive, got {self.t}")
         if not math.isfinite(self.t):
             raise InvalidParameterError(f"duration t must be finite, got {self.t}")
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            raise InvalidParameterError(f"the node count must be an integer, "
+                                        f"got {self.n!r}") from None
+        object.__setattr__(self, "n", n)
         if self.n < 2:
             raise InvalidParameterError(f"need at least 2 nodes, got {self.n}")
+        if self.t / self.n < sys.float_info.min:
+            raise InvalidParameterError(
+                f"step h = t/n = {self.t}/{self.n} is below the smallest normal float "
+                f"{sys.float_info.min:.6g}")
 
     @property
     def h(self) -> float:
@@ -60,7 +76,7 @@ class GridFunctionPair:
 
 def make_grid(t: float, n: int) -> Grid:
     """Build the midpoint grid with n nodes on [0, t)."""
-    return Grid(float(t), int(n))
+    return Grid(float(t), n)
 
 
 def pair_from_vector(g: Grid, vec: np.ndarray) -> GridFunctionPair:

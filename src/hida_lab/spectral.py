@@ -27,7 +27,6 @@ from .operators import MagneticModel
 class SpectralReport:
     """Analytic vs. discrete spectrum of the symmetric core B."""
 
-    model: MagneticModel
     analytic: np.ndarray          # positive-branch closed-form values, multiplicity 2 each
     discrete: np.ndarray          # all eigenvalues of B, sorted by descending |value|
     match_errors: np.ndarray      # per matched pair: relative error vs analytic value
@@ -38,7 +37,6 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class DeterminantReport:
-    model: MagneticModel
     closed: float
     product: float
     product_terms: int
@@ -87,7 +85,7 @@ def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralRep
 
     if m.k == 0:
         zeros = np.zeros(count * 2)     # analytic too: +0.0, also at k = -0.0
-        return SpectralReport(model=m, analytic=zeros[:count], discrete=discrete,
+        return SpectralReport(analytic=zeros[:count], discrete=discrete,
                               match_errors=zeros, pair_gaps=zeros,
                               matched_analytic=zeros, matched_means=zeros)
 
@@ -99,7 +97,7 @@ def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralRep
     means = pairs.mean(axis=1)
     errors = np.abs(means - analytic) / np.abs(analytic)
     gaps = np.abs(pairs[:, 0] - pairs[:, 1]) / np.abs(analytic)
-    return SpectralReport(model=m, analytic=analytic, discrete=discrete,
+    return SpectralReport(analytic=analytic, discrete=discrete,
                           match_errors=np.repeat(errors, 2), pair_gaps=np.repeat(gaps, 2),
                           matched_analytic=np.column_stack([analytic, -analytic]).ravel(),
                           matched_means=np.column_stack([means, -means]).ravel())
@@ -135,6 +133,6 @@ def determinant_report(m: MagneticModel, g: Grid, n_max: int = 100_000) -> Deter
         "closed_vs_discrete": _rel(closed, discrete),
         "product_vs_discrete": _rel(product, discrete),
     }
-    return DeterminantReport(model=m, closed=closed, product=product,
+    return DeterminantReport(closed=closed, product=product,
                              product_terms=n_max, discrete=discrete,
                              discrepancies=discrepancies)

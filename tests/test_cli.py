@@ -4,6 +4,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -393,21 +394,40 @@ EXTREME_OPTIONS = {
 
 @pytest.mark.parametrize("command", list(EXTREME_OPTIONS))
 def test_every_command_at_an_extreme_t_exits_with_a_code(capsys, command):
-    """At k in {0, 1, 1e-200} and t = 10^e from 1e-320 to 1e308, with every
-    warning an error, each command returns 0, 2, 3 or 4 and prints nothing on
-    a refusal; none raises.  The sweep runs from 10^(e-1) to 10^e."""
+    """At k in {0, 1, 1e-200} and t = 10^e from 1e-320 to 1e308, and at the
+    smallest positive float 5e-324, with every warning an error, each command
+    returns 0, 2, 3 or 4 and prints nothing on a refusal; none raises.  The
+    sweep runs from 10^(e-1) to 10^e, and from 5e-324 to 1e-323."""
+    spans = [(f"1e{e - 1}", f"1e{e}") for e in EXTREME_EXPONENTS] + [("5e-324", "1e-323")]
     wrong = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k in ("0", "1", "1e-200"):
-            for e in EXTREME_EXPONENTS:
-                span = ["--sweep-start", f"1e{e - 1}", "--sweep-stop", f"1e{e}"]
-                argv = [command, "--k", k, "--t", f"1e{e}", *EXTREME_OPTIONS[command],
+            for start, t in spans:
+                span = ["--sweep-start", start, "--sweep-stop", t]
+                argv = [command, "--k", k, "--t", t, *EXTREME_OPTIONS[command],
                         *(span if command == "sweep" else [])]
                 code, out, _ = run_cli(capsys, *argv)
                 if code not in (0, 2, 3, 4) or (code and out):
-                    wrong.append((k, e, code))
+                    wrong.append((k, t, code))
     assert wrong == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["preimage", "propagator", "ttransform", "spectrum",
+                                     "determinant"])
+def test_the_grid_refuses_a_step_below_the_smallest_normal_float(capsys, command):
+    """At n = 8, the smallest t whose step h = t/n is a normal float: each
+    command that builds a grid gets past it, to a report (exit 0) or to det M
+    underflowing (exit 3).  The next float below t is refused with exit 2."""
+    t = 8 * sys.float_info.min
+    while math.nextafter(t, 0.0) / 8 >= sys.float_info.min:    # t/8 rounds to nearest
+        t = math.nextafter(t, 0.0)
+    code, _, err = run_cli(capsys, command, "--k", "0", "--t", repr(t), *EXTREME_OPTIONS[command])
+    assert code in (0, 3) and "smallest normal float" not in err
+    code, out, err = run_cli(capsys, command, "--k", "0", "--t", repr(math.nextafter(t, 0.0)),
+                             *EXTREME_OPTIONS[command])
+    assert code == 2 and out == "" and "below the smallest normal float" in err
 
 
 def _refuse_constant(name):
@@ -548,7 +568,7 @@ def test_sweep_csv_keeps_the_error_of_a_refused_row(capsys):
 def test_sweep_survives_a_refused_row(capsys, monkeypatch):
     def propagator(m, y, n_grid):
         if m.t == 2.0:
-            raise NearSingularError("stub refusal", cond_estimate=1e13)
+            raise NearSingularError("stub refusal")
         return SimpleNamespace(value=1j * m.t)
 
     monkeypatch.setattr(cli, "propagator", propagator)

@@ -1,5 +1,6 @@
 """T-transform composition, propagator values, caustics, residual checks."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -402,6 +403,26 @@ def test_propagator_returns_the_structured_report():
     assert rep.route == "structured"
     assert 1.0 <= rep.cond_estimate < np.inf
     assert rep.branch_note and "delta exponent" in rep.branch_note[-1]
+
+
+def test_propagator_keeps_nothing_per_call():
+    """No cache grows with the calls: after a warm-up, 1000 calls at distinct
+    (k, t) on one grid size grow the traced heap by under 16 KB.  The
+    benchmark's peak RSS already grows with its throughput, so a per-call
+    cache would hide there; a cache kept per n passes."""
+    points = [(0.5 + j / 4000, 1.0 + j / 2000) for j in range(1001)]    # kt < pi/2
+    propagator(MagneticModel(k=points[0][0], t=points[0][1]), (0.3, -0.4), n_grid=200)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for k, t in points[1:]:
+            propagator(MagneticModel(k=k, t=t), (0.3, -0.4), n_grid=200)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024
 
 
 # ------------------------------------------------------------- closed forms

@@ -1,14 +1,11 @@
-"""Gauss-kernel T-transforms and the Monte Carlo determinant identity."""
+"""Donsker's delta T-transform and the Monte Carlo determinant identity."""
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from hida_lab import (FiniteRankKernel, InvalidParameterError, donsker_T,
-                      finite_rank_T, montecarlo_gauss_expectation,
-                      normalized_exp_T)
-from hida_lab.errors import NearSingularError
-from hida_lab.grid import GridFunctionPair, make_grid, sample
+                      montecarlo_gauss_expectation)
 
 
 def test_kernel_validates_eigenvalue_range():
@@ -40,21 +37,6 @@ def test_donsker_T_rejects_nonpositive_variance():
         donsker_T(0.0, 0.0, 0.0, 0.0)
 
 
-def test_finite_rank_T_rank_one_value():
-    kernel = FiniteRankKernel(eigenvalues=np.array([-0.25]))
-    assert finite_rank_T(kernel, [0.0]) == pytest.approx(0.75 ** -0.5)
-    assert finite_rank_T(kernel, [0.0]) == pytest.approx(1.1547005383792515)
-
-
-def test_finite_rank_T_coefficient_and_residual_terms():
-    kernel = FiniteRankKernel(eigenvalues=np.array([-0.25]))
-    value = finite_rank_T(kernel, [1.0], f_residual_norm_sq=2.0)
-    expected = 0.75 ** -0.5 * np.exp(-0.5 * (1.0 / 0.75 + 2.0))
-    assert value == pytest.approx(expected)
-    with pytest.raises(InvalidParameterError):
-        finite_rank_T(kernel, [1.0, 2.0])
-
-
 def test_montecarlo_matches_determinant_identity():
     kernel = FiniteRankKernel(eigenvalues=np.array([-0.25]))
     est = montecarlo_gauss_expectation(kernel, samples=100_000, seed=42)
@@ -75,25 +57,3 @@ def test_montecarlo_rejects_tiny_sample_counts():
     kernel = FiniteRankKernel(eigenvalues=np.array([-0.25]))
     with pytest.raises(InvalidParameterError):
         montecarlo_gauss_expectation(kernel, samples=10, seed=1)
-
-
-def test_normalized_exp_T_identity_kernel():
-    """With (Id+K)^{-1} = Id/2 the transform is exp(-(f,f)/4)."""
-    g = make_grid(1.0, 100)
-    f = sample(1.0, 0.0, g)
-
-    def halve(u):
-        return GridFunctionPair(grid=g, comp1=u.comp1 / 2.0, comp2=u.comp2 / 2.0)
-
-    assert normalized_exp_T(halve, f) == pytest.approx(np.exp(-0.25))
-
-
-def test_normalized_exp_T_rejects_bad_inverse():
-    g = make_grid(1.0, 10)
-    f = sample(1.0, 0.0, g)
-    with pytest.raises(InvalidParameterError):
-        normalized_exp_T(lambda u: u.as_vector(), f)
-    bad = GridFunctionPair(grid=g, comp1=np.full(10, np.nan, dtype=complex),
-                           comp2=np.zeros(10, dtype=complex))
-    with pytest.raises(NearSingularError):
-        normalized_exp_T(lambda u: bad, f)

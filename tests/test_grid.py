@@ -50,6 +50,16 @@ def test_grid_refuses_an_infinite_duration():
             build(np.inf, 4)
 
 
+def test_grid_takes_an_integer_node_count_only():
+    """numpy integers pass and are stored as int; a fractional n is refused,
+    where Grid once placed a node at s = t and make_grid truncated n."""
+    g = make_grid(1.0, np.int64(8))
+    assert g == Grid(1.0, np.int32(8)) == Grid(1.0, 8) and type(g.n) is int
+    for build in (make_grid, Grid):
+        with pytest.raises(InvalidParameterError, match="integer"):
+            build(1.0, 2.5)
+
+
 def test_sample_accepts_constants_and_callables():
     g = make_grid(1.0, 10)
     f = sample(2.0, lambda s: s, g)

@@ -30,6 +30,7 @@ def _model(k, t, n):
     """Model and grid, kept away from the half-integer caustics (j + 1/2) pi."""
     assume(abs(np.cos(k * t)) > 1e-3)
     assume(k == 0 or abs(k * t) >= sys.float_info.min)     # MagneticModel refuses such k t
+    assume(t / n >= sys.float_info.min)                    # Grid refuses a subnormal step
     return MagneticModel(k=k, t=t), make_grid(t, n)
 
 
