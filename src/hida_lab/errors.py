@@ -30,4 +30,6 @@ class ConditionViolationError(HidaLabError, ArithmeticError):
 
 
 class NumericFailureError(HidaLabError, RuntimeError):
-    """A numerical kernel (eigensolver, factorization) failed to converge."""
+    """A number left the float range or could not be formed: an overflow, a division
+    by zero or an invalid value in numpy, a non-finite T-transform or report, an
+    underflowed det M, or too few discrete eigenvalues to match."""

@@ -129,7 +129,7 @@ def refuse_overflow(what: str):
         try:
             yield
         except FloatingPointError as exc:
-            raise NumericFailureError(f"{what} overflows ({exc})") from None
+            raise NumericFailureError(f"{what} leaves the float range ({exc})") from None
 
 
 @dataclass(frozen=True)

@@ -146,15 +146,3 @@ def symmetric_core(m: MagneticModel, g: Grid) -> np.ndarray:
     zero = np.zeros_like(s)
     return np.block([[zero, s], [s.T, zero]])
 
-
-def potential_form_direct(m: MagneticModel, f: GridFunctionPair) -> complex:
-    """Direct quadrature of -ik int_0^t ((A f1) f2 - f1 (A f2)) dtau.
-
-    Equals half the quadratic form of L on smooth functions (up to
-    quadrature error); serves as the independent route for checking L.
-    """
-    g = f.grid
-    inner1 = apply_volterra(g, f.comp1)
-    inner2 = apply_volterra(g, f.comp2)
-    integrand = inner1 * f.comp2 - f.comp1 * inner2
-    return complex(-1j * m.k * np.sum(g.h * integrand))

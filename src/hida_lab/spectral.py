@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
 from .fredholm import Resolvent, refuse_overflow
-from .grid import Grid, GridFunctionPair
+from .grid import Grid
 from .operators import MagneticModel
 
 
@@ -50,22 +50,6 @@ def analytic_eigenvalues(m: MagneticModel, count: int) -> np.ndarray:
         raise InvalidParameterError(f"count must be >= 1, got {count}")
     n = np.arange(1, count + 1)
     return 2.0 * m.k * m.t / ((2 * n - 1) * np.pi)
-
-
-def analytic_eigenfunction(m: MagneticModel, n: int, c1: complex, c2: complex,
-                           g: Grid) -> GridFunctionPair:
-    """Closed-form eigenfunction c1 (cos, sin) + c2 (sin, -cos) at frequency 2k/lambda_n."""
-    if n == 0:
-        raise InvalidParameterError("eigenvalue index n must be nonzero")
-    if c1 == 0 and c2 == 0:
-        raise InvalidParameterError("coefficient pair must not be (0, 0)")
-    # The frequency 2k/lambda_n = (2n-1) pi / t is k-independent and well
-    # defined for either sign branch (n -> -n+1 flips lambda's sign only).
-    freq = (2 * n - 1) * np.pi / m.t
-    s = g.nodes
-    comp1 = c1 * np.cos(freq * s) + c2 * np.sin(freq * s)
-    comp2 = c1 * np.sin(freq * s) - c2 * np.cos(freq * s)
-    return GridFunctionPair(grid=g, comp1=comp1.astype(complex), comp2=comp2.astype(complex))
 
 
 def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralReport:

@@ -22,6 +22,10 @@ from .operators import MagneticModel
 from .spectral import determinant_report, discrete_spectrum
 from .testfunctions import indicator_pair, random_suite
 
+_SPECTRUM_PAIRS = 10            # leading analytic pairs matched per sign branch
+_PRODUCT_TERMS = 100_000        # factors of the truncated determinant product
+_RESIDUAL_LEVELS = 3            # step halvings of the Schrodinger residual
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -43,25 +47,25 @@ def convergence_orders(residuals) -> list:
             for i in range(len(residuals) - 1)]
 
 
-def check_spectrum(n_grid: int = 2000, count: int = 10) -> CheckResult:
+def check_spectrum(n_grid: int) -> CheckResult:
     """Discrete eigenvalue pairs of B vs 2kt/((2n-1)pi), multiplicity 2."""
     m = MagneticModel(k=1.0, t=1.0)
-    rep = discrete_spectrum(m, make_grid(m.t, n_grid), count=count)
+    rep = discrete_spectrum(m, make_grid(m.t, n_grid), count=_SPECTRUM_PAIRS)
     worst_match = float(rep.match_errors.max())
     worst_gap = float(rep.pair_gaps.max())
     passed = worst_match <= 1e-3 and worst_gap <= 1e-6
     return CheckResult(
         name="spectrum_match", passed=passed, measured=worst_match, threshold=1e-3,
-        detail=(f"{count} leading pairs per sign branch at n_grid={n_grid}: "
+        detail=(f"{_SPECTRUM_PAIRS} leading pairs per sign branch at n_grid={n_grid}: "
                 f"max relative error {worst_match:.3e} (<= 1e-3), "
                 f"max in-pair gap {worst_gap:.3e} (<= 1e-6)"))
 
 
-def check_determinant(n_grid: int = 2000, n_max: int = 100_000) -> CheckResult:
+def check_determinant(n_grid: int) -> CheckResult:
     """Closed cos^2(kt) vs truncated product vs discrete eigen-product."""
     worst_disc, worst_prod = 0.0, 0.0
     for k, t in ((1.0, 1.0), (0.5, 2.0), (0.3, 0.7)):
-        rep = determinant_report(MagneticModel(k=k, t=t), make_grid(t, n_grid), n_max)
+        rep = determinant_report(MagneticModel(k=k, t=t), make_grid(t, n_grid), _PRODUCT_TERMS)
         worst_disc = max(worst_disc, abs(rep.discrete - rep.closed))
         worst_prod = max(worst_prod, abs(rep.product - rep.closed))
     passed = worst_disc <= 1e-2 and worst_prod <= 1e-4
@@ -70,10 +74,10 @@ def check_determinant(n_grid: int = 2000, n_max: int = 100_000) -> CheckResult:
         threshold=1e-2,
         detail=(f"three (k,t) points at n_grid={n_grid}: "
                 f"max |discrete - cos^2| {worst_disc:.3e} (<= 1e-2), "
-                f"max |product({n_max}) - cos^2| {worst_prod:.3e} (<= 1e-4)"))
+                f"max |product({_PRODUCT_TERMS}) - cos^2| {worst_prod:.3e} (<= 1e-4)"))
 
 
-def check_preimage(sizes=(500, 1000, 2000)) -> CheckResult:
+def check_preimage(sizes) -> CheckResult:
     """Closed preimage residual, solve agreement, and residual order."""
     m = MagneticModel(k=1.0, t=1.0)
     reports = [verify_preimage(m, make_grid(m.t, n)) for n in sizes]
@@ -90,7 +94,7 @@ def check_preimage(sizes=(500, 1000, 2000)) -> CheckResult:
                 f"orders over {sizes}: {[round(o, 3) for o in orders]} (each >= 1.9)"))
 
 
-def check_gram(n_grid: int = 2000) -> CheckResult:
+def check_gram(n_grid: int) -> CheckResult:
     """Gram matrix of the pinning directions vs (i/k) tan(kt) Id."""
     m = MagneticModel(k=1.0, t=1.0)
     g = make_grid(m.t, n_grid)
@@ -106,7 +110,7 @@ def check_gram(n_grid: int = 2000) -> CheckResult:
                 f"|M11 - i tan(1)| {diag_err:.3e} (<= 1e-4)"))
 
 
-def check_two_path(n_grid: int = 2000, seed: int = 777) -> CheckResult:
+def check_two_path(n_grid: int, seed: int = 777) -> CheckResult:
     """Closed-form vs structured numeric T-transform on seeded test functions.
 
     The two routes share no solve: the structured route (:func:`propagator`
@@ -131,7 +135,7 @@ def check_two_path(n_grid: int = 2000, seed: int = 777) -> CheckResult:
                 f"max relative gap {worst:.3e} (<= 1e-3)"))
 
 
-def check_free_limit(n_grid: int = 600) -> CheckResult:
+def check_free_limit(n_grid: int) -> CheckResult:
     """Composed propagator converges to the free propagator as k -> 0."""
     y = (1.0, 0.0)
     free = free_limit_reference(1.0, y)
@@ -148,7 +152,7 @@ def check_free_limit(n_grid: int = 600) -> CheckResult:
                 f"monotone decrease: {monotone}"))
 
 
-def check_gauss_identity(samples: int = 100_000, seed: int = 2024) -> CheckResult:
+def check_gauss_identity(samples: int, seed: int = 2024) -> CheckResult:
     """Monte Carlo E[exp(-<w,Kw>)] = det(Id+2K)^{-1/2} for rank-1 K = -1/8, where the
     integrand has finite variance: E[exp(-2K z^2)] = (1 + 4K)^{-1/2} needs 1 + 4K > 0."""
     kernel = FiniteRankKernel(eigenvalues=np.array([-0.125]))
@@ -188,7 +192,7 @@ def check_delta_normalization() -> CheckResult:
                 f"|integral - 1| = {err:.3e} (<= 1e-6)"))
 
 
-def check_caustics(n_grid: int = 400, points: int = 7) -> CheckResult:
+def check_caustics(n_grid: int, points: int) -> CheckResult:
     """Exact caustic flags plus propagator growth approaching kt = pi.
 
     The magnitude of the composed value at y = 0 is k / (2 pi |sin(kt)|), so
@@ -221,7 +225,7 @@ def check_caustics(n_grid: int = 400, points: int = 7) -> CheckResult:
                 f"{closed_growth:.3f}x, relative gap {gap:.3e} (<= 2h = {tol:.3e})"))
 
 
-def check_schrodinger(levels: int = 3) -> CheckResult:
+def check_schrodinger() -> CheckResult:
     """Finite-difference residual convergence adjudicates the conventions.
 
     The free (k = 0) composed value must satisfy the free equation at order
@@ -230,13 +234,13 @@ def check_schrodinger(levels: int = 3) -> CheckResult:
     values and their disagreement.
     """
     free_order = convergence_orders(residual_convergence(
-        MagneticModel(k=0.0, t=1.0), levels=levels))[-1]
+        MagneticModel(k=0.0, t=1.0), levels=_RESIDUAL_LEVELS))[-1]
 
     m = MagneticModel(k=0.5, t=1.0)
     verdicts = {}
     for convention in ("composed", "printed"):
         verdicts[convention] = convergence_orders(residual_convergence(
-            m, convention=convention, levels=levels))[-1]
+            m, convention=convention, levels=_RESIDUAL_LEVELS))[-1]
     converging = [c for c, order in verdicts.items() if order >= 1.9]
 
     y = (0.3, -0.4)
@@ -256,7 +260,7 @@ def check_schrodinger(levels: int = 3) -> CheckResult:
 
 
 def run_checks(quick: bool = False, seed: int = 777) -> list:
-    """All ten checks in order, each timed; ``quick`` trades grid size for runtime."""
+    """All ten checks in order, each timed and sized here alone; ``quick`` shrinks grids."""
     n_grid = 1000 if quick else 2000
     sizes = (250, 500, 1000) if quick else (500, 1000, 2000)
     samples = 20_000 if quick else 100_000

@@ -17,11 +17,11 @@ def _report(result):
 
 
 def test_criterion_spectrum_match():
-    _report(v.check_spectrum(n_grid=2000, count=10))
+    _report(v.check_spectrum(n_grid=2000))
 
 
 def test_criterion_determinant_three_way():
-    _report(v.check_determinant(n_grid=2000, n_max=100_000))
+    _report(v.check_determinant(n_grid=2000))
 
 
 def test_criterion_preimage_residual():
@@ -56,4 +56,4 @@ def test_criterion_caustic_behavior():
 
 
 def test_criterion_schrodinger_residual():
-    _report(v.check_schrodinger(levels=3))
+    _report(v.check_schrodinger())

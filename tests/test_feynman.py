@@ -94,6 +94,27 @@ def test_lemma_reduces_to_normalized_exponential():
     assert rep.value == pytest.approx(det ** -0.5 * np.exp(-0.5 * quad), rel=1e-12)
 
 
+@pytest.mark.parametrize("k, tau", [(1.0, 1.0), (1.0, 5.0), (-0.7, 6.0), (2.0, 3.0)])
+def test_lemma_at_zero_K_is_levys_stochastic_area_formula(k, tau):
+    """At K = 0 the white-noise measure is Wiener measure, and the magnetic L
+    gives Levy's stochastic-area formula k/(2 pi sinh k tau) exp(-(k/2) coth(k tau) |y|^2)
+    (P. Levy, 1951).  It has no caustic and no branch, also at k tau > pi.  The
+    dense route meets it at first order, with relative error k^2 tau h / 2."""
+    y = (0.3, -0.4)
+    levy = (k / (2 * np.pi * np.sinh(k * tau))
+            * np.exp(-0.5 * k / np.tanh(k * tau) * (y[0] ** 2 + y[1] ** 2)))
+    errors = []
+    for n in (100, 200, 400):
+        g = make_grid(tau, n)
+        etas = (indicator_pair(g, 1), indicator_pair(g, 2))
+        value = LemmaEvaluator(_zero_op(g), magnetic_L(MagneticModel(k=k, t=tau), g),
+                               etas).evaluate(ys=y).value
+        errors.append(abs(value - levy) / levy)
+        assert abs(errors[-1] / (k * k * tau * g.h / 2) - 1) <= 0.1
+    orders = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
+    assert all(0.95 <= order <= 1.05 for order in orders), orders
+
+
 def test_lemma_gram_branch_positive_real():
     g = make_grid(1.0, 60)
     evaluator = LemmaEvaluator(_zero_op(g), _zero_op(g), etas=(indicator_pair(g, 1),))

@@ -20,7 +20,9 @@ Over 6 000 seeded draws (n in {2, 3, 7, 50, 100, 10^3, 10^4}, k in (-3, 3),
 |kt| in (0, 3 pi), 1e-3 skipped around every j pi/2 in kt and n theta) the
 worst ratio of error to eps kappa was 22 for the determinant and 8 for M,
 and of error to eps kappa (1 + |exponent|) 6 for the modulus and 5 for
-the value.  The value itself is held only while |n theta| < pi: past it
+the value.  Next to a discrete caustic, 875 further draws with
+n theta = j pi/2 + d, |d| in [1e-9, 1e-3], gave a worst determinant ratio
+of 30.  The value itself is held only while |n theta| < pi: past it
 the route lacks the sign (-1)^floor(n theta / pi) (ROADMAP item 1).
 """
 
@@ -82,3 +84,27 @@ def test_propagator_is_the_lattice_value_up_to_its_branch(n):
             assert abs(value - expected) <= tol * abs(expected)
             held += 1
     assert held >= 20
+
+
+def _caustic_draws(n: int, count: int = 125):
+    """Seeded (k, t) with n theta = j pi/2 + d, j in 1 ... min(5, n - 1) and
+    |d| in [1e-9, 1e-3], log-uniform, both signs of d and of k."""
+    rng = random.Random(10_000 + n)
+    out = []
+    for _ in range(count):
+        j = rng.randint(1, min(5, n - 1))
+        d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -3.0)
+        k = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
+        out.append(Lattice(k, n * np.tan((j * HALF + d) / n) / abs(k), n))
+    return out
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_determinant_is_the_lattice_one_next_to_a_discrete_caustic(n):
+    """The draws the test above skips: n theta within 1e-3 of j pi/2, held at
+    the same 64 eps kappa, kappa = n + 1/d."""
+    for lat in _caustic_draws(n):
+        discrete = determinant_report(MagneticModel(k=lat.k, t=lat.t),
+                                      make_grid(lat.t, n), n_max=1).discrete
+        tol = 64 * EPS * _kappa(lat)
+        assert abs(discrete - lat.determinant) <= tol * abs(lat.determinant), (lat, discrete)

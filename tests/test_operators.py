@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hida_lab import (InvalidParameterError, MagneticModel, analytic_gram_diagonal, apply_N,
                       build_N, composed_closed_value, free_K, free_limit_reference, magnetic_L,
-                      potential_form_direct, symmetric_core, volterra)
+                      symmetric_core, volterra)
 from hida_lab.grid import GridFunctionPair, make_grid, pair, pair_from_vector, sample
 from hida_lab.operators import BlockOperator, apply_volterra
 
@@ -127,6 +127,19 @@ def test_build_N_holds_one_dense_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n_op.entries.nbytes
+
+
+def potential_form_direct(m, f):
+    """Direct quadrature of -ik int_0^t ((A f1) f2 - f1 (A f2)) dtau.
+
+    Equals half the quadratic form of L on smooth functions (up to
+    quadrature error); serves as the independent route for checking L.
+    """
+    g = f.grid
+    inner1 = apply_volterra(g, f.comp1)
+    inner2 = apply_volterra(g, f.comp2)
+    integrand = inner1 * f.comp2 - f.comp1 * inner2
+    return complex(-1j * m.k * np.sum(g.h * integrand))
 
 
 def test_potential_form_polynomial_value():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hida_lab import (InvalidParameterError, MagneticModel, NumericFailureError,
-                      analytic_eigenfunction, analytic_eigenvalues, build_N,
-                      determinant_closed, determinant_product, determinant_report, discrete_spectrum)
+                      analytic_eigenvalues, build_N, determinant_closed, determinant_product,
+                      determinant_report, discrete_spectrum)
 from hida_lab.fredholm import Resolvent
-from hida_lab.grid import make_grid
+from hida_lab.grid import GridFunctionPair, make_grid
 from hida_lab.operators import symmetric_core
 
 M11 = MagneticModel(k=1.0, t=1.0)
@@ -28,6 +28,19 @@ def test_analytic_eigenvalues_rejects_bad_count():
         analytic_eigenvalues(M11, 0)
 
 
+def analytic_eigenfunction(m, n, c1, c2, g):
+    """Closed-form eigenfunction c1 (cos, sin) + c2 (sin, -cos) at frequency 2k/lambda_n.
+
+    The frequency 2k/lambda_n = (2n-1) pi / t is k-independent and well
+    defined for either sign branch (n -> -n+1 flips lambda's sign only).
+    """
+    freq = (2 * n - 1) * np.pi / m.t
+    s = g.nodes
+    comp1 = c1 * np.cos(freq * s) + c2 * np.sin(freq * s)
+    comp2 = c1 * np.sin(freq * s) - c2 * np.cos(freq * s)
+    return GridFunctionPair(grid=g, comp1=comp1.astype(complex), comp2=comp2.astype(complex))
+
+
 @pytest.mark.parametrize("n,c1,c2", [(1, 1.0, 0.0), (1, 0.0, 1.0), (2, 1.0, 2.0)])
 def test_eigenfunction_satisfies_eigen_equation(n, c1, c2):
     """B phi = lambda phi up to quadrature error; both basis directions."""
@@ -36,14 +49,6 @@ def test_eigenfunction_satisfies_eigen_equation(n, c1, c2):
     lam = 2.0 / ((2 * n - 1) * np.pi)
     out = symmetric_core(M11, g) @ phi.as_vector()
     np.testing.assert_allclose(out, lam * phi.as_vector(), atol=5e-4)
-
-
-def test_eigenfunction_rejects_degenerate_input():
-    g = make_grid(1.0, 10)
-    with pytest.raises(InvalidParameterError):
-        analytic_eigenfunction(M11, 0, 1.0, 0.0, g)
-    with pytest.raises(InvalidParameterError):
-        analytic_eigenfunction(M11, 1, 0.0, 0.0, g)
 
 
 def test_discrete_spectrum_matches_and_pairs():
