@@ -146,7 +146,6 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
     rep = discrete_spectrum(m, g, count=cfg.count)
     results = {
         "analytic": rep.analytic,
-        "matched_analytic": rep.matched_analytic,
         "matched_means": rep.matched_means,
         "match_errors": rep.match_errors,
         "pair_gaps": rep.pair_gaps,
@@ -164,7 +163,6 @@ def cmd_determinant(cfg: argparse.Namespace) -> int:
     results = {
         "closed": rep.closed,
         "product": rep.product,
-        "product_terms": rep.product_terms,
         "discrete": rep.discrete,
         "discrepancies": rep.discrepancies,
     }
@@ -177,8 +175,7 @@ def cmd_preimage(cfg: argparse.Namespace) -> int:
     g = make_grid(cfg.t, cfg.grid_points)
     rep = verify_preimage(m, g)
     results = {
-        "residual_sup_f": rep.sup_f, "residual_sup_g": rep.sup_g,
-        "residual_quad_f": rep.quad_f, "residual_quad_g": rep.quad_g,
+        "residual_sup_f": rep.sup_f, "residual_quad_f": rep.quad_f,
         "solve_vs_closed_sup": rep.solve_vs_closed_sup,
         "gram": rep.gram,
         "gram_analytic_diagonal": analytic_gram_diagonal(m),

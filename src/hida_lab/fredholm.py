@@ -12,10 +12,11 @@ and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs by a twisted FFT.
 Green's function integrated exactly over each cell, in O(n).  At the
 indicator directions it is the paper's closed-form preimages, which serve
 the paper's preimage check, :func:`verify_preimage`.  Its report holds
-their residuals under N, their sup gap to one structured solve of eta_1,
-and the indicators' Gram matrix from that one solve by the rotation
-N^{-1} eta_2 = (-x2, x1) (:func:`rotation_gram`, which the structured
-propagator uses too).
+the residual of N^{-1} eta_1 under N, its sup gap to one structured solve
+of eta_1, and the indicators' Gram matrix from that one solve by the
+rotation N^{-1} eta_2 = (-x2, x1) (:func:`rotation_gram`, which the
+structured propagator uses too).  N commutes with that rotation exactly,
+so eta_2's residual is eta_1's bit for bit and is not reported.
 
 The integrand is a Hida distribution off the exclusion set
 kt in {j pi} u {(j + 1/2) pi}.  Four guards enforce it, defined here alone:
@@ -48,7 +49,8 @@ import numpy as np
 
 from .errors import (CausticError, InvalidParameterError, NearSingularError,
                      NumericFailureError)
-from .grid import Grid, GridFunctionPair, check_same_grid, conj_norm_sq, pair_from_vector
+from .grid import (Grid, GridFunctionPair, check_same_grid, check_same_span, conj_norm_sq,
+                   pair_from_vector)
 from .operators import MagneticModel, apply_N
 from .testfunctions import indicator_pair
 
@@ -192,7 +194,8 @@ def lift(real_solve, rhs: np.ndarray) -> np.ndarray:
 
 
 def resolvent(m: MagneticModel, g: Grid) -> Resolvent:
-    """Structured N^{-1}; refuses the band and the condition limit."""
+    """Structured N^{-1}; refuses another span, the band and the condition limit."""
+    check_same_span(g, m.t)
     check_away_from_caustic(m)
     res = Resolvent.of(m, g)
     refuse_ill_conditioned(res.cond_estimate)
@@ -223,6 +226,7 @@ def closed_solve(m: MagneticModel, g: Grid, rhs: np.ndarray) -> np.ndarray:
     paper's i (cos 2ks + tan(kt) sin 2ks, tan(kt) cos 2ks - sin 2ks).
     W's denominator vanishes at the half-integer caustics (the band).
     """
+    check_same_span(g, m.t)
     check_away_from_caustic(m)
     return lift(partial(_closed_id_plus_core, m, g), rhs)
 
@@ -255,43 +259,32 @@ def rotation_gram(g: Grid, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PreimageResidualReport:
-    sup_f: float
-    sup_g: float
+    sup_f: float                      # sup and quadratic norms of N x - eta_1
     quad_f: float
-    quad_g: float
     solve_vs_closed_sup: float        # max |structured - closed| over both components
     gram: np.ndarray = field(repr=False)    # rotation_gram of the structured N^{-1} eta_1
 
 
 def verify_preimage(m: MagneticModel, g: Grid) -> PreimageResidualReport:
-    """The paper's preimage check at the indicators, each preimage solved once.
+    """The paper's preimage check at eta_1, its preimage solved once.
 
-    The residuals are those of N applied to the closed preimages against the
-    indicators: N^{-1} eta_1 is :func:`closed_solve`'s, N^{-1} eta_2 its
-    rotation (-x2, x1), with which N commutes.  N is applied in O(n) by
-    :func:`operators.apply_N`, which uses neither the structured solve nor
-    the closed form it checks.  One structured solve of eta_1 by
+    The residual is that of N applied to the closed preimage
+    x = N^{-1} eta_1 of :func:`closed_solve` against eta_1.  N is applied in
+    O(n) by :func:`operators.apply_N`, which uses neither the structured
+    solve nor the closed form it checks.  One structured solve of eta_1 by
     :func:`resolvent` gives the solve-vs-closed gap and the Gram matrix
-    (:func:`rotation_gram`).  Refuses the band and the condition limit.
+    (:func:`rotation_gram`).  Refuses another span, the band and the
+    condition limit.
     """
     eta1 = indicator_pair(g, 1)
-    eta2 = indicator_pair(g, 2)
-
     rhs = eta1.as_vector()
     closed = closed_solve(m, g, rhs)
     solved = resolvent(m, g).solve(rhs)
-    pre_f = pair_from_vector(g, closed)
-    pre_g = GridFunctionPair(grid=g, comp1=-pre_f.comp2, comp2=pre_f.comp1)
-    res_f = apply_N(m, g, pre_f)
-    res_g = apply_N(m, g, pre_g)
-    diff_f = GridFunctionPair(grid=g, comp1=res_f.comp1 - eta1.comp1,
-                              comp2=res_f.comp2 - eta1.comp2)
-    diff_g = GridFunctionPair(grid=g, comp1=res_g.comp1 - eta2.comp1,
-                              comp2=res_g.comp2 - eta2.comp2)
+    res = apply_N(m, g, pair_from_vector(g, closed))
+    diff = GridFunctionPair(grid=g, comp1=res.comp1 - eta1.comp1,
+                            comp2=res.comp2 - eta1.comp2)
     return PreimageResidualReport(
-        sup_f=diff_f.sup_norm(), sup_g=diff_g.sup_norm(),
-        quad_f=float(np.sqrt(conj_norm_sq(diff_f))),
-        quad_g=float(np.sqrt(conj_norm_sq(diff_g))),
+        sup_f=diff.sup_norm(), quad_f=float(np.sqrt(conj_norm_sq(diff))),
         solve_vs_closed_sup=float(np.abs(solved - closed).max()),
         gram=rotation_gram(g, solved))
 

@@ -108,6 +108,12 @@ def check_same_grid(g: Grid, *objects) -> None:
                 f"n={obj.grid.n}), expected (t={g.t}, n={g.n})")
 
 
+def check_same_span(g: Grid, t: float) -> None:
+    """Refuse a grid whose span [0, g.t) is not the model's [0, t)."""
+    if g.t != t:
+        raise InvalidParameterError(f"the grid spans [0, {g.t}), the model [0, {t})")
+
+
 def pair(u: GridFunctionPair, v: GridFunctionPair) -> complex:
     """Bilinear dual pairing h sum_j (u1_j v1_j + u2_j v2_j).
 

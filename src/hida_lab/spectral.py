@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
 from .fredholm import Resolvent, refuse_overflow
-from .grid import Grid
+from .grid import Grid, check_same_span
 from .operators import MagneticModel
 
 
@@ -29,17 +29,15 @@ class SpectralReport:
 
     analytic: np.ndarray          # positive-branch closed-form values, multiplicity 2 each
     discrete: np.ndarray          # all eigenvalues of B, sorted by descending |value|
-    match_errors: np.ndarray      # per matched pair: relative error vs analytic value
-    pair_gaps: np.ndarray         # per matched pair: relative in-pair spread
-    matched_analytic: np.ndarray  # signed analytic value per pair
-    matched_means: np.ndarray     # discrete pair means
+    match_errors: np.ndarray      # per analytic value: relative error of its pair's mean
+    pair_gaps: np.ndarray         # per analytic value: relative in-pair spread
+    matched_means: np.ndarray     # per analytic value: its discrete pair's mean
 
 
 @dataclass(frozen=True)
 class DeterminantReport:
     closed: float
     product: float
-    product_terms: int
     discrete: float
     discrepancies: dict
 
@@ -56,22 +54,22 @@ def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralRep
     """Eigenvalues +-sigma of B with greedy multiplicity-2 matching.
 
     The discrete eigenvalues of k's sign are paired in descending
-    magnitude, and pair j is matched against lambda_j.  B's spectrum is
-    exactly +-sigma, so the opposite branch is the exact negation of this
-    one: its pair j matches -lambda_j with the negated mean and the same
-    errors, and the report interleaves the two.  ``count`` analytic values
-    are matched on each branch, and a count below 1 is refused at every k.
+    magnitude, and pair j is matched against lambda_j, so each array is
+    index-aligned with ``analytic``.  B's spectrum is exactly +-sigma, so
+    the opposite branch is the exact negation of this one, with the same
+    errors and gaps, and is not reported apart.  A count below 1 is
+    refused at every k.
     """
+    check_same_span(g, m.t)
     analytic = analytic_eigenvalues(m, count)
     sigma = Resolvent.of(m, g).sigma
     eigs = np.concatenate([sigma, -sigma])
     discrete = eigs[np.argsort(-np.abs(eigs))]
 
     if m.k == 0:
-        zeros = np.zeros(count * 2)     # analytic too: +0.0, also at k = -0.0
-        return SpectralReport(analytic=zeros[:count], discrete=discrete,
-                              match_errors=zeros, pair_gaps=zeros,
-                              matched_analytic=zeros, matched_means=zeros)
+        zeros = np.zeros(count)         # analytic too: +0.0, also at k = -0.0
+        return SpectralReport(analytic=zeros, discrete=discrete, match_errors=zeros,
+                              pair_gaps=zeros, matched_means=zeros)
 
     magnitudes = np.sort(np.abs(sigma[np.abs(sigma) > 0]))[::-1]
     if 2 * count > len(magnitudes):
@@ -81,10 +79,8 @@ def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralRep
     means = pairs.mean(axis=1)
     errors = np.abs(means - analytic) / np.abs(analytic)
     gaps = np.abs(pairs[:, 0] - pairs[:, 1]) / np.abs(analytic)
-    return SpectralReport(analytic=analytic, discrete=discrete,
-                          match_errors=np.repeat(errors, 2), pair_gaps=np.repeat(gaps, 2),
-                          matched_analytic=np.column_stack([analytic, -analytic]).ravel(),
-                          matched_means=np.column_stack([means, -means]).ravel())
+    return SpectralReport(analytic=analytic, discrete=discrete, match_errors=errors,
+                          pair_gaps=gaps, matched_means=means)
 
 
 def determinant_closed(m: MagneticModel) -> float:
@@ -104,6 +100,7 @@ def determinant_product(m: MagneticModel, n_max: int = 100_000) -> float:
 
 
 def determinant_report(m: MagneticModel, g: Grid, n_max: int = 100_000) -> DeterminantReport:
+    check_same_span(g, m.t)
     closed = determinant_closed(m)
     product = determinant_product(m, n_max)
     discrete = Resolvent.of(m, g).determinant.real
@@ -117,6 +114,5 @@ def determinant_report(m: MagneticModel, g: Grid, n_max: int = 100_000) -> Deter
         "closed_vs_discrete": _rel(closed, discrete),
         "product_vs_discrete": _rel(product, discrete),
     }
-    return DeterminantReport(closed=closed, product=product,
-                             product_terms=n_max, discrete=discrete,
+    return DeterminantReport(closed=closed, product=product, discrete=discrete,
                              discrepancies=discrepancies)

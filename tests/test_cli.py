@@ -20,7 +20,7 @@ import hida_lab.cli as cli
 import hida_lab.verification as verification
 from hida_lab import (MagneticModel, analytic_gram_diagonal, fredholm, gram_matrix, propagator,
                       verify_preimage)
-from hida_lab.errors import NearSingularError
+from hida_lab.errors import ConditionViolationError, NearSingularError
 from hida_lab.fredholm import Resolvent
 from hida_lab.grid import make_grid
 from hida_lab.testfunctions import indicator_pair
@@ -55,7 +55,7 @@ def test_spectrum_refuses_a_zero_count_at_every_coupling(capsys, k):
 
 def test_spectrum_refuses_more_pairs_than_the_grid_holds(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--grid-points", "10", "--count", "5")
-    assert code == 0 and len(json.loads(out)["results"]["match_errors"]) == 10
+    assert code == 0 and len(json.loads(out)["results"]["match_errors"]) == 5
     code, out, err = run_cli(capsys, "spectrum", "--grid-points", "10", "--count", "10")
     assert code == 3
     assert "not enough discrete eigenvalues" in err and out == ""
@@ -268,6 +268,9 @@ def test_caustic_exit_code(capsys):
 def test_bad_flag_value_exit_code(capsys):
     assert cli.main(["spectrum", "--k", "abc"]) == 2
     assert cli.main(["sweep"]) == 2        # missing sweep parameters
+    code, out, err = run_cli(capsys, "sweep", "--sweep-param", "t", "--sweep-steps", "1")
+    assert code == 2 and out == ""
+    assert "config error: sweep requires --sweep-steps >= 2" in err
 
 
 SWEEP = ["sweep", "--sweep-param", "t", "--sweep-start", "0.5", "--sweep-stop", "1.0",
@@ -491,9 +494,9 @@ def test_preimage_reports_verify_preimage(capsys, monkeypatch, k, t, n):
     results = json.loads(out)["results"]
     m, g = MagneticModel(k=k, t=t), make_grid(t, n)
     rep = verify_preimage(m, g)
-    scalars = {"residual_sup_f": rep.sup_f, "residual_sup_g": rep.sup_g,
-               "residual_quad_f": rep.quad_f, "residual_quad_g": rep.quad_g,
+    scalars = {"residual_sup_f": rep.sup_f, "residual_quad_f": rep.quad_f,
                "solve_vs_closed_sup": rep.solve_vs_closed_sup}
+    assert set(results) == {*scalars, "gram", "gram_analytic_diagonal"}
     assert {name: results[name] for name in scalars} == scalars
     gram = _complex(results["gram"])
     np.testing.assert_array_equal(gram, rep.gram)
@@ -584,6 +587,18 @@ def test_sweep_survives_a_refused_row(capsys, monkeypatch):
     assert [r["value"] for r in (rows[0], rows[2])] == [{"re": 0.0, "im": 1.0},
                                                         {"re": 0.0, "im": 3.0}]
     assert "error" not in rows[0] and "error" not in rows[2]
+
+
+def test_any_other_refusal_exits_3_with_an_error_line(capsys, monkeypatch):
+    """A HidaLabError of no other exit class, here the Lemma's condition on
+    its Gram matrix, exits 3 with one "error:" line and no report."""
+    def propagator(m, y, n_grid):
+        raise ConditionViolationError("stub condition")
+
+    monkeypatch.setattr(cli, "propagator", propagator)
+    code, out, err = run_cli(capsys, "propagator", "--grid-points", "60")
+    assert code == 3 and out == ""
+    assert err == "error: stub condition\n"
 
 
 def test_sweep_marks_caustic_rows(capsys):

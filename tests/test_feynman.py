@@ -133,8 +133,12 @@ def test_lemma_rejects_inadmissible_gram():
     g = make_grid(1.0, 40)
     bad_eta = GridFunctionPair(grid=g, comp1=1j * np.ones(g.n),
                                comp2=np.zeros(g.n, dtype=complex))
-    with pytest.raises(ConditionViolationError):
+    with pytest.raises(ConditionViolationError, match="neither positive-real"):
         LemmaEvaluator(_zero_op(g), _zero_op(g), etas=(bad_eta,))
+    zero_eta = GridFunctionPair(grid=g, comp1=np.zeros(g.n, dtype=complex),
+                                comp2=np.zeros(g.n, dtype=complex))
+    with pytest.raises(ConditionViolationError, match="vanishes identically"):
+        LemmaEvaluator(_zero_op(g), _zero_op(g), etas=(zero_eta,))
 
 
 def test_lemma_input_validation():

@@ -16,7 +16,7 @@ from hida_lab import fredholm
 from hida_lab.fredholm import Resolvent, check_away_from_caustic, closed_solve, resolvent
 from hida_lab.grid import (GridFunctionPair, conj_norm_sq, make_grid, pair,
                            pair_from_vector, sample)
-from hida_lab.operators import build_N
+from hida_lab.operators import apply_N, build_N
 from hida_lab.testfunctions import indicator_pair
 
 M11 = MagneticModel(k=1.0, t=1.0)
@@ -94,7 +94,7 @@ def test_residual_report_second_order():
 
 @pytest.mark.parametrize("k, t", [(1.0, 1.0), (0.7, 2.3), (-2.0, 0.9), (0.0, 1.5)])
 def test_verify_preimage_matches_the_dense_apply(k, t):
-    """All four residuals agree with those of the dense build_N at n = 200.
+    """eta_1's two residuals agree with those of the dense build_N at n = 200.
 
     Each residual is N x - eta with N x = eta + O(h^2), so both applies
     round at eps (1 + |k| t) max|x| and the residuals can agree only to
@@ -102,19 +102,13 @@ def test_verify_preimage_matches_the_dense_apply(k, t):
     """
     m = MagneticModel(k=k, t=t)
     g = make_grid(t, 200)
-    n_op = build_N(m, g)
-    dense, scale = [], 0.0
-    x_f = _preimage(m, g, 1)
-    x_g = GridFunctionPair(grid=g, comp1=-x_f.comp2, comp2=x_f.comp1)
-    for x, eta in ((x_f, indicator_pair(g, 1)), (x_g, indicator_pair(g, 2))):
-        res = n_op.apply(x)
-        diff = GridFunctionPair(grid=g, comp1=res.comp1 - eta.comp1,
-                                comp2=res.comp2 - eta.comp2)
-        dense.append((diff.sup_norm(), np.sqrt(conj_norm_sq(diff))))
-        scale = max(scale, (1.0 + abs(k) * t) * x.sup_norm())
+    x, eta = _preimage(m, g, 1), indicator_pair(g, 1)
+    res = build_N(m, g).apply(x)
+    diff = GridFunctionPair(grid=g, comp1=res.comp1 - eta.comp1, comp2=res.comp2 - eta.comp2)
+    dense = (diff.sup_norm(), np.sqrt(conj_norm_sq(diff)))
     rep = verify_preimage(m, g)
-    fast = [(rep.sup_f, rep.quad_f), (rep.sup_g, rep.quad_g)]
-    np.testing.assert_allclose(fast, dense, rtol=0, atol=1e-14 * scale)
+    np.testing.assert_allclose((rep.sup_f, rep.quad_f), dense, rtol=0,
+                               atol=1e-14 * (1.0 + abs(k) * t) * x.sup_norm())
 
 
 def test_gram_matrix_closed_form():
@@ -145,17 +139,24 @@ def test_gram_matrix_reads_the_spectrum_once(monkeypatch):
     foreign = make_grid(1.0, 32)
     with pytest.raises(InvalidParameterError):
         gram_matrix(M11, g, [indicator_pair(g, 1), indicator_pair(foreign, 2)])
+    with pytest.raises(InvalidParameterError, match="need at least one generating function"):
+        gram_matrix(M11, g, [])
 
 
 @pytest.mark.parametrize("k, t, n", [(1.0, 2.0, 100), (0.0, 1.3, 50), (-0.7, 5.57, 37),
                                      (2.3, 1.1, 8), (-1.3, 4.0, 1001)])
 def test_preimage_residuals_are_rotation_symmetric_bit_for_bit(k, t, n):
-    """N commutes with R(x1, x2) = (-x2, x1), so N^{-1} eta_2 = R N^{-1} eta_1
-    and the g-residuals are the f-residuals, bit for bit.  propagator's
+    """apply_N commutes with R(x1, x2) = (-x2, x1) bit for bit at the closed
+    preimage x = N^{-1} eta_1, so N^{-1} eta_2 = R x and eta_2's residual is
+    eta_1's, which is why verify_preimage reports eta_1's alone.  propagator's
     one-solve Gram matrix rests on this; a kernel that breaks the symmetry
     (the Landau gauge of ROADMAP item 2) shows here first."""
-    rep = verify_preimage(MagneticModel(k=k, t=t), make_grid(t, n))
-    assert (rep.sup_g, rep.quad_g) == (rep.sup_f, rep.quad_f)
+    m, g = MagneticModel(k=k, t=t), make_grid(t, n)
+    x = _preimage(m, g, 1)
+    nx = apply_N(m, g, x)
+    n_rx = apply_N(m, g, GridFunctionPair(grid=g, comp1=-x.comp2, comp2=x.comp1))
+    np.testing.assert_array_equal(n_rx.comp1, -nx.comp2, strict=True)
+    np.testing.assert_array_equal(n_rx.comp2, nx.comp1, strict=True)
 
 
 @pytest.mark.parametrize("k, t, n", [(-0.7, 2.0, 100), (1.0, 4.0, 300), (-1.3, 5.0, 77),

@@ -6,8 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from hida_lab import (InvalidParameterError, LemmaEvaluator, MagneticModel, apply_N, free_K,
-                      gram_matrix, magnetic_L, magnetic_T, propagator, solve_N)
+from hida_lab import (InvalidParameterError, LemmaEvaluator, MagneticModel, apply_N,
+                      determinant_report, discrete_spectrum, free_K, gram_matrix, magnetic_L,
+                      magnetic_T, propagator, solve_N, verify_preimage)
+from hida_lab.fredholm import closed_solve, resolvent
 from hida_lab.grid import (Grid, conj_norm_sq, make_grid, pair, pair_from_vector,
                            sample)
 from hida_lab.testfunctions import indicator_pair
@@ -73,6 +75,8 @@ def test_vector_round_trip():
     back = pair_from_vector(g, f.as_vector())
     np.testing.assert_array_equal(back.comp1, f.comp1)
     np.testing.assert_array_equal(back.comp2, f.comp2)
+    with pytest.raises(InvalidParameterError, match="does not match grid with n=5"):
+        pair_from_vector(g, f.as_vector()[:-1])
 
 
 def test_pair_is_bilinear_not_sesquilinear():
@@ -128,3 +132,28 @@ def test_every_site_refuses_an_object_on_another_grid_with_one_message(site):
     message = f"{kind} lives on a different grid: (t=2.0, n=8), expected (t=1.0, n=8)"
     with pytest.raises(InvalidParameterError, match=re.escape(message)):
         _on_another_grid()[site]()
+
+
+def _on_another_span():
+    """Each call that reads a model's t and a grid, on a grid of another span."""
+    m, g = MagneticModel(k=1.0, t=1.0), make_grid(np.pi / 2, 400)
+    eta = indicator_pair(g, 1)
+    return {
+        "resolvent": lambda: resolvent(m, g),
+        "closed_solve": lambda: closed_solve(m, g, eta.as_vector()),
+        "solve_N": lambda: solve_N(m, g, eta),
+        "gram_matrix": lambda: gram_matrix(m, g, [eta]),
+        "verify_preimage": lambda: verify_preimage(m, g),
+        "discrete_spectrum": lambda: discrete_spectrum(m, g),
+        "determinant_report": lambda: determinant_report(m, g),
+    }
+
+
+@pytest.mark.parametrize("site", list(_on_another_span()))
+def test_every_site_refuses_a_grid_on_another_span_with_one_message(site):
+    """check_same_span is the one span rule: a grid whose t is not the
+    model's is refused, where its step h and the model's kt would mix two
+    spans into numbers for neither (a Gram entry 1.24e5i for 1.557i)."""
+    message = f"the grid spans [0, {np.pi / 2}), the model [0, 1.0)"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        _on_another_span()[site]()

@@ -1,6 +1,7 @@
 """What a run loads: scipy is for the dense oracle only, the thread pool
-for `sweep` only, and numpy.random for nothing (seeded draws come from the
-standard library's random.Random).
+for `sweep` only, numpy.random for nothing (seeded draws come from the
+standard library's random.Random), and the test extras mpmath and
+hypothesis for nothing.
 
 Each test runs in a fresh interpreter, because the test session itself has
 long since imported scipy.
@@ -28,13 +29,20 @@ def _loaded_after(code: str) -> set:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
+def _heavy(loaded: set) -> list:
+    """The loaded modules of scipy and of the test extras mpmath and hypothesis."""
+    return sorted(m for m in loaded if m.split(".")[0] in ("scipy", "mpmath", "hypothesis"))
+
+
 def test_cli_and_structured_routes_load_no_scipy():
-    loaded = _loaded_after(
-        "import hida_lab.cli\n"
-        "from hida_lab import MagneticModel, propagator\n"
-        "propagator(MagneticModel(k=1.0, t=1.0), (0.3, -0.4), n_grid=100)")
-    assert "hida_lab.cli" in loaded
-    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+    for code, module in (("import hida_lab", "hida_lab"),
+                         ("import hida_lab.cli\n"
+                          "from hida_lab import MagneticModel, propagator\n"
+                          "propagator(MagneticModel(k=1.0, t=1.0), (0.3, -0.4), n_grid=100)",
+                          "hida_lab.cli")):
+        loaded = _loaded_after(code)
+        assert module in loaded
+        assert _heavy(loaded) == []
 
 
 def test_quick_verify_loads_no_scipy_integrate():
@@ -42,7 +50,7 @@ def test_quick_verify_loads_no_scipy_integrate():
     loaded = _loaded_after(
         "from hida_lab.verification import run_checks\n"
         "assert all(r.passed for r in run_checks(quick=True))")
-    assert sorted(m for m in loaded if m.split(".")[0] == "scipy") == []
+    assert _heavy(loaded) == []
 
 
 def test_quick_verify_and_ttransform_load_no_numpy_random():

@@ -55,9 +55,8 @@ def test_discrete_spectrum_matches_and_pairs():
     rep = discrete_spectrum(M11, make_grid(1.0, 600), count=5)
     assert rep.match_errors.max() < 1e-3
     assert rep.pair_gaps.max() < 1e-9      # multiplicity 2 is structural
-    # Signed values come in +- pairs.
-    np.testing.assert_allclose(np.sort(rep.matched_analytic),
-                               np.sort(-np.asarray(rep.matched_analytic)))
+    # The discrete eigenvalues come in exact +- pairs.
+    np.testing.assert_array_equal(np.sort(rep.discrete), np.sort(-rep.discrete))
 
 
 def test_discrete_spectrum_zero_coupling():
@@ -75,9 +74,9 @@ def test_discrete_spectrum_rejects_bad_count_at_every_coupling(k):
 @pytest.mark.parametrize("k", [1.0, -1.0])
 def test_discrete_spectrum_matches_at_most_n_over_2_pairs(k):
     """n = 10 nodes give 2n = 20 eigenvalues, 10 per sign branch: five
-    pairs per branch are matched and a sixth is refused."""
+    pairs of k's branch are matched and a sixth is refused."""
     m, g = MagneticModel(k=k, t=1.0), make_grid(1.0, 10)
-    assert len(discrete_spectrum(m, g, count=5).match_errors) == 10
+    assert len(discrete_spectrum(m, g, count=5).match_errors) == 5
     with pytest.raises(NumericFailureError, match="not enough discrete eigenvalues"):
         discrete_spectrum(m, g, count=6)
 
@@ -108,19 +107,21 @@ def _two_branch_matcher(m, sigma, analytic):
 @pytest.mark.parametrize("k,t", [(1.0, 1.0), (-0.7, 2.5), (2.3, 0.3), (-3.0, 1.0), (0.01, 2.5)])
 @pytest.mark.parametrize("n", [7, 8, 40, 41])
 def test_one_branch_matcher_is_the_two_branch_matcher_bit_for_bit(k, t, n):
-    """B's eigenvalues are exactly +-sigma, so mirroring the branch of k's
-    sign gives every array of the two-branch matcher, and the same refusal
-    one pair past n/2."""
+    """B's eigenvalues are exactly +-sigma, so the branch of k's sign is the
+    two-branch matcher's even entries, its odd entries are exact copies
+    (errors, gaps) or negations (analytic values, means) of them, and the
+    refusal comes one pair past n/2 on both."""
     m, g = MagneticModel(k=k, t=t), make_grid(t, n)
     sigma = Resolvent.of(m, g).sigma
     for count in range(1, n // 2 + 1):
         rep = discrete_spectrum(m, g, count=count)
         discrete, arrays = _two_branch_matcher(m, sigma, analytic_eigenvalues(m, count))
         np.testing.assert_array_equal(rep.discrete, discrete, strict=True)
-        for got, want in zip((rep.match_errors, rep.pair_gaps, rep.matched_analytic,
-                              rep.matched_means), arrays):
-            np.testing.assert_array_equal(got, want, strict=True)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+        for got, want, sign in zip((rep.match_errors, rep.pair_gaps, rep.analytic,
+                                    rep.matched_means), arrays, (1, 1, -1, -1)):
+            for branch, expected in ((want[0::2], got), (want[1::2], sign * got)):
+                np.testing.assert_array_equal(branch, expected, strict=True)
+                assert np.array_equal(np.signbit(branch), np.signbit(expected))
     count = n // 2 + 1
     with pytest.raises(NumericFailureError, match="not enough discrete eigenvalues"):
         _two_branch_matcher(m, sigma, analytic_eigenvalues(m, count))
