@@ -124,8 +124,11 @@ def emit(args: argparse.Namespace, results: dict, diagnostics: dict | None = Non
         except ValueError as exc:
             raise NumericFailureError(f"the report holds a non-finite number: {exc}") from None
     if args.out_file:
-        with open(args.out_file, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out_file, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InvalidParameterError(f"cannot write --out-file: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -143,14 +146,8 @@ _POOL_MIN_GRID = 3000
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
     m = MagneticModel(k=cfg.k, t=cfg.t)
     g = make_grid(cfg.t, cfg.grid_points)
-    rep = discrete_spectrum(m, g, count=cfg.count)
-    results = {
-        "analytic": rep.analytic,
-        "matched_means": rep.matched_means,
-        "match_errors": rep.match_errors,
-        "pair_gaps": rep.pair_gaps,
-        "discrete_leading": rep.discrete[: 4 * cfg.count],
-    }
+    results = asdict(discrete_spectrum(m, g, count=cfg.count))
+    results["discrete_leading"] = results.pop("discrete")[: 4 * cfg.count]
     emit(cfg, results, {"grid_points": cfg.grid_points})
     return EXIT_OK
 
@@ -158,15 +155,8 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 def cmd_determinant(cfg: argparse.Namespace) -> int:
     m = MagneticModel(k=cfg.k, t=cfg.t)
     g = make_grid(cfg.t, cfg.grid_points)
-    rep = determinant_report(m, g, n_max=cfg.n_max)
-    caustic = caustic_check(m)
-    results = {
-        "closed": rep.closed,
-        "product": rep.product,
-        "discrete": rep.discrete,
-        "discrepancies": rep.discrepancies,
-    }
-    emit(cfg, results, {"caustic": asdict(caustic)})
+    emit(cfg, asdict(determinant_report(m, g, n_max=cfg.n_max)),
+         {"caustic": asdict(caustic_check(m))})
     return EXIT_OK
 
 

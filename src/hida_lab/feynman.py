@@ -255,21 +255,18 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
     det_factor = 1.0 / (det_sign * _branch_sqrt(determinant, notes, "det(Id+L(Id+K)^-1)"))
     if det_sign < 0:
         notes.append("det(Id+L(Id+K)^-1): sign -1, the root continuous in t")
-    if j == 0:
-        gram_factor = 1.0 + 0.0j
-        exponent_delta = 0.0 + 0.0j
-    else:
-        with refuse_overflow("(2pi)^J det(M)"):
-            scaled_det_m = complex((2.0 * np.pi) ** j * np.linalg.det(gram))
-        if scaled_det_m == 0:
-            raise NumericFailureError("(2pi)^J det(M) underflows to 0")
-        gram_factor = 1.0 / (gram_sign * _branch_sqrt(scaled_det_m, notes, "(2pi)^J det(M)"))
-        if gram_sign < 0:
-            notes.append("(2pi)^J det(M): sign -1, the root continuous in t")
-        # The composed sign is fixed by performing the Gaussian integrals over
-        # the pinning parameters: completing the square yields +1/2 u^T M^{-1} u.
-        exponent_delta = 0.5 * complex(u @ np.linalg.solve(gram, u))
-        notes.append("delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)")
+    # At J = 0 the 0 x 0 det M is 1 and the solve is empty: gram_factor 1, exponent 0.
+    with refuse_overflow("(2pi)^J det(M)"):
+        scaled_det_m = complex((2.0 * np.pi) ** j * np.linalg.det(gram))
+    if scaled_det_m == 0:
+        raise NumericFailureError("(2pi)^J det(M) underflows to 0")
+    gram_factor = 1.0 / (gram_sign * _branch_sqrt(scaled_det_m, notes, "(2pi)^J det(M)"))
+    if gram_sign < 0:
+        notes.append("(2pi)^J det(M): sign -1, the root continuous in t")
+    # The composed sign is fixed by performing the Gaussian integrals over
+    # the pinning parameters: completing the square yields +1/2 u^T M^{-1} u.
+    exponent_delta = 0.5 * complex(u @ np.linalg.solve(gram, u))
+    notes.append("delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)")
 
     value = _finite_value(det_factor * gram_factor, exponent_quadratic + exponent_delta)
     return TTransformReport(value=complex(value),
@@ -351,13 +348,8 @@ def composed_closed_value(m: MagneticModel, y) -> complex:
     """Closed form of the composed generalized expectation,
     k/(2 pi i sin(kt)) exp(+(ik/2) cot(kt) |y|^2)."""
     y = np.asarray(y, dtype=float)
-    return _closed_form(m.k, m.t, float(y @ y))
-
-
-def _closed_form(k: float, t: float, r2):
-    """k/(2 pi i sin(kt)) exp((ik/2) cot(kt) r2) at |y|^2 = r2."""
-    a, c = _closed_form_coefficients(k, t)
-    return a * np.exp(c * r2)
+    a, c = _closed_form_coefficients(m.k, m.t)
+    return a * np.exp(c * float(y @ y))
 
 
 def _closed_form_coefficients(k: float, t, sign: float = 1.0):
@@ -396,11 +388,9 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
 
 
 def free_limit_reference(t: float, y) -> complex:
-    """Free 2D quantum propagator 1/(2 pi i t) exp(i |y|^2 / (2t)), hbar = m = 1."""
-    if not t > 0:
-        raise InvalidParameterError(f"time must be positive, got {t}")
-    y = np.asarray(y, dtype=float)
-    return _closed_form(0.0, t, float(y @ y))
+    """Free 2D quantum propagator 1/(2 pi i t) exp(i |y|^2 / (2t)), hbar = m = 1: the
+    composed closed value at k = 0, so a t not positive or not finite is refused."""
+    return composed_closed_value(MagneticModel(k=0.0, t=t), y)
 
 
 @refuse_overflow("the residual stencil")
@@ -466,8 +456,7 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
     return float(np.sqrt(res_sq / core_sq))
 
 
-def residual_convergence(m: MagneticModel, convention: str = "composed",
-                         levels: int = 3) -> list:
-    """Residuals at n = 11, 21, 41, ... nodes per axis: each level halves both steps."""
+def residual_convergence(m: MagneticModel, convention: str = "composed") -> list:
+    """Residuals at n = 11, 21 and 41 nodes per axis: each level halves both steps."""
     return [schrodinger_residual(m, n=10 * 2 ** level + 1, convention=convention)
-            for level in range(levels)]
+            for level in range(3)]

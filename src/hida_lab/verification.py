@@ -3,7 +3,8 @@
 Each check compares an independently computed quantity against a closed
 form or a convergence-order gate and reports a single pass/fail verdict
 with the measured value and the threshold it was held to.  The harness is
-shared by the ``hida-lab verify`` subcommand and the acceptance tests.
+shared by the ``hida-lab verify`` subcommand and the acceptance tests, which
+both take the checks and their sizes from :func:`plan`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from .operators import MagneticModel
 from .spectral import determinant_report, discrete_spectrum
 from .testfunctions import indicator_pair, random_suite
 
-_SPECTRUM_PAIRS = 10            # leading analytic pairs matched per sign branch
+_SPECTRUM_PAIRS = 10            # leading analytic pairs of k's sign matched
 _PRODUCT_TERMS = 100_000        # factors of the truncated determinant product
-_RESIDUAL_LEVELS = 3            # step halvings of the Schrodinger residual
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def check_spectrum(n_grid: int) -> CheckResult:
     passed = worst_match <= 1e-3 and worst_gap <= 1e-6
     return CheckResult(
         name="spectrum_match", passed=passed, measured=worst_match, threshold=1e-3,
-        detail=(f"{_SPECTRUM_PAIRS} leading pairs per sign branch at n_grid={n_grid}: "
+        detail=(f"{_SPECTRUM_PAIRS} leading pairs of k's sign at n_grid={n_grid}: "
                 f"max relative error {worst_match:.3e} (<= 1e-3), "
                 f"max in-pair gap {worst_gap:.3e} (<= 1e-6)"))
 
@@ -233,14 +233,13 @@ def check_schrodinger() -> CheckResult:
     the report records which, together with the composed and as-quoted
     values and their disagreement.
     """
-    free_order = convergence_orders(residual_convergence(
-        MagneticModel(k=0.0, t=1.0), levels=_RESIDUAL_LEVELS))[-1]
+    free_order = convergence_orders(residual_convergence(MagneticModel(k=0.0, t=1.0)))[-1]
 
     m = MagneticModel(k=0.5, t=1.0)
     verdicts = {}
     for convention in ("composed", "printed"):
-        verdicts[convention] = convergence_orders(residual_convergence(
-            m, convention=convention, levels=_RESIDUAL_LEVELS))[-1]
+        verdicts[convention] = convergence_orders(
+            residual_convergence(m, convention=convention))[-1]
     converging = [c for c, order in verdicts.items() if order >= 1.9]
 
     y = (0.3, -0.4)
@@ -259,12 +258,13 @@ def check_schrodinger() -> CheckResult:
                 f"as-quoted value {printed:.6g}, disagreement {gap:.3e}"))
 
 
-def run_checks(quick: bool = False, seed: int = 777) -> list:
-    """All ten checks in order, each timed and sized here alone; ``quick`` shrinks grids."""
+def plan(quick: bool = False, seed: int = 777) -> list:
+    """The ten checks in ``verify``'s order, each with its arguments: the one place
+    that sizes them.  ``quick`` shrinks grids; the full sizes are the acceptance gate's."""
     n_grid = 1000 if quick else 2000
     sizes = (250, 500, 1000) if quick else (500, 1000, 2000)
     samples = 20_000 if quick else 100_000
-    plan = [
+    return [
         (check_spectrum, {"n_grid": n_grid}),
         (check_determinant, {"n_grid": n_grid}),
         (check_preimage, {"sizes": sizes}),
@@ -276,8 +276,12 @@ def run_checks(quick: bool = False, seed: int = 777) -> list:
         (check_caustics, {"n_grid": 200 if quick else 400, "points": 5 if quick else 7}),
         (check_schrodinger, {}),
     ]
+
+
+def run_checks(quick: bool = False, seed: int = 777) -> list:
+    """The checks of :func:`plan`, in order, each timed."""
     results = []
-    for check, kwargs in plan:
+    for check, kwargs in plan(quick, seed):
         start = time.perf_counter()
         result = check(**kwargs)
         results.append(replace(result, seconds=time.perf_counter() - start))

@@ -43,6 +43,9 @@ def test_spectrum_report_structure(capsys):
     assert payload["config"]["grid_points"] == 200
     assert payload["versions"]["numpy"] == np.__version__
     assert max(payload["results"]["match_errors"]) < 1e-2
+    assert set(payload["results"]) == {"analytic", "matched_means", "match_errors",
+                                       "pair_gaps", "discrete_leading"}
+    assert len(payload["results"]["discrete_leading"]) == 8
 
 
 @pytest.mark.parametrize("k", ["0", "1"])
@@ -91,6 +94,7 @@ def test_report_body_is_deterministic(tmp_path, capsys):
     a, b = (json.loads(p.read_text()) for p in paths)
     a["config"].pop("out_file")
     b["config"].pop("out_file")
+    assert set(a["results"]) == {"closed", "product", "discrete", "discrepancies"}
     for section in ("config", "results", "diagnostics", "versions"):
         assert a[section] == b[section]
 
@@ -230,6 +234,19 @@ def test_config_file_and_flags_give_the_same_report(tmp_path, capsys):
     assert by_file["config"] == by_flags["config"]
     assert by_file["results"] == by_flags["results"]
     assert len(by_flags["results"]["rows"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["propagator", "--grid-points", "150"],
+    ["verify", "--quick"],
+    ["sweep", "--sweep-param", "t", "--sweep-start", "0.5", "--sweep-stop", "1",
+     "--sweep-steps", "2", "--grid-points", "60", "--output", "csv"],
+], ids=["propagator", "verify_quick", "sweep_csv"])
+def test_an_unwritable_out_file_is_a_config_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out-file", str(tmp_path / "missing" / "r.json"))
+    assert code == 2
+    assert err.startswith("config error: cannot write --out-file: ")
+    assert len(err.splitlines()) == 1 and out == ""
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])

@@ -92,6 +92,9 @@ def test_lemma_reduces_to_normalized_exponential():
     det = rep.determinant
     assert det == pytest.approx(np.cos(1.0) ** 2, abs=5e-3)
     assert rep.value == pytest.approx(det ** -0.5 * np.exp(-0.5 * quad), rel=1e-12)
+    assert rep.exponent_delta == 0 and rep.branch_note[1:] == (
+        "(2pi)^J det(M): principal branch",
+        "delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)")
 
 
 @pytest.mark.parametrize("k, tau", [(1.0, 1.0), (1.0, 5.0), (-0.7, 6.0), (2.0, 3.0)])
@@ -456,8 +459,9 @@ def test_free_limit_reference_value():
     value = free_limit_reference(1.0, (1.0, 0.0))
     expected = 1.0 / (2 * np.pi * 1j) * np.exp(0.5j)
     assert value == pytest.approx(expected)
-    with pytest.raises(InvalidParameterError):
-        free_limit_reference(0.0, (1.0, 0.0))
+    for t in (0.0, np.inf):
+        with pytest.raises(InvalidParameterError):
+            free_limit_reference(t, (1.0, 0.0))
 
 
 def test_propagator_free_limit():
@@ -489,14 +493,13 @@ def test_free_propagator_solves_free_equation():
 
 
 def test_residual_convergence_composed_second_order():
-    res = residual_convergence(MagneticModel(k=0.5, t=1.0), levels=3)
+    res = residual_convergence(MagneticModel(k=0.5, t=1.0))
     orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
     assert orders[-1] > 1.9
 
 
 def test_residual_printed_convention_does_not_converge():
-    res = residual_convergence(MagneticModel(k=0.5, t=1.0),
-                               convention="printed", levels=3)
+    res = residual_convergence(MagneticModel(k=0.5, t=1.0), convention="printed")
     assert np.log2(res[-2] / res[-1]) < 1.0
 
 
@@ -510,8 +513,8 @@ def test_residual_rejects_caustic_inside_time_span():
 def test_residual_runs_over_the_models_own_time_span():
     """The span is [t/2, t]: t = 2 gives other residuals than t = 1, and
     the composed value still converges at second order there."""
-    at_2 = residual_convergence(MagneticModel(k=0.5, t=2.0), levels=3)
-    at_1 = residual_convergence(MagneticModel(k=0.5, t=1.0), levels=3)
+    at_2 = residual_convergence(MagneticModel(k=0.5, t=2.0))
+    at_1 = residual_convergence(MagneticModel(k=0.5, t=1.0))
     assert all(abs(a - b) > 1e-3 * b for a, b in zip(at_2, at_1))
     assert np.log2(at_2[-2] / at_2[-1]) >= 1.9
 
@@ -532,7 +535,7 @@ def test_residual_refuses_an_integer_caustic_between_time_nodes(k):
 def test_residual_accepts_a_half_integer_caustic_at_a_time_node(k):
     """kt = +-pi/2 at the last node, where G is regular (cot(kt) = 0,
     |sin(kt)| = 1): no refusal, and second-order convergence."""
-    res = residual_convergence(MagneticModel(k=k, t=np.pi), levels=3)
+    res = residual_convergence(MagneticModel(k=k, t=np.pi))
     orders = np.log2(np.array(res[:-1]) / np.array(res[1:]))
     assert orders[0] >= 1.8 and orders[-1] >= 1.9
 
@@ -566,7 +569,7 @@ def test_residual_refuses_an_integer_caustic_within_the_window_of_either_end(k, 
 def test_residual_accepts_a_span_between_caustics():
     """kt in [1, 2] holds the half-integer caustic pi/2, where the closed
     form is regular, at no node: no refusal."""
-    res = residual_convergence(MagneticModel(k=2.0, t=1.0), levels=2)
+    res = residual_convergence(MagneticModel(k=2.0, t=1.0))
     assert all(np.isfinite(res))
 
 
@@ -675,7 +678,7 @@ def test_residual_takes_the_closed_form_coefficients_once_and_no_slice_of_G(monk
         raise AssertionError("schrodinger_residual evaluated a slice of G")
 
     monkeypatch.setattr(feynman, "_closed_form_coefficients", counted)
-    monkeypatch.setattr(feynman, "_closed_form", forbidden)
+    monkeypatch.setattr(feynman, "composed_closed_value", forbidden)
     assert np.isfinite(schrodinger_residual(MagneticModel(k=0.5, t=1.0), n=21))
     assert calls == [(21,)]
 

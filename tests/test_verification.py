@@ -1,7 +1,8 @@
-"""The gates of ``check_caustics`` and ``check_delta_normalization``, pinned with stubs.
+"""The gates of ``check_caustics`` and ``check_delta_normalization``, pinned with
+stubs, and the checks ``verify`` runs, by name and in order.
 
-Each test replaces the function a check measures by a stub whose value is
-exact or off by a known amount, so the gate is tested on its own and no
+Each gate test replaces the function a check measures by a stub whose value
+is exact or off by a known amount, so the gate is tested on its own and no
 dense operator is built.  The Monte Carlo gate of ``check_gauss_identity``
 is held to its calibration over many seeds instead.
 """
@@ -125,3 +126,15 @@ def test_gauss_identity_gate_holds_for_every_seed_0_to_299():
     worst = max(v.check_gauss_identity(samples=20_000, seed=seed).measured
                 for seed in range(300))
     assert worst <= 3.0
+
+
+def test_quick_and_full_plans_run_the_same_checks_in_the_same_order():
+    assert [check for check, _ in v.plan(quick=True)] == \
+        [check for check, _ in v.plan(quick=False)]
+
+
+def test_verify_rows_are_the_ten_checks_in_order():
+    assert [row.name for row in v.run_checks(quick=True)] == [
+        "spectrum_match", "determinant_three_way", "preimage_residual", "gram_matrix",
+        "two_path_consistency", "free_limit", "gauss_determinant_identity",
+        "delta_normalization", "caustic_behavior", "schrodinger_residual"]
