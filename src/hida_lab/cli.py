@@ -255,10 +255,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
 
     def one(value: float) -> dict:
-        params = {"k": cfg.k, "t": cfg.t}
-        params[cfg.sweep_param] = float(value)
-        m = MagneticModel(**params)
-        row = {cfg.sweep_param: float(value),
+        m = MagneticModel(**{"k": cfg.k, "t": cfg.t, cfg.sweep_param: value})
+        row = {cfg.sweep_param: getattr(m, cfg.sweep_param),
                "caustic": caustic_check(m).classification}
         try:
             value = propagator(m, (cfg.y1, cfg.y2), n_grid=cfg.grid_points).value

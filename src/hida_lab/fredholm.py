@@ -3,20 +3,19 @@
 On the grid N = -iR with R = Id + B real, so N^{-1} = i R^{-1}: every route
 (structured, closed and the dense oracle) supplies a real solve of R, and
 :func:`lift` alone makes it N^{-1}.  :class:`Resolvent` is the structured N^{-1}
-and the only code that takes the FFT: it reads the spectrum sigma of B's
-skew-circulant block once and gives the Fredholm determinant
-det(Id + B) = prod(1 - sigma^2), the exact 2-norm condition number
-max|1 +- sigma| / min|1 +- sigma|, which doubles as the caustic diagnostic,
-and solves x = N^{-1} rhs = i (Id + B)^{-1} rhs by a twisted FFT.
-:func:`closed_solve` is the closed route's own N^{-1}, the continuum
-Green's function integrated exactly over each cell, in O(n).  At the
-indicator directions it is the paper's closed-form preimages, which serve
-the paper's preimage check, :func:`verify_preimage`.  Its report holds
-the residual of N^{-1} eta_1 under N, its sup gap to one structured solve
-of eta_1, and the indicators' Gram matrix from that one solve by the
-rotation N^{-1} eta_2 = (-x2, x1) (:func:`rotation_gram`, which the
-structured propagator uses too).  N commutes with that rotation exactly,
-so eta_2's residual is eta_1's bit for bit and is not reported.
+and the only code that takes the FFT: :meth:`Resolvent.of` reads the spectrum
+sigma of B's skew-circulant block once, for det(Id + B) = prod(1 - sigma^2) and
+the exact condition max|1 +- sigma| / min|1 +- sigma|, the caustic diagnostic,
+and it solves x = N^{-1} rhs = i (Id + B)^{-1} rhs by a twisted FFT.
+:func:`closed_solve` is the closed route's own N^{-1}, the continuum Green's
+function integrated exactly over each cell, in O(n).  These two alone read a
+model's t with a grid, so they apply the span rule (:func:`grid.check_same_span`);
+t is a float in models and grids, so the model's own grid passes.  At eta_1
+closed_solve is the paper's closed-form preimage, which :func:`verify_preimage`
+checks: it reports its residual under N, its sup gap to one structured solve
+of eta_1, and the Gram matrix from that solve by the rotation N^{-1} eta_2 =
+(-x2, x1) (:func:`rotation_gram`).  N commutes with it exactly, so eta_2's
+residual is eta_1's bit for bit and is not reported.
 
 The integrand is a Hida distribution off the exclusion set
 kt in {j pi} u {(j + 1/2) pi}.  Four guards enforce it, defined here alone:
@@ -147,7 +146,8 @@ class Resolvent:
 
     @classmethod
     def of(cls, m: MagneticModel, g: Grid) -> "Resolvent":
-        """sigma and the exact max|1+-sigma|/min|1+-sigma|; no refusals."""
+        """sigma and cond_estimate; like closed_solve, refuses a grid off the model's float t."""
+        check_same_span(g, m.t)
         column = np.full(g.n, -m.k * g.h)
         column[0] = 0.0
         sigma = np.fft.fft(column * _twist(g.n)).imag
@@ -195,9 +195,8 @@ def lift(real_solve, rhs: np.ndarray) -> np.ndarray:
 
 def resolvent(m: MagneticModel, g: Grid) -> Resolvent:
     """Structured N^{-1}; refuses another span, the band and the condition limit."""
-    check_same_span(g, m.t)
-    check_away_from_caustic(m)
     res = Resolvent.of(m, g)
+    check_away_from_caustic(m)
     refuse_ill_conditioned(res.cond_estimate)
     return res
 

@@ -24,7 +24,7 @@ from .errors import InvalidParameterError
 class Grid:
     """Uniform midpoint grid with n nodes on [0, t), step h = t / n.
 
-    n is any integer (numpy's too, stored as an int); h must be a normal float.
+    t is stored as a float, n (any integer, numpy's too) as an int; h must be a normal float.
     """
 
     t: float
@@ -47,6 +47,7 @@ class Grid:
             raise InvalidParameterError(
                 f"step h = t/n = {self.t}/{self.n} is below the smallest normal float "
                 f"{sys.float_info.min:.6g}")
+        object.__setattr__(self, "t", float(self.t))
 
     @property
     def h(self) -> float:
@@ -76,7 +77,7 @@ class GridFunctionPair:
 
 def make_grid(t: float, n: int) -> Grid:
     """Build the midpoint grid with n nodes on [0, t)."""
-    return Grid(float(t), n)
+    return Grid(t, n)
 
 
 def pair_from_vector(g: Grid, vec: np.ndarray) -> GridFunctionPair:
@@ -109,7 +110,7 @@ def check_same_grid(g: Grid, *objects) -> None:
 
 
 def check_same_span(g: Grid, t: float) -> None:
-    """Refuse a grid whose span [0, g.t) is not the model's [0, t)."""
+    """The span rule of Resolvent.of and closed_solve: g.t must be the model's float t."""
     if g.t != t:
         raise InvalidParameterError(f"the grid spans [0, {g.t}), the model [0, {t})")
 

@@ -25,7 +25,7 @@ from .grid import Grid, GridFunctionPair, check_same_grid, pair_from_vector
 
 @dataclass(frozen=True)
 class MagneticModel:
-    """Physical parameters: coupling k = q*H3/c and terminal time t (hbar = m = 1)."""
+    """Coupling k = q*H3/c and terminal time t, stored as floats (hbar = m = 1)."""
 
     k: float
     t: float
@@ -40,6 +40,8 @@ class MagneticModel:
         if not abs(kt) < 2.0 ** 52 or (self.k != 0 and abs(kt) < sys.float_info.min):
             raise InvalidParameterError(f"k*t = {kt} must be 0 or a normal float below "
                                         f"2**52 in size, got k={self.k}, t={self.t}")
+        object.__setattr__(self, "k", float(self.k))
+        object.__setattr__(self, "t", float(self.t))
 
 
 @dataclass(frozen=True)

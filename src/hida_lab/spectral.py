@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NumericFailureError
 from .fredholm import Resolvent, refuse_overflow
-from .grid import Grid, check_same_span
+from .grid import Grid
 from .operators import MagneticModel
 
 
@@ -60,9 +60,8 @@ def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralRep
     errors and gaps, and is not reported apart.  A count below 1 is
     refused at every k.
     """
-    check_same_span(g, m.t)
-    analytic = analytic_eigenvalues(m, count)
     sigma = Resolvent.of(m, g).sigma
+    analytic = analytic_eigenvalues(m, count)
     eigs = np.concatenate([sigma, -sigma])
     discrete = eigs[np.argsort(-np.abs(eigs))]
 
@@ -100,10 +99,10 @@ def determinant_product(m: MagneticModel, n_max: int = 100_000) -> float:
 
 
 def determinant_report(m: MagneticModel, g: Grid, n_max: int = 100_000) -> DeterminantReport:
-    check_same_span(g, m.t)
+    res = Resolvent.of(m, g)
     closed = determinant_closed(m)
     product = determinant_product(m, n_max)
-    discrete = Resolvent.of(m, g).determinant.real
+    discrete = res.determinant.real
 
     def _rel(a, b):
         scale = max(abs(a), abs(b), 1e-300)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from hida_lab import (InvalidParameterError, LemmaEvaluator, MagneticModel, apply_N,
                       determinant_report, discrete_spectrum, free_K, gram_matrix, magnetic_L,
                       magnetic_T, propagator, solve_N, verify_preimage)
-from hida_lab.fredholm import closed_solve, resolvent
+from hida_lab.fredholm import Resolvent, closed_solve, resolvent
 from hida_lab.grid import (Grid, conj_norm_sq, make_grid, pair, pair_from_vector,
                            sample)
 from hida_lab.testfunctions import indicator_pair
@@ -134,11 +135,11 @@ def test_every_site_refuses_an_object_on_another_grid_with_one_message(site):
         _on_another_grid()[site]()
 
 
-def _on_another_span():
-    """Each call that reads a model's t and a grid, on a grid of another span."""
-    m, g = MagneticModel(k=1.0, t=1.0), make_grid(np.pi / 2, 400)
+def _span_sites(m, g):
+    """Each call that reads a model's t and a grid."""
     eta = indicator_pair(g, 1)
     return {
+        "Resolvent.of": lambda: Resolvent.of(m, g),
         "resolvent": lambda: resolvent(m, g),
         "closed_solve": lambda: closed_solve(m, g, eta.as_vector()),
         "solve_N": lambda: solve_N(m, g, eta),
@@ -149,6 +150,11 @@ def _on_another_span():
     }
 
 
+def _on_another_span():
+    """Each call that reads a model's t and a grid, on a grid of another span."""
+    return _span_sites(MagneticModel(k=1.0, t=1.0), make_grid(np.pi / 2, 400))
+
+
 @pytest.mark.parametrize("site", list(_on_another_span()))
 def test_every_site_refuses_a_grid_on_another_span_with_one_message(site):
     """check_same_span is the one span rule: a grid whose t is not the
@@ -157,3 +163,29 @@ def test_every_site_refuses_a_grid_on_another_span_with_one_message(site):
     message = f"the grid spans [0, {np.pi / 2}), the model [0, 1.0)"
     with pytest.raises(InvalidParameterError, match=re.escape(message)):
         _on_another_span()[site]()
+
+
+def test_a_span_mismatch_is_refused_before_any_other_refusal():
+    """Resolvent.of checks the span before its callers' other refusals: the
+    half-integer band, a count below 1 and an n_max below 1."""
+    g = make_grid(np.pi / 2, 400)
+    band, m = MagneticModel(k=1.0, t=np.pi / 2 + 1e-5), MagneticModel(k=1.0, t=1.0)
+    for model, call in [(band, lambda: resolvent(band, g)),
+                        (m, lambda: discrete_spectrum(m, g, count=0)),
+                        (m, lambda: determinant_report(m, g, n_max=0))]:
+        message = f"the grid spans [0, {np.pi / 2}), the model [0, {model.t})"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            call()
+
+
+def test_a_model_at_a_fraction_time_is_on_the_span_of_its_own_grid():
+    """Models and grids hold float times, so a model at t = Fraction(1, 3) shares
+    its span with make_grid(m.t, n) and with Grid(Fraction(1, 3), n) at every
+    site of the span rule and in propagator, which builds its own grid."""
+    m = MagneticModel(k=1, t=Fraction(1, 3))
+    assert type(m.k) is type(m.t) is float and (m.k, m.t) == (1.0, 1 / 3)
+    propagator(m, (0.3, -0.4), n_grid=64)
+    for g in (make_grid(m.t, 64), Grid(Fraction(1, 3), 64)):
+        assert type(g.t) is float and g.nodes.dtype == np.float64
+        for call in _span_sites(m, g).values():
+            call()
