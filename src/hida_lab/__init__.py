@@ -6,11 +6,10 @@ from .errors import (CausticError, ConditionViolationError, HidaLabError,
 from .grid import Grid, GridFunctionPair, make_grid, pair, sample
 from .operators import (BlockOperator, MagneticModel, apply_N, build_N, free_K,
                         magnetic_L, symmetric_core, volterra)
-from .spectral import (DeterminantReport, SpectralReport, analytic_eigenvalues,
-                       determinant_closed, determinant_product, determinant_report,
-                       discrete_spectrum)
-from .fredholm import (CausticClassification, analytic_gram_diagonal, caustic_check,
-                       gram_matrix, solve_N, verify_preimage)
+from .spectral import (analytic_eigenvalues, determinant_closed, determinant_product,
+                       determinant_report, discrete_spectrum)
+from .fredholm import (analytic_gram_diagonal, caustic_check, gram_matrix, solve_N,
+                       verify_preimage)
 from .gausskernels import FiniteRankKernel, donsker_T, montecarlo_gauss_expectation
 from .testfunctions import indicator_pair, random_suite
 from .verification import CheckResult, run_checks

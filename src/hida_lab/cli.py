@@ -23,14 +23,11 @@ Exit codes: 0 success, 1 verification failure, 2 config error,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
 import os
-import resource
 import sys
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -110,6 +107,8 @@ def emit(args: argparse.Namespace, results: dict, diagnostics: dict | None = Non
         "versions": {"hida_lab": __version__, "numpy": np.__version__},
     }
     if "rows" in results and args.output == "csv":
+        import csv          # here, so that no other output loads it
+
         buf = io.StringIO()
         rows = results["rows"]
         writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(k for r in rows for k in r)))
@@ -146,7 +145,7 @@ _POOL_MIN_GRID = 3000
 def cmd_spectrum(cfg: argparse.Namespace) -> int:
     m = MagneticModel(k=cfg.k, t=cfg.t)
     g = make_grid(cfg.t, cfg.grid_points)
-    results = asdict(discrete_spectrum(m, g, count=cfg.count))
+    results = discrete_spectrum(m, g, count=cfg.count)
     results["discrete_leading"] = results.pop("discrete")[: 4 * cfg.count]
     emit(cfg, results, {"grid_points": cfg.grid_points})
     return EXIT_OK
@@ -155,22 +154,14 @@ def cmd_spectrum(cfg: argparse.Namespace) -> int:
 def cmd_determinant(cfg: argparse.Namespace) -> int:
     m = MagneticModel(k=cfg.k, t=cfg.t)
     g = make_grid(cfg.t, cfg.grid_points)
-    emit(cfg, asdict(determinant_report(m, g, n_max=cfg.n_max)),
-         {"caustic": asdict(caustic_check(m))})
+    emit(cfg, determinant_report(m, g, n_max=cfg.n_max), {"caustic": caustic_check(m)})
     return EXIT_OK
 
 
 def cmd_preimage(cfg: argparse.Namespace) -> int:
     m = MagneticModel(k=cfg.k, t=cfg.t)
     g = make_grid(cfg.t, cfg.grid_points)
-    rep = verify_preimage(m, g)
-    results = {
-        "residual_sup_f": rep.sup_f, "residual_quad_f": rep.quad_f,
-        "solve_vs_closed_sup": rep.solve_vs_closed_sup,
-        "gram": rep.gram,
-        "gram_analytic_diagonal": analytic_gram_diagonal(m),
-    }
-    emit(cfg, results)
+    emit(cfg, {**verify_preimage(m, g), "gram_analytic_diagonal": analytic_gram_diagonal(m)})
     return EXIT_OK
 
 
@@ -225,6 +216,8 @@ def peak_rss_mb() -> float:
                     return int(line.split()[1]) / 1024          # kB
     except OSError:
         pass
+    import resource     # here, so that no run that reads /proc loads it
+
     # ru_maxrss is in kilobytes on Linux.
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
@@ -257,7 +250,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     def one(value: float) -> dict:
         m = MagneticModel(**{"k": cfg.k, "t": cfg.t, cfg.sweep_param: value})
         row = {cfg.sweep_param: getattr(m, cfg.sweep_param),
-               "caustic": caustic_check(m).classification}
+               "caustic": caustic_check(m)["classification"]}
         try:
             value = propagator(m, (cfg.y1, cfg.y2), n_grid=cfg.grid_points).value
             row["value"] = value

@@ -12,10 +12,11 @@ function integrated exactly over each cell, in O(n).  These two alone read a
 model's t with a grid, so they apply the span rule (:func:`grid.check_same_span`);
 t is a float in models and grids, so the model's own grid passes.  At eta_1
 closed_solve is the paper's closed-form preimage, which :func:`verify_preimage`
-checks: it reports its residual under N, its sup gap to one structured solve
-of eta_1, and the Gram matrix from that solve by the rotation N^{-1} eta_2 =
-(-x2, x1) (:func:`rotation_gram`).  N commutes with it exactly, so eta_2's
-residual is eta_1's bit for bit and is not reported.
+checks in a dict that the CLI prints as it is: its residual under N
+(residual_sup_f, residual_quad_f), its sup gap to one structured solve of eta_1
+(solve_vs_closed_sup), and the Gram matrix from that solve by the rotation
+N^{-1} eta_2 = (-x2, x1) (gram, :func:`rotation_gram`).  N commutes with it
+exactly, so eta_2's residual is eta_1's bit for bit and is not reported.
 
 The integrand is a Hida distribution off the exclusion set
 kt in {j pi} u {(j + 1/2) pi}.  Four guards enforce it, defined here alone:
@@ -31,11 +32,12 @@ kt in {j pi} u {(j + 1/2) pi}.  Four guards enforce it, defined here alone:
   condition cond(N) > 1e12,              structured; dense; solve_N    NearSingularError     3
             refuse_ill_conditioned       and gram_matrix; preimage
 
-:func:`caustic_check` classifies without refusing, and the residual's window
-is :func:`refuse_caustic_in_span`.  Each CausticError carries kt (the
-residual's: the caustic j pi), except the floor's.  The exit code is the CLI's.
-Where a route's numbers leave the float range, :func:`refuse_overflow`
-refuses with NumericFailureError (exit 3).
+:func:`caustic_check` classifies without refusing, in a dict with the keys
+classification, kt and distance.  The residual's window is
+:func:`refuse_caustic_in_span`.  Each CausticError carries kt (the residual's:
+the caustic j pi), except the floor's.  The exit code is the CLI's.  Where a
+route's numbers leave the float range, :func:`refuse_overflow` refuses with
+NumericFailureError (exit 3).
 """
 
 from __future__ import annotations
@@ -59,30 +61,24 @@ _DET_FLOOR = 1e-12              # floor on |det(Id + B)|
 COND_LIMIT = 1e12               # limit on cond(N)
 
 
-@dataclass(frozen=True)
-class CausticClassification:
-    classification: str               # regular | integer_caustic | half_integer_caustic
-    kt: float
-    distance: float                   # |kt - nearest caustic value of kt|
-
-
-def caustic_check(m: MagneticModel) -> CausticClassification:
-    """Classify kt against the exclusion set; kt = 0 is the t -> 0 limit, not a
-    caustic, and reads as pi/2 from the nearest one."""
+def caustic_check(m: MagneticModel) -> dict:
+    """Classify kt against the exclusion set: ``classification`` (regular, integer_caustic
+    or half_integer_caustic), ``kt`` and ``distance``, |kt - nearest caustic value of kt|;
+    kt = 0 is the t -> 0 limit, not a caustic, and reads as pi/2 from the nearest one."""
     kt, half = m.k * m.t, np.pi / 2.0
     nearest_idx = round(kt / half) or (1 if kt >= 0 else -1)
     distance = abs(kt - nearest_idx * half)
     kind = ("regular" if distance > _CAUSTIC_WINDOW * max(1.0, abs(kt))
             else "integer_caustic" if nearest_idx % 2 == 0 else "half_integer_caustic")
-    return CausticClassification(kind, kt, distance)
+    return {"classification": kind, "kt": kt, "distance": distance}
 
 
 def refuse_caustic(m: MagneticModel) -> None:
     """Refuse kt in the window of a caustic, with caustic_check's classification."""
     cls = caustic_check(m)
-    if cls.classification != "regular":
-        raise CausticError(f"kt = {cls.kt:.6g} is at a caustic of class {cls.classification}",
-                           classification=cls.classification, kt=cls.kt)
+    if cls["classification"] != "regular":
+        raise CausticError("kt = {kt:.6g} is at a caustic of class {classification}".format(**cls),
+                           classification=cls["classification"], kt=cls["kt"])
 
 
 def refuse_caustic_in_span(m: MagneticModel, start: float) -> None:
@@ -256,24 +252,17 @@ def rotation_gram(g: Grid, x: np.ndarray) -> np.ndarray:
     return np.array([[m11, -m21], [m21, m11]])
 
 
-@dataclass(frozen=True)
-class PreimageResidualReport:
-    sup_f: float                      # sup and quadratic norms of N x - eta_1
-    quad_f: float
-    solve_vs_closed_sup: float        # max |structured - closed| over both components
-    gram: np.ndarray = field(repr=False)    # rotation_gram of the structured N^{-1} eta_1
-
-
-def verify_preimage(m: MagneticModel, g: Grid) -> PreimageResidualReport:
+def verify_preimage(m: MagneticModel, g: Grid) -> dict:
     """The paper's preimage check at eta_1, its preimage solved once.
 
     The residual is that of N applied to the closed preimage
-    x = N^{-1} eta_1 of :func:`closed_solve` against eta_1.  N is applied in
+    x = N^{-1} eta_1 of :func:`closed_solve` against eta_1; ``residual_sup_f``
+    and ``residual_quad_f`` are its sup and quadratic norms.  N is applied in
     O(n) by :func:`operators.apply_N`, which uses neither the structured
     solve nor the closed form it checks.  One structured solve of eta_1 by
-    :func:`resolvent` gives the solve-vs-closed gap and the Gram matrix
-    (:func:`rotation_gram`).  Refuses another span, the band and the
-    condition limit.
+    :func:`resolvent` gives ``solve_vs_closed_sup``, max |structured - closed|
+    over both components, and ``gram``, its :func:`rotation_gram`.  Refuses
+    another span, the band and the condition limit.
     """
     eta1 = indicator_pair(g, 1)
     rhs = eta1.as_vector()
@@ -282,10 +271,10 @@ def verify_preimage(m: MagneticModel, g: Grid) -> PreimageResidualReport:
     res = apply_N(m, g, pair_from_vector(g, closed))
     diff = GridFunctionPair(grid=g, comp1=res.comp1 - eta1.comp1,
                             comp2=res.comp2 - eta1.comp2)
-    return PreimageResidualReport(
-        sup_f=diff.sup_norm(), quad_f=float(np.sqrt(conj_norm_sq(diff))),
-        solve_vs_closed_sup=float(np.abs(solved - closed).max()),
-        gram=rotation_gram(g, solved))
+    return {"residual_sup_f": diff.sup_norm(),
+            "residual_quad_f": float(np.sqrt(conj_norm_sq(diff))),
+            "solve_vs_closed_sup": float(np.abs(solved - closed).max()),
+            "gram": rotation_gram(g, solved)}
 
 
 def gram_matrix(m: MagneticModel, g: Grid, etas) -> np.ndarray:

@@ -33,8 +33,8 @@ class Grid:
     def __post_init__(self):
         if not self.t > 0:
             raise InvalidParameterError(f"duration t must be positive, got {self.t}")
-        if not math.isfinite(self.t):
-            raise InvalidParameterError(f"duration t must be finite, got {self.t}")
+        if not finite(self.t):
+            raise InvalidParameterError(f"duration t must be a finite float, got {self.t}")
         try:
             n = operator.index(self.n)
         except TypeError:
@@ -73,6 +73,14 @@ class GridFunctionPair:
 
     def sup_norm(self) -> float:
         return max(np.abs(self.comp1).max(), np.abs(self.comp2).max())
+
+
+def finite(*values) -> bool:
+    """math.isfinite of every value; False for an int or Fraction beyond the float range."""
+    try:
+        return all(math.isfinite(v) for v in values)
+    except OverflowError:
+        return False
 
 
 def make_grid(t: float, n: int) -> Grid:

@@ -13,14 +13,13 @@ Id + B through it, and the dense builders here are its test oracles.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import Grid, GridFunctionPair, check_same_grid, pair_from_vector
+from .grid import Grid, GridFunctionPair, check_same_grid, finite, pair_from_vector
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,8 @@ class MagneticModel:
     def __post_init__(self):
         if not self.t > 0:
             raise InvalidParameterError(f"terminal time must be positive, got {self.t}")
-        if not (math.isfinite(self.k) and math.isfinite(self.t)):
-            raise InvalidParameterError(f"k and t must be finite, got k={self.k}, t={self.t}")
+        if not finite(self.k, self.t):
+            raise InvalidParameterError(f"k = {self.k} and t = {self.t} must be finite floats")
         kt = self.k * self.t
         # From 2**52 up k*t holds no fractional digit: rounding moves the phase kt by up to 1/2.
         if not abs(kt) < 2.0 ** 52 or (self.k != 0 and abs(kt) < sys.float_info.min):

@@ -9,11 +9,13 @@ determinant of Id + L(Id+K)^{-1} is cos^2(kt), reachable three ways:
   discrete   prod (1 - sigma^2) over the eigenvalues +-sigma of the discretized
              core, as fredholm.Resolvent reads it off its skew-circulant
              structure
+
+Both reports are dicts that the CLI prints as they are, with the keys analytic,
+discrete, match_errors, pair_gaps and matched_means (:func:`discrete_spectrum`)
+and closed, product, discrete and discrepancies (:func:`determinant_report`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,25 +23,6 @@ from .errors import InvalidParameterError, NumericFailureError
 from .fredholm import Resolvent, refuse_overflow
 from .grid import Grid
 from .operators import MagneticModel
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """Analytic vs. discrete spectrum of the symmetric core B."""
-
-    analytic: np.ndarray          # positive-branch closed-form values, multiplicity 2 each
-    discrete: np.ndarray          # all eigenvalues of B, sorted by descending |value|
-    match_errors: np.ndarray      # per analytic value: relative error of its pair's mean
-    pair_gaps: np.ndarray         # per analytic value: relative in-pair spread
-    matched_means: np.ndarray     # per analytic value: its discrete pair's mean
-
-
-@dataclass(frozen=True)
-class DeterminantReport:
-    closed: float
-    product: float
-    discrete: float
-    discrepancies: dict
 
 
 def analytic_eigenvalues(m: MagneticModel, count: int) -> np.ndarray:
@@ -50,15 +33,21 @@ def analytic_eigenvalues(m: MagneticModel, count: int) -> np.ndarray:
     return 2.0 * m.k * m.t / ((2 * n - 1) * np.pi)
 
 
-def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralReport:
-    """Eigenvalues +-sigma of B with greedy multiplicity-2 matching.
+def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> dict:
+    """Eigenvalues +-sigma of B with greedy multiplicity-2 matching: the discrete
+    eigenvalues of k's sign are paired in descending magnitude, and pair j is
+    matched against lambda_j.  The report holds
 
-    The discrete eigenvalues of k's sign are paired in descending
-    magnitude, and pair j is matched against lambda_j, so each array is
-    index-aligned with ``analytic``.  B's spectrum is exactly +-sigma, so
-    the opposite branch is the exact negation of this one, with the same
-    errors and gaps, and is not reported apart.  A count below 1 is
-    refused at every k.
+      analytic        positive-branch closed-form values, multiplicity 2 each
+      discrete        all eigenvalues of B, sorted by descending |value|
+      match_errors    per analytic value: relative error of its pair's mean
+      pair_gaps       per analytic value: relative in-pair spread
+      matched_means   per analytic value: its discrete pair's mean
+
+    so the last three are index-aligned with ``analytic``.  B's spectrum is
+    exactly +-sigma, so the opposite branch is the exact negation of this one,
+    with the same errors and gaps, and is not reported apart.  A count below 1
+    is refused at every k.
     """
     sigma = Resolvent.of(m, g).sigma
     analytic = analytic_eigenvalues(m, count)
@@ -67,8 +56,8 @@ def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralRep
 
     if m.k == 0:
         zeros = np.zeros(count)         # analytic too: +0.0, also at k = -0.0
-        return SpectralReport(analytic=zeros, discrete=discrete, match_errors=zeros,
-                              pair_gaps=zeros, matched_means=zeros)
+        return {"analytic": zeros, "discrete": discrete, "match_errors": zeros,
+                "pair_gaps": zeros, "matched_means": zeros}
 
     magnitudes = np.sort(np.abs(sigma[np.abs(sigma) > 0]))[::-1]
     if 2 * count > len(magnitudes):
@@ -78,8 +67,8 @@ def discrete_spectrum(m: MagneticModel, g: Grid, count: int = 10) -> SpectralRep
     means = pairs.mean(axis=1)
     errors = np.abs(means - analytic) / np.abs(analytic)
     gaps = np.abs(pairs[:, 0] - pairs[:, 1]) / np.abs(analytic)
-    return SpectralReport(analytic=analytic, discrete=discrete, match_errors=errors,
-                          pair_gaps=gaps, matched_means=means)
+    return {"analytic": analytic, "discrete": discrete, "match_errors": errors,
+            "pair_gaps": gaps, "matched_means": means}
 
 
 def determinant_closed(m: MagneticModel) -> float:
@@ -98,20 +87,18 @@ def determinant_product(m: MagneticModel, n_max: int = 100_000) -> float:
         return float(np.prod(factors) ** 2)
 
 
-def determinant_report(m: MagneticModel, g: Grid, n_max: int = 100_000) -> DeterminantReport:
+def determinant_report(m: MagneticModel, g: Grid, n_max: int = 100_000) -> dict:
+    """The determinant three ways, ``closed``, ``product`` (to n_max) and
+    ``discrete``, with their pairwise relative ``discrepancies``
+    (``closed_vs_product``, ``closed_vs_discrete``, ``product_vs_discrete``)."""
     res = Resolvent.of(m, g)
-    closed = determinant_closed(m)
-    product = determinant_product(m, n_max)
+    closed, product = determinant_closed(m), determinant_product(m, n_max)
     discrete = res.determinant.real
 
     def _rel(a, b):
-        scale = max(abs(a), abs(b), 1e-300)
-        return abs(a - b) / scale
+        return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
-    discrepancies = {
-        "closed_vs_product": _rel(closed, product),
-        "closed_vs_discrete": _rel(closed, discrete),
-        "product_vs_discrete": _rel(product, discrete),
-    }
-    return DeterminantReport(closed=closed, product=product, discrete=discrete,
-                             discrepancies=discrepancies)
+    return {"closed": closed, "product": product, "discrete": discrete,
+            "discrepancies": {"closed_vs_product": _rel(closed, product),
+                              "closed_vs_discrete": _rel(closed, discrete),
+                              "product_vs_discrete": _rel(product, discrete)}}

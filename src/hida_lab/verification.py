@@ -51,8 +51,8 @@ def check_spectrum(n_grid: int) -> CheckResult:
     """Discrete eigenvalue pairs of B vs 2kt/((2n-1)pi), multiplicity 2."""
     m = MagneticModel(k=1.0, t=1.0)
     rep = discrete_spectrum(m, make_grid(m.t, n_grid), count=_SPECTRUM_PAIRS)
-    worst_match = float(rep.match_errors.max())
-    worst_gap = float(rep.pair_gaps.max())
+    worst_match = float(rep["match_errors"].max())
+    worst_gap = float(rep["pair_gaps"].max())
     passed = worst_match <= 1e-3 and worst_gap <= 1e-6
     return CheckResult(
         name="spectrum_match", passed=passed, measured=worst_match, threshold=1e-3,
@@ -66,8 +66,8 @@ def check_determinant(n_grid: int) -> CheckResult:
     worst_disc, worst_prod = 0.0, 0.0
     for k, t in ((1.0, 1.0), (0.5, 2.0), (0.3, 0.7)):
         rep = determinant_report(MagneticModel(k=k, t=t), make_grid(t, n_grid), _PRODUCT_TERMS)
-        worst_disc = max(worst_disc, abs(rep.discrete - rep.closed))
-        worst_prod = max(worst_prod, abs(rep.product - rep.closed))
+        worst_disc = max(worst_disc, abs(rep["discrete"] - rep["closed"]))
+        worst_prod = max(worst_prod, abs(rep["product"] - rep["closed"]))
     passed = worst_disc <= 1e-2 and worst_prod <= 1e-4
     return CheckResult(
         name="determinant_three_way", passed=passed, measured=worst_disc,
@@ -81,9 +81,9 @@ def check_preimage(sizes) -> CheckResult:
     """Closed preimage residual, solve agreement, and residual order."""
     m = MagneticModel(k=1.0, t=1.0)
     reports = [verify_preimage(m, make_grid(m.t, n)) for n in sizes]
-    residuals = [rep.sup_f for rep in reports]
+    residuals = [rep["residual_sup_f"] for rep in reports]
     orders = convergence_orders(residuals)
-    gap = reports[-1].solve_vs_closed_sup
+    gap = reports[-1]["solve_vs_closed_sup"]
 
     passed = residuals[-1] <= 1e-3 and gap <= 1e-3 and min(orders) >= 1.9
     return CheckResult(
@@ -158,13 +158,13 @@ def check_gauss_identity(samples: int, seed: int = 2024) -> CheckResult:
     kernel = FiniteRankKernel(eigenvalues=np.array([-0.125]))
     est1 = montecarlo_gauss_expectation(kernel, samples, seed)
     est2 = montecarlo_gauss_expectation(kernel, samples, seed)
-    sigmas = abs(est1.mean - est1.exact) / est1.std_error
-    reproducible = est1.mean == est2.mean and est1.std_error == est2.std_error
-    passed = sigmas <= 3.0 and reproducible and abs(est1.exact - 2.0 / np.sqrt(3.0)) < 1e-12
+    sigmas = abs(est1["mean"] - est1["exact"]) / est1["std_error"]
+    reproducible = est1 == est2
+    passed = sigmas <= 3.0 and reproducible and abs(est1["exact"] - 2.0 / np.sqrt(3.0)) < 1e-12
     return CheckResult(
         name="gauss_determinant_identity", passed=passed, measured=sigmas,
         threshold=3.0,
-        detail=(f"{samples} samples, seed {seed}: mean {est1.mean:.6f} vs 2/sqrt(3), "
+        detail=(f"{samples} samples, seed {seed}: mean {est1['mean']:.6f} vs 2/sqrt(3), "
                 f"{sigmas:.2f} standard errors (<= 3), "
                 f"bit-reproducible: {reproducible}"))
 
@@ -203,8 +203,8 @@ def check_caustics(n_grid: int, points: int) -> CheckResult:
     between -2h and 0, so the ratio of two such values is off by at most 2h.
     The magnitudes must also rise monotonically.
     """
-    flag_pi = caustic_check(MagneticModel(k=1.0, t=np.pi)).classification
-    flag_half = caustic_check(MagneticModel(k=1.0, t=np.pi / 2.0)).classification
+    flag_pi = caustic_check(MagneticModel(k=1.0, t=np.pi))["classification"]
+    flag_half = caustic_check(MagneticModel(k=1.0, t=np.pi / 2.0))["classification"]
     flags_ok = flag_pi == "integer_caustic" and flag_half == "half_integer_caustic"
 
     kts = np.linspace(2.8, 3.1, points)

@@ -511,12 +511,12 @@ def test_preimage_reports_verify_preimage(capsys, monkeypatch, k, t, n):
     results = json.loads(out)["results"]
     m, g = MagneticModel(k=k, t=t), make_grid(t, n)
     rep = verify_preimage(m, g)
-    scalars = {"residual_sup_f": rep.sup_f, "residual_quad_f": rep.quad_f,
-               "solve_vs_closed_sup": rep.solve_vs_closed_sup}
+    scalars = {name: rep[name] for name in
+               ("residual_sup_f", "residual_quad_f", "solve_vs_closed_sup")}
     assert set(results) == {*scalars, "gram", "gram_analytic_diagonal"}
     assert {name: results[name] for name in scalars} == scalars
     gram = _complex(results["gram"])
-    np.testing.assert_array_equal(gram, rep.gram)
+    np.testing.assert_array_equal(gram, rep["gram"])
     two = gram_matrix(m, g, (indicator_pair(g, 1), indicator_pair(g, 2)))
     assert np.abs(gram - two).max() <= 4 * n * np.finfo(float).eps * np.abs(two).max()
     assert _complex(results["gram_analytic_diagonal"]) == analytic_gram_diagonal(m)
@@ -752,6 +752,17 @@ def test_verify_reports_its_peak_rss_outside_results(capsys):
     assert all(o["diagnostics"]["peak_rss_mb"] > 0 for o in outputs)
     assert "peak_rss_mb" not in json.dumps(outputs[0]["results"])
     assert outputs[0]["results"] == outputs[1]["results"]
+
+
+def test_peak_rss_falls_back_to_ru_maxrss_without_proc(monkeypatch):
+    """Where /proc/self/status cannot be read, peak_rss_mb imports resource and
+    reads ru_maxrss, this process's peak in kilobytes on Linux."""
+    def no_proc(*args, **kwargs):
+        raise OSError("no /proc here")
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    import resource
+    ru_maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert ru_maxrss <= cli.peak_rss_mb() <= ru_maxrss + 64
 
 
 def test_verify_peak_rss_is_its_own_not_its_parents():

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hida_lab import (CausticClassification, CausticError, InvalidParameterError,
-                      MagneticModel, TTransformReport, caustic_check, composed_closed_value,
-                      free_limit_reference, magnetic_T, printed_propagator_value,
-                      propagator, residual_convergence, schrodinger_residual)
+from hida_lab import (CausticError, InvalidParameterError, MagneticModel, TTransformReport,
+                      caustic_check, composed_closed_value, free_limit_reference, magnetic_T,
+                      printed_propagator_value, propagator, residual_convergence,
+                      schrodinger_residual)
 from hida_lab.errors import (ConditionViolationError, NearSingularError,
                              NumericFailureError)
 from hida_lab import feynman, fredholm
@@ -34,17 +34,17 @@ def _bump(g, center, width):
 # ---------------------------------------------------------------- caustics
 
 def test_caustic_classification_exact_points():
-    assert caustic_check(MagneticModel(k=1.0, t=np.pi)).classification == "integer_caustic"
-    assert caustic_check(MagneticModel(k=1.0, t=np.pi / 2)).classification == \
+    assert caustic_check(MagneticModel(k=1.0, t=np.pi))["classification"] == "integer_caustic"
+    assert caustic_check(MagneticModel(k=1.0, t=np.pi / 2))["classification"] == \
         "half_integer_caustic"
-    assert caustic_check(MagneticModel(k=2.0, t=np.pi)).classification == "integer_caustic"
-    assert caustic_check(M11).classification == "regular"
-    assert caustic_check(MagneticModel(k=0.0, t=5.0)).classification == "regular"
+    assert caustic_check(MagneticModel(k=2.0, t=np.pi))["classification"] == "integer_caustic"
+    assert caustic_check(M11)["classification"] == "regular"
+    assert caustic_check(MagneticModel(k=0.0, t=5.0))["classification"] == "regular"
 
 
 def test_kt_near_zero_is_the_short_time_limit_not_a_caustic():
     m = MagneticModel(k=1.0, t=1e-12)
-    assert caustic_check(m).classification == "regular"
+    assert caustic_check(m)["classification"] == "regular"
     y = (0.0, 0.0)
     closed = composed_closed_value(m, y)
     assert propagator(m, y, n_grid=50).value == pytest.approx(closed, rel=1e-12)
@@ -53,10 +53,10 @@ def test_kt_near_zero_is_the_short_time_limit_not_a_caustic():
 
 def test_caustic_distance_is_reported():
     cls = caustic_check(M11)
-    assert cls.distance == pytest.approx(np.pi / 2 - 1.0)
+    assert cls["distance"] == pytest.approx(np.pi / 2 - 1.0)
     # kt = 0 is pi/2 from the nearest caustic, a finite distance.
     assert caustic_check(MagneticModel(k=0.0, t=5.0)) == \
-        CausticClassification("regular", 0.0, np.pi / 2)
+        {"classification": "regular", "kt": 0.0, "distance": np.pi / 2}
 
 
 def test_propagator_refuses_caustic_times():

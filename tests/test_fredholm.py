@@ -86,7 +86,7 @@ def test_preimage_g_is_rotation_of_f():
 
 
 def test_residual_report_second_order():
-    sups = [verify_preimage(M11, make_grid(1.0, n)).sup_f for n in (200, 400, 800)]
+    sups = [verify_preimage(M11, make_grid(1.0, n))["residual_sup_f"] for n in (200, 400, 800)]
     orders = np.log2(np.array(sups[:-1]) / np.array(sups[1:]))
     assert np.all(orders > 1.9)
     assert sups[-1] < 1e-5
@@ -107,7 +107,7 @@ def test_verify_preimage_matches_the_dense_apply(k, t):
     diff = GridFunctionPair(grid=g, comp1=res.comp1 - eta.comp1, comp2=res.comp2 - eta.comp2)
     dense = (diff.sup_norm(), np.sqrt(conj_norm_sq(diff)))
     rep = verify_preimage(m, g)
-    np.testing.assert_allclose((rep.sup_f, rep.quad_f), dense, rtol=0,
+    np.testing.assert_allclose((rep["residual_sup_f"], rep["residual_quad_f"]), dense, rtol=0,
                                atol=1e-14 * (1.0 + abs(k) * t) * x.sup_norm())
 
 

@@ -53,6 +53,15 @@ def test_grid_refuses_an_infinite_duration():
             build(np.inf, 4)
 
 
+@pytest.mark.parametrize("t", [Fraction(10 ** 400), 10 ** 400], ids=["fraction", "int"])
+def test_grid_refuses_an_exact_duration_beyond_the_float_range(t):
+    """An int or a Fraction too large for a float is refused as not finite,
+    where math.isfinite would let its OverflowError escape."""
+    for build in (make_grid, Grid):
+        with pytest.raises(InvalidParameterError, match="must be a finite float"):
+            build(t, 4)
+
+
 def test_grid_takes_an_integer_node_count_only():
     """numpy integers pass and are stored as int; a fractional n is refused,
     where Grid once placed a node at s = t and make_grid truncated n."""

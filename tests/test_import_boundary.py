@@ -1,7 +1,8 @@
 """What a run loads: scipy is for the dense oracle only, the thread pool
-for `sweep` only, numpy.random for nothing (seeded draws come from the
-standard library's random.Random), and the test extras mpmath and
-hypothesis for nothing.
+for `sweep` only, csv and resource for the one CLI branch each that reads
+them, numpy.random for nothing (seeded draws come from the standard
+library's random.Random), and the test extras mpmath and hypothesis for
+nothing.
 
 Each test runs in a fresh interpreter, because the test session itself has
 long since imported scipy.
@@ -69,3 +70,11 @@ def test_cli_import_loads_no_thread_pool():
     loaded = _loaded_after("import hida_lab.cli")
     assert "hida_lab.cli" in loaded
     assert sorted(m for m in loaded if m.split(".")[0] == "concurrent") == []
+
+
+def test_cli_import_loads_no_csv_or_resource():
+    """csv is for `--output csv` only and resource for peak_rss_mb's fallback
+    only, so a cold `import hida_lab.cli` loads neither."""
+    loaded = _loaded_after("import hida_lab.cli")
+    assert "hida_lab.cli" in loaded
+    assert sorted(loaded & {"csv", "_csv", "resource"}) == []

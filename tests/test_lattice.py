@@ -65,7 +65,7 @@ def test_determinant_and_gram_matrix_are_the_lattice_ones(n):
     for lat, y in _draws(n):
         m = MagneticModel(k=lat.k, t=lat.t)
         tol = 64 * EPS * _kappa(lat)
-        discrete = determinant_report(m, make_grid(lat.t, n), n_max=1).discrete
+        discrete = determinant_report(m, make_grid(lat.t, n), n_max=1)["discrete"]
         assert abs(discrete - lat.determinant) <= tol * abs(lat.determinant)
         gram = propagator(m, y, n_grid=n).gram
         mu = lat.gram_diagonal
@@ -105,6 +105,6 @@ def test_determinant_is_the_lattice_one_next_to_a_discrete_caustic(n):
     the same 64 eps kappa, kappa = n + 1/d."""
     for lat in _caustic_draws(n):
         discrete = determinant_report(MagneticModel(k=lat.k, t=lat.t),
-                                      make_grid(lat.t, n), n_max=1).discrete
+                                      make_grid(lat.t, n), n_max=1)["discrete"]
         tol = 64 * EPS * _kappa(lat)
         assert abs(discrete - lat.determinant) <= tol * abs(lat.determinant), (lat, discrete)

@@ -3,6 +3,7 @@
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ def test_model_requires_positive_time():
 @pytest.mark.parametrize("k, t", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (1.0, np.inf)])
 def test_model_refuses_a_non_finite_coupling_or_time(k, t):
     with pytest.raises(InvalidParameterError, match="finite"):
+        MagneticModel(k=k, t=t)
+
+
+@pytest.mark.parametrize("k, t", [(0, Fraction(10 ** 400)), (0, 10 ** 400), (10 ** 400, 1.0)],
+                         ids=["fraction_t", "int_t", "int_k"])
+def test_model_refuses_an_exact_number_beyond_the_float_range(k, t):
+    """An int or a Fraction too large for a float is refused as not finite,
+    where math.isfinite would let its OverflowError escape."""
+    with pytest.raises(InvalidParameterError, match="must be finite floats"):
         MagneticModel(k=k, t=t)
 
 

@@ -106,7 +106,7 @@ def _route(name: str, k: float, t: float, n: int):
     if name == "closed_solve":
         return complex(g.h * f.as_vector() @ closed_solve(m, g, f.as_vector()))
     if name == "verify_preimage":
-        return complex(verify_preimage(m, g).gram[0, 0])
+        return complex(verify_preimage(m, g)["gram"][0, 0])
     return schrodinger_residual(m)
 
 

@@ -53,16 +53,16 @@ def test_eigenfunction_satisfies_eigen_equation(n, c1, c2):
 
 def test_discrete_spectrum_matches_and_pairs():
     rep = discrete_spectrum(M11, make_grid(1.0, 600), count=5)
-    assert rep.match_errors.max() < 1e-3
-    assert rep.pair_gaps.max() < 1e-9      # multiplicity 2 is structural
+    assert rep["match_errors"].max() < 1e-3
+    assert rep["pair_gaps"].max() < 1e-9      # multiplicity 2 is structural
     # The discrete eigenvalues come in exact +- pairs.
-    np.testing.assert_array_equal(np.sort(rep.discrete), np.sort(-rep.discrete))
+    np.testing.assert_array_equal(np.sort(rep["discrete"]), np.sort(-rep["discrete"]))
 
 
 def test_discrete_spectrum_zero_coupling():
     rep = discrete_spectrum(MagneticModel(k=0.0, t=1.0), make_grid(1.0, 50), count=3)
-    assert np.abs(rep.discrete).max() == 0.0
-    assert np.all(rep.match_errors == 0)
+    assert np.abs(rep["discrete"]).max() == 0.0
+    assert np.all(rep["match_errors"] == 0)
 
 
 @pytest.mark.parametrize("k", [0.0, 1.0])
@@ -76,7 +76,7 @@ def test_discrete_spectrum_matches_at_most_n_over_2_pairs(k):
     """n = 10 nodes give 2n = 20 eigenvalues, 10 per sign branch: five
     pairs of k's branch are matched and a sixth is refused."""
     m, g = MagneticModel(k=k, t=1.0), make_grid(1.0, 10)
-    assert len(discrete_spectrum(m, g, count=5).match_errors) == 5
+    assert len(discrete_spectrum(m, g, count=5)["match_errors"]) == 5
     with pytest.raises(NumericFailureError, match="not enough discrete eigenvalues"):
         discrete_spectrum(m, g, count=6)
 
@@ -116,9 +116,9 @@ def test_one_branch_matcher_is_the_two_branch_matcher_bit_for_bit(k, t, n):
     for count in range(1, n // 2 + 1):
         rep = discrete_spectrum(m, g, count=count)
         discrete, arrays = _two_branch_matcher(m, sigma, analytic_eigenvalues(m, count))
-        np.testing.assert_array_equal(rep.discrete, discrete, strict=True)
-        for got, want, sign in zip((rep.match_errors, rep.pair_gaps, rep.analytic,
-                                    rep.matched_means), arrays, (1, 1, -1, -1)):
+        np.testing.assert_array_equal(rep["discrete"], discrete, strict=True)
+        for got, want, sign in zip((rep["match_errors"], rep["pair_gaps"], rep["analytic"],
+                                    rep["matched_means"]), arrays, (1, 1, -1, -1)):
             for branch, expected in ((want[0::2], got), (want[1::2], sign * got)):
                 np.testing.assert_array_equal(branch, expected, strict=True)
                 assert np.array_equal(np.signbit(branch), np.signbit(expected))
@@ -151,7 +151,7 @@ def test_determinant_product_converges_to_closed():
 def test_determinant_discrete_equals_det_of_N_up_to_phase():
     """The report's discrete prod(1 - sigma_j^2) = det(Id + B) = det(iN) on the grid."""
     g = make_grid(1.0, 80)
-    disc = determinant_report(M11, g, n_max=1).discrete
+    disc = determinant_report(M11, g, n_max=1)["discrete"]
     det_in = np.linalg.det(1j * build_N(M11, g).entries)
     assert disc == pytest.approx(det_in.real, rel=1e-10)
     assert abs(det_in.imag) < 1e-10 * abs(det_in.real)
@@ -159,6 +159,6 @@ def test_determinant_discrete_equals_det_of_N_up_to_phase():
 
 def test_determinant_report_three_way_consistency():
     rep = determinant_report(M11, make_grid(1.0, 800), n_max=50_000)
-    assert rep.discrepancies["closed_vs_product"] < 1e-4
-    assert rep.discrepancies["closed_vs_discrete"] < 2e-3
-    assert rep.closed == pytest.approx(np.cos(1.0) ** 2)
+    assert rep["discrepancies"]["closed_vs_product"] < 1e-4
+    assert rep["discrepancies"]["closed_vs_discrete"] < 2e-3
+    assert rep["closed"] == pytest.approx(np.cos(1.0) ** 2)

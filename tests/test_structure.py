@@ -253,8 +253,8 @@ def test_structured_route_at_a_size_the_dense_route_cannot_hold():
     assert abs(gram[0, 0] - 1j * np.tan(1.0)) < 1e-9
     assert abs(gram[0, 0] - analytic_gram_diagonal(m)) < 1e-9
     rep = discrete_spectrum(m, g, count=10)
-    assert rep.discrete.shape == (2 * g.n,)
-    assert rep.match_errors.max() < 1e-6
+    assert rep["discrete"].shape == (2 * g.n,)
+    assert rep["match_errors"].max() < 1e-6
 
 
 def _dense_evaluator(m, g):
@@ -293,7 +293,7 @@ def test_structured_propagator_matches_dense_oracle(k, t, n, y1, y2):
     assume(k == 0 or abs(k * t) >= sys.float_info.min)     # MagneticModel refuses such k t
     m = MagneticModel(k=k, t=t)
     # Both routes first refuse continuum caustics.
-    assume(caustic_check(m).classification == "regular")
+    assume(caustic_check(m)["classification"] == "regular")
     kt, step = abs(k * t), abs(k) * t / n
     j = round(kt / np.pi)
     assume(j == 0 or abs(kt - j * np.pi) > 10 * step)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from hida_lab import verification as v
-from hida_lab.fredholm import CausticClassification
 from hida_lab.gausskernels import donsker_T
 
 
@@ -83,7 +82,7 @@ def test_swapped_caustic_flag_fails(monkeypatch):
         kt = m.k * m.t
         label = ("half_integer_caustic" if abs(kt - np.pi) < 1e-12
                  else "integer_caustic")
-        return CausticClassification(classification=label, kt=kt, distance=0.0)
+        return {"classification": label, "kt": kt, "distance": 0.0}
 
     monkeypatch.setattr(v, "propagator", _stub(_closed))
     monkeypatch.setattr(v, "caustic_check", swapped)
