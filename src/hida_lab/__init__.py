@@ -12,7 +12,7 @@ from .fredholm import (analytic_gram_diagonal, caustic_check, gram_matrix, solve
                        verify_preimage)
 from .gausskernels import FiniteRankKernel, donsker_T, montecarlo_gauss_expectation
 from .testfunctions import indicator_pair, random_suite
-from .verification import CheckResult, run_checks
+from .verification import run_checks
 from .feynman import (LemmaEvaluator, TTransformReport, composed_closed_value,
                       free_limit_reference, magnetic_T, printed_propagator_value,
                       propagator, residual_convergence, schrodinger_residual)

@@ -223,16 +223,14 @@ def peak_rss_mb() -> float:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    checks = run_checks(quick=cfg.quick, seed=cfg.seed)
-    rows = [{"name": c.name, "passed": c.passed, "measured": c.measured,
-             "threshold": c.threshold, "detail": c.detail} for c in checks]
-    failures = sum(1 for c in checks if not c.passed)
+    rows = run_checks(quick=cfg.quick, seed=cfg.seed)
+    seconds = {row["name"]: row.pop("seconds") for row in rows}
+    failures = sum(not row["passed"] for row in rows)
     emit(cfg, {"rows": rows, "failures": failures},
-         {"check_seconds": {c.name: c.seconds for c in checks},
-          "peak_rss_mb": peak_rss_mb()})
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"[{status}] {c.name}: {c.detail}", file=sys.stderr)
+         {"check_seconds": seconds, "peak_rss_mb": peak_rss_mb()})
+    for row in rows:
+        status = "PASS" if row["passed"] else "FAIL"
+        print(f"[{status}] {row['name']}: {row['detail']}", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
 
 

@@ -43,6 +43,8 @@ class Grid:
         object.__setattr__(self, "n", n)
         if self.n < 2:
             raise InvalidParameterError(f"need at least 2 nodes, got {self.n}")
+        if not finite(self.n):
+            raise InvalidParameterError("the node count is beyond the float range")
         if self.t / self.n < sys.float_info.min:
             raise InvalidParameterError(
                 f"step h = t/n = {self.t}/{self.n} is below the smallest normal float "

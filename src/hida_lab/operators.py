@@ -30,17 +30,18 @@ class MagneticModel:
     t: float
 
     def __post_init__(self):
-        if not self.t > 0:
-            raise InvalidParameterError(f"terminal time must be positive, got {self.t}")
         if not finite(self.k, self.t):
             raise InvalidParameterError(f"k = {self.k} and t = {self.t} must be finite floats")
+        # Checked on the stored float: an exact t > 0 may round to 0.0.
+        object.__setattr__(self, "t", float(self.t))
+        if not self.t > 0:
+            raise InvalidParameterError(f"terminal time must be positive, got {self.t}")
         kt = self.k * self.t
         # From 2**52 up k*t holds no fractional digit: rounding moves the phase kt by up to 1/2.
         if not abs(kt) < 2.0 ** 52 or (self.k != 0 and abs(kt) < sys.float_info.min):
             raise InvalidParameterError(f"k*t = {kt} must be 0 or a normal float below "
                                         f"2**52 in size, got k={self.k}, t={self.t}")
         object.__setattr__(self, "k", float(self.k))
-        object.__setattr__(self, "t", float(self.t))
 
 
 @dataclass(frozen=True)

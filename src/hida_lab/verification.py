@@ -1,16 +1,17 @@
 """End-to-end verification harness: ten named checks over the whole package.
 
 Each check compares an independently computed quantity against a closed
-form or a convergence-order gate and reports a single pass/fail verdict
-with the measured value and the threshold it was held to.  The harness is
-shared by the ``hida-lab verify`` subcommand and the acceptance tests, which
-both take the checks and their sizes from :func:`plan`.
+form or a convergence-order gate and returns one row, a dict with the keys
+``name``, ``passed`` (a bool), ``measured`` (a float), ``threshold`` and
+``detail``; :func:`run_checks` adds each row's wall time as ``seconds``.
+The harness is shared by ``hida-lab verify``, which prints the rows as
+they are, and the acceptance tests; both take the checks and their sizes
+from :func:`plan`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,18 +28,10 @@ _SPECTRUM_PAIRS = 10            # leading analytic pairs of k's sign matched
 _PRODUCT_TERMS = 100_000        # factors of the truncated determinant product
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: float
-    threshold: float
-    detail: str
-    seconds: float = field(default=0.0, compare=False)   # wall time of the check
-
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.passed))
-        object.__setattr__(self, "measured", float(self.measured))
+def _row(name: str, passed, measured, threshold: float, detail: str) -> dict:
+    """One verify row, with passed as a bool and measured as a float whatever numpy gave."""
+    return {"name": name, "passed": bool(passed), "measured": float(measured),
+            "threshold": threshold, "detail": detail}
 
 
 def convergence_orders(residuals) -> list:
@@ -47,21 +40,21 @@ def convergence_orders(residuals) -> list:
             for i in range(len(residuals) - 1)]
 
 
-def check_spectrum(n_grid: int) -> CheckResult:
+def check_spectrum(n_grid: int) -> dict:
     """Discrete eigenvalue pairs of B vs 2kt/((2n-1)pi), multiplicity 2."""
     m = MagneticModel(k=1.0, t=1.0)
     rep = discrete_spectrum(m, make_grid(m.t, n_grid), count=_SPECTRUM_PAIRS)
     worst_match = float(rep["match_errors"].max())
     worst_gap = float(rep["pair_gaps"].max())
     passed = worst_match <= 1e-3 and worst_gap <= 1e-6
-    return CheckResult(
+    return _row(
         name="spectrum_match", passed=passed, measured=worst_match, threshold=1e-3,
         detail=(f"{_SPECTRUM_PAIRS} leading pairs of k's sign at n_grid={n_grid}: "
                 f"max relative error {worst_match:.3e} (<= 1e-3), "
                 f"max in-pair gap {worst_gap:.3e} (<= 1e-6)"))
 
 
-def check_determinant(n_grid: int) -> CheckResult:
+def check_determinant(n_grid: int) -> dict:
     """Closed cos^2(kt) vs truncated product vs discrete eigen-product."""
     worst_disc, worst_prod = 0.0, 0.0
     for k, t in ((1.0, 1.0), (0.5, 2.0), (0.3, 0.7)):
@@ -69,7 +62,7 @@ def check_determinant(n_grid: int) -> CheckResult:
         worst_disc = max(worst_disc, abs(rep["discrete"] - rep["closed"]))
         worst_prod = max(worst_prod, abs(rep["product"] - rep["closed"]))
     passed = worst_disc <= 1e-2 and worst_prod <= 1e-4
-    return CheckResult(
+    return _row(
         name="determinant_three_way", passed=passed, measured=worst_disc,
         threshold=1e-2,
         detail=(f"three (k,t) points at n_grid={n_grid}: "
@@ -77,7 +70,7 @@ def check_determinant(n_grid: int) -> CheckResult:
                 f"max |product({_PRODUCT_TERMS}) - cos^2| {worst_prod:.3e} (<= 1e-4)"))
 
 
-def check_preimage(sizes) -> CheckResult:
+def check_preimage(sizes) -> dict:
     """Closed preimage residual, solve agreement, and residual order."""
     m = MagneticModel(k=1.0, t=1.0)
     reports = [verify_preimage(m, make_grid(m.t, n)) for n in sizes]
@@ -86,7 +79,7 @@ def check_preimage(sizes) -> CheckResult:
     gap = reports[-1]["solve_vs_closed_sup"]
 
     passed = residuals[-1] <= 1e-3 and gap <= 1e-3 and min(orders) >= 1.9
-    return CheckResult(
+    return _row(
         name="preimage_residual", passed=passed, measured=residuals[-1],
         threshold=1e-3,
         detail=(f"sup residual at n_grid={sizes[-1]}: {residuals[-1]:.3e} (<= 1e-3), "
@@ -94,7 +87,7 @@ def check_preimage(sizes) -> CheckResult:
                 f"orders over {sizes}: {[round(o, 3) for o in orders]} (each >= 1.9)"))
 
 
-def check_gram(n_grid: int) -> CheckResult:
+def check_gram(n_grid: int) -> dict:
     """Gram matrix of the pinning directions vs (i/k) tan(kt) Id."""
     m = MagneticModel(k=1.0, t=1.0)
     g = make_grid(m.t, n_grid)
@@ -103,14 +96,14 @@ def check_gram(n_grid: int) -> CheckResult:
     off = float(abs(entries[0, 1]))
     diag_err = float(abs(entries[0, 0] - 1j * np.tan(1.0)))
     passed = re_max <= 1e-8 and off <= 1e-4 and diag_err <= 1e-4
-    return CheckResult(
+    return _row(
         name="gram_matrix", passed=passed, measured=diag_err, threshold=1e-4,
         detail=(f"n_grid={n_grid}: max|Re M| {re_max:.3e} (<= 1e-8), "
                 f"|M12| {off:.3e} (<= 1e-4), "
                 f"|M11 - i tan(1)| {diag_err:.3e} (<= 1e-4)"))
 
 
-def check_two_path(n_grid: int, seed: int = 777) -> CheckResult:
+def check_two_path(n_grid: int, seed: int = 777) -> dict:
     """Closed-form vs structured numeric T-transform on seeded test functions.
 
     The two routes share no solve: the structured route (:func:`propagator`
@@ -128,14 +121,14 @@ def check_two_path(n_grid: int, seed: int = 777) -> CheckResult:
         closed = magnetic_T(m, y, f=f).value
         worst = max(worst, abs(closed - numeric) / abs(numeric))
     passed = worst <= 1e-3
-    return CheckResult(
+    return _row(
         name="two_path_consistency", passed=passed, measured=worst, threshold=1e-3,
         detail=(f"5 seeded Gaussian test functions at n_grid={n_grid}, y={y}: "
                 f"structured (FFT N^-1) vs closed (continuum Green's function) "
                 f"max relative gap {worst:.3e} (<= 1e-3)"))
 
 
-def check_free_limit(n_grid: int) -> CheckResult:
+def check_free_limit(n_grid: int) -> dict:
     """Composed propagator converges to the free propagator as k -> 0."""
     y = (1.0, 0.0)
     free = free_limit_reference(1.0, y)
@@ -145,14 +138,14 @@ def check_free_limit(n_grid: int) -> CheckResult:
         gaps.append(abs(value - free) / abs(free))
     monotone = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     passed = gaps[-1] <= 1e-3 and monotone
-    return CheckResult(
+    return _row(
         name="free_limit", passed=passed, measured=gaps[-1], threshold=1e-3,
         detail=(f"relative gaps at k=1e-2/1e-3/1e-4: "
                 f"{[f'{g:.3e}' for g in gaps]}; final <= 1e-3, "
                 f"monotone decrease: {monotone}"))
 
 
-def check_gauss_identity(samples: int, seed: int = 2024) -> CheckResult:
+def check_gauss_identity(samples: int, seed: int = 2024) -> dict:
     """Monte Carlo E[exp(-<w,Kw>)] = det(Id+2K)^{-1/2} for rank-1 K = -1/8, where the
     integrand has finite variance: E[exp(-2K z^2)] = (1 + 4K)^{-1/2} needs 1 + 4K > 0."""
     kernel = FiniteRankKernel(eigenvalues=np.array([-0.125]))
@@ -161,7 +154,7 @@ def check_gauss_identity(samples: int, seed: int = 2024) -> CheckResult:
     sigmas = abs(est1["mean"] - est1["exact"]) / est1["std_error"]
     reproducible = est1 == est2
     passed = sigmas <= 3.0 and reproducible and abs(est1["exact"] - 2.0 / np.sqrt(3.0)) < 1e-12
-    return CheckResult(
+    return _row(
         name="gauss_determinant_identity", passed=passed, measured=sigmas,
         threshold=3.0,
         detail=(f"{samples} samples, seed {seed}: mean {est1['mean']:.6f} vs 2/sqrt(3), "
@@ -169,7 +162,7 @@ def check_gauss_identity(samples: int, seed: int = 2024) -> CheckResult:
                 f"bit-reproducible: {reproducible}"))
 
 
-def check_delta_normalization() -> CheckResult:
+def check_delta_normalization() -> dict:
     """x-integral of the pinned-delta T-transform at f = 0 equals 1.
 
     The integrand is the unit Gaussian exp(-x^2/2)/sqrt(2 pi), summed by the
@@ -185,14 +178,14 @@ def check_delta_normalization() -> CheckResult:
     values = donsker_T(1.0, 0.0, 0.0, x).real
     integral = h * (values.sum() - 0.5 * (values[0] + values[-1]))
     err = float(abs(integral - 1.0))
-    return CheckResult(
+    return _row(
         name="delta_normalization", passed=err <= 1e-6, measured=err,
         threshold=1e-6,
         detail=(f"trapezoidal sum, h = {h:g} on [-40, 40]: "
                 f"|integral - 1| = {err:.3e} (<= 1e-6)"))
 
 
-def check_caustics(n_grid: int, points: int) -> CheckResult:
+def check_caustics(n_grid: int, points: int) -> dict:
     """Exact caustic flags plus propagator growth approaching kt = pi.
 
     The magnitude of the composed value at y = 0 is k / (2 pi |sin(kt)|), so
@@ -216,8 +209,8 @@ def check_caustics(n_grid: int, points: int) -> CheckResult:
     gap = abs(growth / closed_growth - 1.0)
     tol = 2.0 * kts[-1] / n_grid
     passed = flags_ok and monotone and gap <= tol
-    return CheckResult(
-        name="caustic_behavior", passed=passed, measured=float(gap),
+    return _row(
+        name="caustic_behavior", passed=passed, measured=gap,
         threshold=float(tol),
         detail=(f"flags: kt=pi -> {flag_pi}, kt=pi/2 -> {flag_half}; "
                 f"|propagator| over kt in [2.8, 3.1] at n_grid={n_grid}: "
@@ -225,7 +218,7 @@ def check_caustics(n_grid: int, points: int) -> CheckResult:
                 f"{closed_growth:.3f}x, relative gap {gap:.3e} (<= 2h = {tol:.3e})"))
 
 
-def check_schrodinger() -> CheckResult:
+def check_schrodinger() -> dict:
     """Finite-difference residual convergence adjudicates the conventions.
 
     The free (k = 0) composed value must satisfy the free equation at order
@@ -248,8 +241,8 @@ def check_schrodinger() -> CheckResult:
     gap = abs(composed - printed)
 
     passed = free_order >= 1.9 and converging == ["composed"]
-    return CheckResult(
-        name="schrodinger_residual", passed=passed, measured=float(free_order),
+    return _row(
+        name="schrodinger_residual", passed=passed, measured=free_order,
         threshold=1.9,
         detail=(f"free-case finest order {free_order:.3f} (>= 1.9); "
                 f"k=0.5 orders: composed {verdicts['composed']:.3f}, "
@@ -279,10 +272,10 @@ def plan(quick: bool = False, seed: int = 777) -> list:
 
 
 def run_checks(quick: bool = False, seed: int = 777) -> list:
-    """The checks of :func:`plan`, in order, each timed."""
-    results = []
+    """The rows of :func:`plan`'s checks, in order, each with its wall time as ``seconds``."""
+    rows = []
     for check, kwargs in plan(quick, seed):
         start = time.perf_counter()
-        result = check(**kwargs)
-        results.append(replace(result, seconds=time.perf_counter() - start))
-    return results
+        rows.append(check(**kwargs))
+        rows[-1]["seconds"] = time.perf_counter() - start
+    return rows

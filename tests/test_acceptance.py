@@ -16,9 +16,9 @@ FULL_SIZE = dict(v.plan(quick=False))
 
 def _report(check):
     result = check(**FULL_SIZE[check])
-    status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] {result.name}: {result.detail}", file=sys.stderr)
-    assert result.passed, result.detail
+    status = "PASS" if result["passed"] else "FAIL"
+    print(f"[{status}] {result['name']}: {result['detail']}", file=sys.stderr)
+    assert result["passed"], result["detail"]
 
 
 def test_criterion_spectrum_match():

@@ -24,7 +24,6 @@ from hida_lab.errors import ConditionViolationError, NearSingularError
 from hida_lab.fredholm import Resolvent
 from hida_lab.grid import make_grid
 from hida_lab.testfunctions import indicator_pair
-from hida_lab.verification import CheckResult
 from test_refusals import POINTS
 
 
@@ -705,8 +704,8 @@ def test_sweep_results_do_not_depend_on_the_worker_count(capsys, monkeypatch, n)
 
 
 def _fake_checks(passed):
-    return [CheckResult(name="fake", passed=passed, measured=0.0,
-                        threshold=1.0, detail="stub")]
+    return [{"name": "fake", "passed": passed, "measured": 0.0,
+             "threshold": 1.0, "detail": "stub", "seconds": 0.0}]
 
 
 def test_verify_exit_codes(capsys, monkeypatch):
@@ -725,8 +724,8 @@ def test_verify_reports_seconds_per_check_outside_results(capsys, monkeypatch):
         def stub(*args, _name=attr, **kwargs):
             if _name == "check_gram":
                 time.sleep(0.02)
-            return CheckResult(name=_name, passed=True, measured=0.0,
-                               threshold=1.0, detail="stub")
+            return {"name": _name, "passed": True, "measured": 0.0,
+                    "threshold": 1.0, "detail": "stub"}
         monkeypatch.setattr(verification, attr, stub)
         names.append(attr)
     outputs = []
@@ -741,6 +740,20 @@ def test_verify_reports_seconds_per_check_outside_results(capsys, monkeypatch):
     assert outputs[0]["results"] == outputs[1]["results"]
     assert all(set(row) == {"name", "passed", "measured", "threshold", "detail"}
                for row in outputs[0]["results"]["rows"])
+
+
+def test_verify_csv_is_the_ten_rows_in_plan_order(capsys):
+    """The CSV holds the five row keys of each check, in plan() order, and no
+    `seconds` column: run_checks' wall times go to diagnostics only."""
+    code, out, _ = run_cli(capsys, "verify", "--quick", "--output", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "name,passed,measured,threshold,detail"
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["name"] for row in rows] == [
+        "spectrum_match", "determinant_three_way", "preimage_residual", "gram_matrix",
+        "two_path_consistency", "free_limit", "gauss_determinant_identity",
+        "delta_normalization", "caustic_behavior", "schrodinger_residual"]
+    assert all(row["passed"] == "True" for row in rows)
 
 
 def test_verify_reports_its_peak_rss_outside_results(capsys):

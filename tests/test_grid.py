@@ -40,7 +40,7 @@ def test_grid_step_and_nodes(t, n):
     np.testing.assert_array_equal(g.nodes, (np.arange(n) + 0.5) * (t / n))
 
 
-@pytest.mark.parametrize("t,n", [(0.0, 4), (-1.0, 4), (1.0, 1), (1.0, 0)])
+@pytest.mark.parametrize("t,n", [(0.0, 4), (-1.0, 4), (1.0, 1), (1.0, 0), (1.0, 10**400)])
 def test_make_grid_rejects_bad_parameters(t, n):
     for build in (make_grid, Grid):
         with pytest.raises(InvalidParameterError):

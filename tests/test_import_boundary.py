@@ -50,7 +50,7 @@ def test_quick_verify_loads_no_scipy_integrate():
     """No check of a cold quick verify takes the dense oracle, so none loads scipy."""
     loaded = _loaded_after(
         "from hida_lab.verification import run_checks\n"
-        "assert all(r.passed for r in run_checks(quick=True))")
+        "assert all(r['passed'] for r in run_checks(quick=True))")
     assert _heavy(loaded) == []
 
 
@@ -58,7 +58,7 @@ def test_quick_verify_and_ttransform_load_no_numpy_random():
     """Seeded test functions and Monte Carlo normals take numpy.random's
     import and state nowhere, in a cold check run or a cold CLI run."""
     for code in ("from hida_lab.verification import run_checks\n"
-                 "assert all(r.passed for r in run_checks(quick=True))",
+                 "assert all(r['passed'] for r in run_checks(quick=True))",
                  "from hida_lab.cli import main\n"
                  f"assert main(['ttransform', '--out-file', {os.devnull!r}]) == 0"):
         loaded = _loaded_after(code)

@@ -20,6 +20,8 @@ from hida_lab.operators import BlockOperator, apply_volterra
 def test_model_requires_positive_time():
     with pytest.raises(InvalidParameterError):
         MagneticModel(k=1.0, t=0.0)
+    with pytest.raises(InvalidParameterError):      # positive, but its float is 0.0
+        MagneticModel(k=0, t=Fraction(1, 10**400))
     MagneticModel(k=0.0, t=1.0)  # zero coupling is allowed
 
 

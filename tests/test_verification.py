@@ -30,10 +30,10 @@ def _closed(k, kt):
 def test_closed_form_growth_passes(monkeypatch, n_grid, points):
     monkeypatch.setattr(v, "propagator", _stub(_closed))
     r = v.check_caustics(n_grid=n_grid, points=points)
-    assert r.passed, r.detail
-    assert r.measured < 1e-12
-    assert r.threshold == pytest.approx(2.0 * 3.1 / n_grid)
-    assert "8.056x" in r.detail
+    assert r["passed"], r["detail"]
+    assert r["measured"] < 1e-12
+    assert r["threshold"] == pytest.approx(2.0 * 3.1 / n_grid)
+    assert "8.056x" in r["detail"]
 
 
 @pytest.mark.parametrize("n_grid, points", [(200, 5), (400, 7)])
@@ -41,9 +41,9 @@ def test_inverse_sine_squared_growth_fails(monkeypatch, n_grid, points):
     monkeypatch.setattr(v, "propagator",
                         _stub(lambda k, kt: k / np.sin(kt) ** 2))
     r = v.check_caustics(n_grid=n_grid, points=points)
-    assert not r.passed
-    assert "monotone True" in r.detail
-    assert r.measured > r.threshold
+    assert not r["passed"]
+    assert "monotone True" in r["detail"]
+    assert r["measured"] > r["threshold"]
 
 
 def test_inverse_distance_to_pi_growth_fails_at_400(monkeypatch):
@@ -51,18 +51,18 @@ def test_inverse_distance_to_pi_growth_fails_at_400(monkeypatch):
     monkeypatch.setattr(v, "propagator",
                         _stub(lambda k, kt: 1.0 / (np.pi - kt)))
     r = v.check_caustics(n_grid=400, points=7)
-    assert not r.passed
-    assert "monotone True" in r.detail
-    assert r.measured == pytest.approx(0.0194, abs=1e-4)
-    assert r.measured > r.threshold
+    assert not r["passed"]
+    assert "monotone True" in r["detail"]
+    assert r["measured"] == pytest.approx(0.0194, abs=1e-4)
+    assert r["measured"] > r["threshold"]
 
 
 def test_printed_cos_prefactor_fails_as_not_monotone(monkeypatch):
     monkeypatch.setattr(v, "propagator",
                         _stub(lambda k, kt: k / (2.0 * np.pi * 1j * np.cos(kt))))
     r = v.check_caustics(n_grid=400, points=7)
-    assert not r.passed
-    assert "monotone False" in r.detail
+    assert not r["passed"]
+    assert "monotone False" in r["detail"]
 
 
 def test_dip_with_exact_endpoint_growth_fails(monkeypatch):
@@ -72,9 +72,9 @@ def test_dip_with_exact_endpoint_growth_fails(monkeypatch):
 
     monkeypatch.setattr(v, "propagator", _stub(dipped))
     r = v.check_caustics(n_grid=400, points=7)
-    assert not r.passed
-    assert "monotone False" in r.detail
-    assert r.measured <= r.threshold
+    assert not r["passed"]
+    assert "monotone False" in r["detail"]
+    assert r["measured"] <= r["threshold"]
 
 
 def test_swapped_caustic_flag_fails(monkeypatch):
@@ -87,16 +87,16 @@ def test_swapped_caustic_flag_fails(monkeypatch):
     monkeypatch.setattr(v, "propagator", _stub(_closed))
     monkeypatch.setattr(v, "caustic_check", swapped)
     r = v.check_caustics(n_grid=400, points=7)
-    assert not r.passed
-    assert "kt=pi -> half_integer_caustic" in r.detail
-    assert r.measured <= r.threshold
+    assert not r["passed"]
+    assert "kt=pi -> half_integer_caustic" in r["detail"]
+    assert r["measured"] <= r["threshold"]
 
 
 def test_delta_normalization_passes_at_rounding_level():
     r = v.check_delta_normalization()
-    assert r.passed, r.detail
-    assert r.measured <= 1e-12
-    assert r.threshold == 1e-6
+    assert r["passed"], r["detail"]
+    assert r["measured"] <= 1e-12
+    assert r["threshold"] == 1e-6
 
 
 def _scaled_density(eta, c, f, x):
@@ -113,8 +113,8 @@ def _widened_density(eta, c, f, x):
 def test_delta_normalization_fails_a_density_off_by_1e5(monkeypatch, stub, expected):
     monkeypatch.setattr(v, "donsker_T", stub)
     r = v.check_delta_normalization()
-    assert not r.passed
-    assert r.measured == pytest.approx(expected, rel=1e-6)
+    assert not r["passed"]
+    assert r["measured"] == pytest.approx(expected, rel=1e-6)
 
 
 def test_gauss_identity_gate_holds_for_every_seed_0_to_299():
@@ -122,7 +122,7 @@ def test_gauss_identity_gate_holds_for_every_seed_0_to_299():
     3-standard-error gate does not hang on the seed: the largest of these
     300 seeds reads 2.56 standard errors at 20 000 samples.  At K = -1/4
     (infinite variance) two of them read above 3 (worst 3.76, seed 78)."""
-    worst = max(v.check_gauss_identity(samples=20_000, seed=seed).measured
+    worst = max(v.check_gauss_identity(samples=20_000, seed=seed)["measured"]
                 for seed in range(300))
     assert worst <= 3.0
 
@@ -133,7 +133,7 @@ def test_quick_and_full_plans_run_the_same_checks_in_the_same_order():
 
 
 def test_verify_rows_are_the_ten_checks_in_order():
-    assert [row.name for row in v.run_checks(quick=True)] == [
+    assert [row["name"] for row in v.run_checks(quick=True)] == [
         "spectrum_match", "determinant_three_way", "preimage_residual", "gram_matrix",
         "two_path_consistency", "free_limit", "gauss_determinant_identity",
         "delta_normalization", "caustic_behavior", "schrodinger_residual"]
