@@ -246,16 +246,16 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     values = np.linspace(cfg.sweep_start, cfg.sweep_stop, cfg.sweep_steps)
 
     def one(value: float) -> dict:
-        m = MagneticModel(**{"k": cfg.k, "t": cfg.t, cfg.sweep_param: value})
-        row = {cfg.sweep_param: getattr(m, cfg.sweep_param),
-               "caustic": caustic_check(m)["classification"]}
+        # The model itself may refuse this row's value; the row then carries the refusal.
+        row = {cfg.sweep_param: float(value), "caustic": None, "value": None,
+               "abs_value": None}
         try:
+            m = MagneticModel(**{"k": cfg.k, "t": cfg.t, cfg.sweep_param: value})
+            row["caustic"] = caustic_check(m)["classification"]
             value = propagator(m, (cfg.y1, cfg.y2), n_grid=cfg.grid_points).value
             row["value"] = value
             row["abs_value"] = abs(value)
         except HidaLabError as exc:
-            row["value"] = None
-            row["abs_value"] = None
             row["error"] = str(exc)
         return row
 

@@ -31,5 +31,6 @@ class ConditionViolationError(HidaLabError, ArithmeticError):
 
 class NumericFailureError(HidaLabError, RuntimeError):
     """A number left the float range or could not be formed: an overflow, a division
-    by zero or an invalid value in numpy, a non-finite T-transform or report, an
+    by zero or an invalid value in numpy anywhere in the T-transform, the closed
+    forms or another guarded computation, a non-finite T-transform or report, an
     underflowed det M, or too few discrete eigenvalues to match."""

@@ -25,9 +25,9 @@ the Gram matrix M, the pinning values, its N^{-1} (``closed_solve``,
 square roots of det and of (2pi)^J det M the continuous ones.
 So one function reads the test function f, with one solve N^{-1} f for the
 quadratic term -1/2 (f, N^{-1} f) and the couplings (eta_a, N^{-1} f), and
-applies the branch rule, the delta exponent, the endpoint check and the
-refusal of a non-finite value.  The caustic refusals are tabulated in
-:mod:`fredholm`.
+applies the branch rule, the delta exponent and the endpoint check, all under
+:func:`fredholm.refuse_overflow` ("the T-transform leaves the float range"), as
+are the closed forms.  The caustic refusals are tabulated in :mod:`fredholm`.
 
 The sign of the delta exponent and the square-root branches are fixed by
 actually performing the Gaussian integrals that define the pinned product:
@@ -49,8 +49,7 @@ the check that judges it: :func:`schrodinger_residual` (``hida-lab
 residual``) evaluates it too and finds that it does not converge.
 :func:`printed_propagator_value` is the often-quoted cos-prefactor formula
 k / (2 pi i cos(kt)) * exp(+(ik/2) cot(kt) |y|^2): ``hida-lab propagator``
-reports it for comparison, never substituted.  A composed value that is not
-finite is refused with :class:`NumericFailureError`.
+reports it for comparison, never substituted.
 """
 
 from __future__ import annotations
@@ -222,6 +221,7 @@ def _gram_branch(gram: np.ndarray) -> str:
     return "positive_real"
 
 
+@refuse_overflow("the T-transform")
 def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solve,
              route: str, cond_estimate: float | None, branch=(1.0, 1.0),
              weighted_etas=None) -> TTransformReport:
@@ -256,8 +256,7 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
     if det_sign < 0:
         notes.append("det(Id+L(Id+K)^-1): sign -1, the root continuous in t")
     # At J = 0 the 0 x 0 det M is 1 and the solve is empty: gram_factor 1, exponent 0.
-    with refuse_overflow("(2pi)^J det(M)"):
-        scaled_det_m = complex((2.0 * np.pi) ** j * np.linalg.det(gram))
+    scaled_det_m = complex((2.0 * np.pi) ** j * np.linalg.det(gram))
     if scaled_det_m == 0:
         raise NumericFailureError("(2pi)^J det(M) underflows to 0")
     gram_factor = 1.0 / (gram_sign * _branch_sqrt(scaled_det_m, notes, "(2pi)^J det(M)"))
@@ -268,23 +267,17 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
     exponent_delta = 0.5 * complex(u @ np.linalg.solve(gram, u))
     notes.append("delta exponent: +1/2 u^T M^-1 u (Gaussian-integral composition)")
 
-    value = _finite_value(det_factor * gram_factor, exponent_quadratic + exponent_delta)
+    value = det_factor * gram_factor * np.exp(exponent_quadratic + exponent_delta)
+    # np.linalg.solve sets its own errstate, so an overflow inside it comes out
+    # as a silent inf or nan in exponent_delta; refused here.
+    if not np.isfinite(value):
+        raise NumericFailureError(f"the T-transform {complex(value)} is not finite")
     return TTransformReport(value=complex(value),
                             exponent_quadratic=complex(exponent_quadratic),
                             exponent_delta=complex(exponent_delta),
                             u=u, branch_note=tuple(notes),
                             gram=gram.copy(), determinant=determinant, route=route,
                             cond_estimate=cond_estimate)
-
-
-def _finite_value(prefactor: complex, exponent: complex) -> complex:
-    """prefactor * exp(exponent), refused when it is not a finite number."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = prefactor * np.exp(exponent)
-    if not np.isfinite(value):
-        raise NumericFailureError(
-            f"T-transform {complex(value)} is not finite (exponent {exponent:.6g})")
-    return value
 
 
 def _combine(g: Grid, f):
@@ -328,6 +321,7 @@ def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
                     branch=branch)
 
 
+@refuse_overflow("the printed formula")
 def printed_propagator_value(m: MagneticModel, y) -> complex:
     """The as-quoted closed formula k/(2 pi i cos(kt)) exp(+(ik/2) cot(kt) |y|^2).
 
@@ -344,6 +338,7 @@ def printed_propagator_value(m: MagneticModel, y) -> complex:
             * np.exp(0.5j * m.k / np.tan(kt) * float(y @ y)))
 
 
+@refuse_overflow("the closed form")
 def composed_closed_value(m: MagneticModel, y) -> complex:
     """Closed form of the composed generalized expectation,
     k/(2 pi i sin(kt)) exp(+(ik/2) cot(kt) |y|^2)."""
@@ -439,7 +434,7 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
     yi, ui = y_axis[1:-1], u[:, 1:-1]
     ik_du = (1j * m.k / (2.0 * hy)) * (u[:, 2:] - u[:, :-2])
     w = ((u[:, 2:] - 2.0 * ui + u[:, :-2]) / (2.0 * hy ** 2)
-         - (0.5 * m.k ** 2) * yi ** 2 * ui)
+         - (0.5 * np.square(m.k)) * yi ** 2 * ui)
     i_dt = 0.5j / ht * a
     core_sq = float(np.abs(a[1:-1]) ** 2 @ np.sum(np.abs(ui[1:-1]) ** 2, axis=1) ** 2)
     res_sq = 0.0

@@ -36,8 +36,9 @@ kt in {j pi} u {(j + 1/2) pi}.  Four guards enforce it, defined here alone:
 classification, kt and distance.  The residual's window is
 :func:`refuse_caustic_in_span`.  Each CausticError carries kt (the residual's:
 the caustic j pi), except the floor's.  The exit code is the CLI's.  Where a
-route's numbers leave the float range, :func:`refuse_overflow` refuses with
-NumericFailureError (exit 3).
+number leaves the float range (in the T-transform of every route, the closed
+forms and solve, det(Id + B) or the residual), :func:`refuse_overflow` refuses
+with NumericFailureError (exit 3).
 """
 
 from __future__ import annotations

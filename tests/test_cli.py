@@ -376,14 +376,16 @@ def test_an_overflow_is_refused_with_no_warning(capsys, argv, code):
     (["ttransform", "--k", "0", "--t", "1e308", "--grid-points", "200", "--count", "2"], 3),
     (["propagator", "--k", "1e-300", "--t", "1e200", "--grid-points", "200"], 3),
     (["propagator", "--k", "0", "--t", "1e-300", "--grid-points", "200"], 3),
+    (["residual", "--k", "1e300", "--t", "1e-300"], 3),
 ], ids=["residual_1e154", "residual_1e77", "residual_1e76", "residual_1e-100",
         "preimage_1e308", "propagator_1e308", "ttransform_1e308", "propagator_k1e-300",
-        "propagator_1e-300"])
+        "propagator_1e-300", "residual_k1e300"])
 def test_an_extreme_t_is_refused_where_it_leaves_the_float_range(capsys, argv, code):
     """Exit 3 where a route's numbers leave the float range: the residual's
     squared norms (below the smallest normal float from t = 1e77 at k = 0,
     where its digits go, and 0 at 1e154, where convergence_orders divided by
-    it), its stencil, the closed solve and det M.  Each of these raised."""
+    it), its stencil (k^2 at k = 1e300), the closed solve and det M.  Each of
+    these raised."""
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert (out == "" and "numeric failure" in err
@@ -397,8 +399,22 @@ def test_a_sweep_reports_an_extreme_t_refusal_in_its_rows(capsys):
                            "--sweep-steps", "2", "--grid-points", "50")
     rows = json.loads(out, parse_constant=_refuse_constant)["results"]["rows"]
     assert code == 0 and len(rows) == 2
-    assert all(row["value"] is None and "det(M) leaves the float range" in row["error"]
-               for row in rows)
+    assert all(row["value"] is None and "the T-transform leaves the float range "
+               "(overflow encountered in det)" in row["error"] for row in rows)
+
+
+def test_a_sweep_reports_a_refused_model_in_its_row(capsys):
+    """A row whose model is refused (k t from 2**52 up) carries the refusal, and
+    the valid k = 0 row keeps its value, where the whole sweep exited 2."""
+    code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "k", "--t", "1e10",
+                           "--sweep-start", "0", "--sweep-stop", "1e6", "--sweep-steps", "3",
+                           "--grid-points", "20")
+    rows = json.loads(out, parse_constant=_refuse_constant)["results"]["rows"]
+    assert code == 0 and [row["k"] for row in rows] == [0.0, 5e5, 1e6]
+    assert rows[0]["caustic"] == "regular" and rows[0]["value"] and "error" not in rows[0]
+    for row in rows[1:]:
+        assert row["caustic"] is row["value"] is row["abs_value"] is None
+        assert "below 2**52" in row["error"]
 
 
 EXTREME_EXPONENTS = sorted(set(range(-320, 309, 16)) | {153, 154, 155, 307, 308})

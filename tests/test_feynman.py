@@ -2,14 +2,17 @@
 
 import gc
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hida_lab import (CausticError, InvalidParameterError, MagneticModel, TTransformReport,
-                      caustic_check, composed_closed_value, free_limit_reference, magnetic_T,
-                      printed_propagator_value, propagator, residual_convergence,
-                      schrodinger_residual)
+from hida_lab import (CausticError, HidaLabError, InvalidParameterError, MagneticModel,
+                      TTransformReport, caustic_check, composed_closed_value,
+                      free_limit_reference, magnetic_T, printed_propagator_value, propagator,
+                      residual_convergence, schrodinger_residual)
 from hida_lab.errors import (ConditionViolationError, NearSingularError,
                              NumericFailureError)
 from hida_lab import feynman, fredholm
@@ -289,16 +292,55 @@ def test_dense_route_refuses_an_overflowing_T_transform():
     g = make_grid(1.0, 50)
     evaluator = LemmaEvaluator(free_K(M11, g), magnetic_L(M11, g),
                                etas=(indicator_pair(g, 1), indicator_pair(g, 2)))
-    assert np.isfinite(evaluator.evaluate(f=_force(g, 0.4), ys=(0.3, -0.4)).value)
-    with pytest.raises(NumericFailureError, match="not finite"):
-        evaluator.evaluate(f=_force(g, 40.0), ys=(0.3, -0.4))
+    for route in (partial(evaluator.evaluate, ys=(0.3, -0.4)),
+                  partial(propagator, M11, (0.3, -0.4), 50)):
+        assert np.isfinite(route(f=_force(g, 0.4)).value)
+        with pytest.raises(NumericFailureError, match="the T-transform leaves the float range"):
+            route(f=_force(g, 40.0))
 
 
 def test_closed_route_refuses_an_overflowing_T_transform():
     g = make_grid(1.0, 50)
-    assert np.isfinite(magnetic_T(M11, (0.3, -0.4), f=_force(g, 0.4)).value)
-    with pytest.raises(NumericFailureError, match="not finite"):
-        magnetic_T(M11, (0.3, -0.4), f=_force(g, 40.0))
+    for route in (magnetic_T, partial(propagator, n_grid=50)):
+        assert np.isfinite(route(M11, (0.3, -0.4), f=_force(g, 0.4)).value)
+        with pytest.raises(NumericFailureError, match="the T-transform leaves the float range"):
+            route(M11, (0.3, -0.4), f=_force(g, 40.0))
+
+
+EXTREME = st.one_of(st.floats(-5.0, 5.0),
+                    st.builds(lambda sign, e: sign * 10.0 ** e,
+                              st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(k=EXTREME, t=EXTREME.map(abs), y1=EXTREME, y2=st.floats(-1.0, 1.0),
+       n=st.sampled_from([2, 5, 16]))
+@example(k=0.9415922790574323, t=9.46907462427071, y1=-1.4204313310400665e+254,
+         y2=0.40194003748602714, n=2)
+@example(k=-2.83975023208043, t=5.824829902134359e-219, y1=7.7980438581403e+45,
+         y2=-0.816485450728833, n=5)
+@example(k=3.043648882650523e-68, t=5.2014872914370285e-56, y1=-3.7327678200860534e+264,
+         y2=0.1167604557856976, n=2)
+@example(k=-0.6836141788263523, t=1.6667271169192847e-111, y1=-4.5845160753148304e+281,
+         y2=0.18325913516165482, n=16)     # np.linalg.solve's own errstate masks a nan
+def test_every_value_at_extreme_inputs_is_finite_or_refused(k, t, y1, y2, n):
+    """Each value function returns a finite number or raises HidaLabError, and
+    numpy warns of nothing (warnings are errors), at k, t, y1 up to 10^+-300."""
+    try:
+        m = MagneticModel(k=k, t=t)
+        f = random_suite(7, 1, make_grid(m.t, n))[0]
+    except HidaLabError:
+        return
+    y = (y1, y2)
+    routes = [partial(propagator, m, y, n), partial(propagator, m, y, n, f),
+              partial(magnetic_T, m, y), partial(magnetic_T, m, y, f),
+              partial(composed_closed_value, m, y), partial(printed_propagator_value, m, y)]
+    for route in routes:
+        try:
+            value = route()
+        except HidaLabError:
+            continue
+        assert np.isfinite(getattr(value, "value", value))
 
 
 # ----------------------------------------------------- two evaluation paths
@@ -781,3 +823,27 @@ def test_structured_and_closed_routes_at_f_converge_together():
         closed = magnetic_T(M11, y, f=f).value
         gaps.append(abs(propagator(M11, y, n_grid=n, f=f).value - closed) / abs(closed))
     assert np.all(np.log2(np.array(gaps[:-1]) / np.array(gaps[1:])) >= 0.95)
+
+
+@pytest.mark.parametrize("n", [250, 2000])
+def test_the_T_transform_at_z_f_is_a_U_functional(n):
+    """By the characterization theorem F(z f) is a U-functional: on the closed
+    and the structured route the exponent is a degree-2 polynomial in z (8
+    points on |z| = 2) and the prefactor does not depend on z; the two routes'
+    z^2 coefficients, -1/2 (f, N^{-1} f), agree (-0.035645i on both)."""
+    m, y = MagneticModel(k=0.7, t=1.3), (0.3, -0.4)
+    g = make_grid(m.t, n)
+    f = random_suite(7, 1, g)[0]
+    zs = 2.0 * np.exp(2j * np.pi * np.arange(8) / 8)
+    vander = np.vander(zs, 3)
+    leading = []
+    for route in (partial(magnetic_T, m, y), partial(propagator, m, y, n)):
+        reports = [route(f=GridFunctionPair(grid=g, comp1=z * f.comp1, comp2=z * f.comp2))
+                   for z in zs]
+        exponent = np.array([r.exponent_quadratic + r.exponent_delta for r in reports])
+        coef = np.linalg.lstsq(vander, exponent, rcond=None)[0]
+        assert np.abs(vander @ coef - exponent).max() <= 1e-13 * np.abs(exponent).max()
+        prefactor = np.array([r.value for r in reports]) / np.exp(exponent)
+        assert np.abs(prefactor - prefactor[0]).max() <= 1e-13 * abs(prefactor[0])
+        leading.append(coef[0])
+    assert abs(leading[0] - leading[1]) <= 1e-3 * abs(leading[0])
