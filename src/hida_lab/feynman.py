@@ -335,7 +335,7 @@ def printed_propagator_value(m: MagneticModel, y) -> complex:
     if m.k == 0:
         return free_limit_reference(m.t, y)
     return (m.k / (2.0 * np.pi * 1j * np.cos(kt))
-            * np.exp(0.5j * m.k / np.tan(kt) * float(y @ y)))
+            * np.exp(np.multiply(0.5j * m.k / np.tan(kt), y @ y)))
 
 
 @refuse_overflow("the closed form")
@@ -344,7 +344,7 @@ def composed_closed_value(m: MagneticModel, y) -> complex:
     k/(2 pi i sin(kt)) exp(+(ik/2) cot(kt) |y|^2)."""
     y = np.asarray(y, dtype=float)
     a, c = _closed_form_coefficients(m.k, m.t)
-    return a * np.exp(c * float(y @ y))
+    return a * np.exp(np.multiply(c, y @ y))      # a numpy product flags its overflow
 
 
 def _closed_form_coefficients(k: float, t, sign: float = 1.0):

@@ -3,10 +3,10 @@
 On the grid N = -iR with R = Id + B real, so N^{-1} = i R^{-1}: every route
 (structured, closed and the dense oracle) supplies a real solve of R, and
 :func:`lift` alone makes it N^{-1}.  :class:`Resolvent` is the structured N^{-1}
-and the only code that takes the FFT: :meth:`Resolvent.of` reads the spectrum
-sigma of B's skew-circulant block once, for det(Id + B) = prod(1 - sigma^2) and
-the exact condition max|1 +- sigma| / min|1 +- sigma|, the caustic diagnostic,
-and it solves x = N^{-1} rhs = i (Id + B)^{-1} rhs by a twisted FFT.
+and the only code that takes the FFT: :meth:`Resolvent.of` builds the twist exp(i pi j/n)
+and reads the spectrum sigma of B's skew-circulant block once, for det(Id + B) =
+prod(1 - sigma^2) and the exact condition max|1 +- sigma| / min|1 +- sigma|, the caustic
+diagnostic; every solve x = N^{-1} rhs = i (Id + B)^{-1} rhs on it reuses the twist.
 :func:`closed_solve` is the closed route's own N^{-1}, the continuum Green's
 function integrated exactly over each cell, in O(n).  These two alone read a
 model's t with a grid, so they apply the span rule (:func:`grid.check_same_span`);
@@ -134,24 +134,26 @@ def refuse_overflow(what: str):
 class Resolvent:
     """N^{-1} = i (Id + B)^{-1} through the spectrum sigma of B's skew-circulant block.
 
-    S = k(A* - A) = k h sign(l - j) is skew-circulant: the FFT of its first
-    column twisted by exp(i pi j / n) gives its eigenvalues i sigma, and B's
-    are +-sigma (Davis, *Circulant Matrices*, 1979)."""
+    S = k(A* - A) = k h sign(l - j) is skew-circulant: the FFT of its first column
+    twisted by exp(i pi j / n) gives its eigenvalues i sigma, and B's are +-sigma (Davis,
+    *Circulant Matrices*, 1979).  :meth:`of` builds the twist once; every solve reuses it."""
 
     sigma: np.ndarray = field(repr=False)
+    twist: np.ndarray = field(repr=False)
     cond_estimate: float
 
     @classmethod
     def of(cls, m: MagneticModel, g: Grid) -> "Resolvent":
-        """sigma and cond_estimate; like closed_solve, refuses a grid off the model's float t."""
+        """sigma, the twist and cond_estimate; refuses a grid off the model's float t."""
         check_same_span(g, m.t)
+        twist = np.exp(1j * np.pi * np.arange(g.n) / g.n)
         column = np.full(g.n, -m.k * g.h)
         column[0] = 0.0
-        sigma = np.fft.fft(column * _twist(g.n)).imag
+        sigma = np.fft.fft(column * twist).imag
         moduli = np.abs(np.concatenate([1.0 + sigma, 1.0 - sigma]))
         smallest = moduli.min()
         cond = np.inf if smallest == 0 else float(moduli.max() / smallest)
-        return cls(sigma=sigma, cond_estimate=cond)
+        return cls(sigma=sigma, twist=twist, cond_estimate=cond)
 
     @property
     def determinant(self) -> complex:
@@ -171,14 +173,9 @@ class Resolvent:
         basis are 1 + sigma.
         """
         n = len(self.sigma)
-        twist = _twist(n)
-        z = np.fft.fft(twist * (rhs[:n] + 1j * rhs[n:])) / (1.0 + self.sigma)
-        z = np.conj(twist) * np.fft.ifft(z)
+        z = np.fft.fft(self.twist * (rhs[:n] + 1j * rhs[n:])) / (1.0 + self.sigma)
+        z = np.conj(self.twist) * np.fft.ifft(z)
         return np.concatenate([z.real, z.imag])
-
-
-def _twist(n: int) -> np.ndarray:
-    return np.exp(1j * np.pi * np.arange(n) / n)
 
 
 def lift(real_solve, rhs: np.ndarray) -> np.ndarray:

@@ -475,24 +475,34 @@ def test_propagator_returns_the_structured_report():
     assert rep.branch_note and "delta exponent" in rep.branch_note[-1]
 
 
-def test_propagator_keeps_nothing_per_call():
-    """No cache grows with the calls: after a warm-up, 1000 calls at distinct
-    (k, t) on one grid size grow the traced heap by under 16 KB.  The
-    benchmark's peak RSS already grows with its throughput, so a per-call
-    cache would hide there; a cache kept per n passes."""
-    points = [(0.5 + j / 4000, 1.0 + j / 2000) for j in range(1001)]    # kt < pi/2
-    propagator(MagneticModel(k=points[0][0], t=points[0][1]), (0.3, -0.4), n_grid=200)
+def _heap_growth(models, f=None):
+    """The traced heap's growth over propagator calls at models[1:] on one grid
+    size, after models[0] as a warm-up."""
+    propagator(models[0], (0.3, -0.4), n_grid=200, f=f)
     gc.collect()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        for k, t in points[1:]:
-            propagator(MagneticModel(k=k, t=t), (0.3, -0.4), n_grid=200)
+        for m in models[1:]:
+            propagator(m, (0.3, -0.4), n_grid=200, f=f)
         gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert grown < 16 * 1024
+
+
+def test_propagator_keeps_nothing_per_call():
+    """No cache grows with the calls: after a warm-up, 1000 calls at distinct
+    (k, t) on one grid size, and 1000 at distinct k and one t with a test
+    function f, each grow the traced heap by under 16 KB.  The benchmark's
+    peak RSS already grows with its throughput, so a per-call cache (a
+    Resolvent's twist kept per (k, t), say) would hide there; a cache kept
+    per n passes."""
+    points = [(0.5 + j / 4000, 1.0 + j / 2000) for j in range(1001)]    # kt < pi/2
+    assert _heap_growth([MagneticModel(k=k, t=t) for k, t in points]) < 16 * 1024
+    f = random_suite(7, 1, make_grid(1.0, 200))[0]
+    models = [MagneticModel(k=0.5 + j / 4000, t=1.0) for j in range(1001)]
+    assert _heap_growth(models, f=f) < 16 * 1024
 
 
 # ------------------------------------------------------------- closed forms
@@ -504,6 +514,13 @@ def test_free_limit_reference_value():
     for t in (0.0, np.inf):
         with pytest.raises(InvalidParameterError):
             free_limit_reference(t, (1.0, 0.0))
+
+
+def test_a_closed_form_names_an_overflow_of_its_exponent():
+    """At k = 0, |y|^2/(2t) = 2e308 overflows in the exponent's product, which
+    numpy flags and the refusal names, not the invalid exp that follows."""
+    with pytest.raises(NumericFailureError, match="overflow encountered in multiply"):
+        free_limit_reference(1e-150, (2e79, 0.0))
 
 
 def test_propagator_free_limit():

@@ -192,6 +192,29 @@ def test_only_fredholm_takes_the_fft(monkeypatch):
     assert callers == {"hida_lab.fredholm"}
 
 
+@pytest.mark.parametrize("n", [2, 3, 17, 1000])
+def test_a_solve_reuses_the_twist_of_its_resolvent(monkeypatch, n):
+    """Resolvent.of builds the twist exp(i pi j/n) once: a solve on it calls no
+    np.exp, and gives, bit for bit, the solve with the twist built afresh."""
+    res = Resolvent.of(M11, make_grid(1.0, n))
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal(2 * n)
+    rhss = (real, real + 1j * rng.standard_normal(2 * n))
+    twist = np.exp(1j * np.pi * np.arange(n) / n)
+
+    def fresh_core(rhs):
+        z = np.fft.fft(twist * (rhs[:n] + 1j * rhs[n:])) / (1.0 + res.sigma)
+        z = np.conj(twist) * np.fft.ifft(z)
+        return np.concatenate([z.real, z.imag])
+    expected = [fredholm.lift(fresh_core, rhs) for rhs in rhss]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solve called np.exp")
+    monkeypatch.setattr(np, "exp", refuse)
+    for rhs, want in zip(rhss, expected):
+        np.testing.assert_array_equal(res.solve(rhs), want, strict=True)
+
+
 def test_analytic_gram_diagonal_values():
     assert analytic_gram_diagonal(M11) == pytest.approx(1j * np.tan(1.0))
     assert analytic_gram_diagonal(MagneticModel(k=0.0, t=0.7)) == 0.7j
