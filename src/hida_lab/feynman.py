@@ -73,8 +73,8 @@ _NEAR_REAL = 1e-8
 _GRAM_TOL = 1e-8
 
 
-def _branch_sqrt(z: complex, notes: list, label: str) -> complex:
-    """Principal square root, stabilized on the negative real axis.
+def _branch_sqrt(z: complex, sign: float, notes: list, label: str) -> complex:
+    """The one branch rule: sign times the principal square root, with its notes.
 
     Determinants that are analytically negative real (e.g. det M of the
     magnetic Gram matrix) acquire a tiny imaginary rounding part; snapping
@@ -84,9 +84,12 @@ def _branch_sqrt(z: complex, notes: list, label: str) -> complex:
     if z.real < 0 and abs(z.imag) <= _NEAR_REAL * abs(z):
         root = 1j * np.sqrt(-z.real)
         notes.append(f"{label}: negative-real determinant, branch sqrt(-x)=i*sqrt(x)")
-        return root
-    notes.append(f"{label}: principal branch")
-    return complex(np.sqrt(z))
+    else:
+        root = complex(np.sqrt(z))
+        notes.append(f"{label}: principal branch")
+    if sign < 0:
+        notes.append(f"{label}: sign -1, the root continuous in t")
+    return sign * root
 
 
 @dataclass(frozen=True)
@@ -235,10 +238,12 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
     values.  ``branch`` is a pair of signs that turn the principal roots of
     det and of (2pi)^J det M into the continuous ones.
     """
-    phi = _combine(g, f)
+    if f is not None:
+        check_same_grid(g, f)
+    phi = None if f is None else f.as_vector()
     coupling = None
     exponent_quadratic = 0.0 + 0.0j
-    if phi is not None:
+    if phi is not None and np.any(phi):
         x = solve(phi)
         exponent_quadratic = -0.5 * complex((g.h * phi) @ x)
         coupling = (g.h * x.reshape(2, g.n).sum(axis=1) if weighted_etas is None
@@ -252,16 +257,12 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
     u = 1j * ys if coupling is None else 1j * ys + coupling
     det_sign, gram_sign = branch
     notes: list = []
-    det_factor = 1.0 / (det_sign * _branch_sqrt(determinant, notes, "det(Id+L(Id+K)^-1)"))
-    if det_sign < 0:
-        notes.append("det(Id+L(Id+K)^-1): sign -1, the root continuous in t")
+    det_factor = 1.0 / _branch_sqrt(determinant, det_sign, notes, "det(Id+L(Id+K)^-1)")
     # At J = 0 the 0 x 0 det M is 1 and the solve is empty: gram_factor 1, exponent 0.
     scaled_det_m = complex((2.0 * np.pi) ** j * np.linalg.det(gram))
     if scaled_det_m == 0:
         raise NumericFailureError("(2pi)^J det(M) underflows to 0")
-    gram_factor = 1.0 / (gram_sign * _branch_sqrt(scaled_det_m, notes, "(2pi)^J det(M)"))
-    if gram_sign < 0:
-        notes.append("(2pi)^J det(M): sign -1, the root continuous in t")
+    gram_factor = 1.0 / _branch_sqrt(scaled_det_m, gram_sign, notes, "(2pi)^J det(M)")
     # The composed sign is fixed by performing the Gaussian integrals over
     # the pinning parameters: completing the square yields +1/2 u^T M^{-1} u.
     exponent_delta = 0.5 * complex(u @ np.linalg.solve(gram, u))
@@ -278,22 +279,6 @@ def _compose(determinant: complex, gram: np.ndarray, ys, g: Grid | None, f, solv
                             u=u, branch_note=tuple(notes),
                             gram=gram.copy(), determinant=determinant, route=route,
                             cond_estimate=cond_estimate)
-
-
-def _combine(g: Grid, f):
-    """f as one 2n-vector, or None when f is absent or identically zero."""
-    if f is None:
-        return None
-    check_same_grid(g, f)
-    phi = f.as_vector()
-    return phi if np.any(phi) else None
-
-
-def _convention_sign(convention: str) -> float:
-    """+1 for the composed convention, -1 for the printed one; any other is refused."""
-    if convention not in ("composed", "printed"):
-        raise InvalidParameterError(f"unknown convention {convention!r}")
-    return 1.0 if convention == "composed" else -1.0
 
 
 def magnetic_T(m: MagneticModel, y, f: GridFunctionPair | None = None,
@@ -367,8 +352,9 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
     matrix needs one solve: with N^{-1} eta_1 = (x1, x2), N^{-1} eta_2 =
     (-x2, x1) (:func:`fredholm.rotation_gram`).  A test function f, which
     must live on the n_grid grid, takes one more solve N^{-1} f, made by
-    ``_compose`` as for every route.
-    Composition and refusals are those of the dense oracle.
+    ``_compose`` as for every route.  Composition and refusals are the dense
+    oracle's, bar its Gram check: x = i R^{-1} eta_1 with R^{-1} eta_1 real, so M
+    is purely imaginary, and an exactly zero M is refused in ``_compose``.
     """
     refuse_caustic(m)
     g = make_grid(m.t, n_grid)
@@ -377,7 +363,6 @@ def propagator(m: MagneticModel, y, n_grid: int = 600,
     refuse_singular_determinant(determinant)
     refuse_ill_conditioned(res.cond_estimate)
     gram = rotation_gram(g, res.solve(indicator_pair(g, 1).as_vector().real))
-    _gram_branch(gram)  # LemmaEvaluator's admissibility verdict
     return _compose(determinant, gram, y, g, f, res.solve, route="structured",
                     cond_estimate=res.cond_estimate)
 
@@ -423,7 +408,9 @@ def schrodinger_residual(m: MagneticModel, n: int = 21,
 
     An integer caustic in the span (G singular) is refused, a half-integer one not.
     """
-    sign = _convention_sign(convention)
+    if convention not in ("composed", "printed"):
+        raise InvalidParameterError(f"unknown convention {convention!r}")
+    sign = 1.0 if convention == "composed" else -1.0
     if n < 5:
         raise InvalidParameterError("need at least 5 nodes per axis")
     refuse_caustic_in_span(m, 0.5 * m.t)
